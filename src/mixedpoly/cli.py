@@ -3,9 +3,13 @@ traces, and generating-function evaluation.
 
 Exit codes: 0 on success (verification: all instances pass), 1 on a
 verification or evaluation failure, 2 on usage errors (bad flags, unknown
-identity id, p not an odd prime, budget breach).  Results go to stdout,
-diagnostics to stderr.  Identical invocations produce byte-identical
-output.
+identity id, p not an odd prime, budget breach, malformed budget).
+Results go to stdout, diagnostics to stderr.  Identical invocations
+produce byte-identical output.
+
+The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
+default; whichever is in force must be an integer >= 1, or the command
+exits 2 with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import factorial
 
 from . import __version__
@@ -45,14 +48,24 @@ _FAMILY_CODES = {kind.value: kind for kind in FamilyKind}
 _MIXED_CODES = {kind.value: kind for kind in MixedKind}
 
 
-def _env_budget() -> int:
-    raw = os.environ.get("MIXEDPOLY_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
+def _budget(flag: int | None) -> int:
+    """The evaluation budget: ``--budget``, else MIXEDPOLY_BUDGET, else the default.
+
+    Raises ValueError with a one-line message unless it is an integer >= 1.
+    """
+    if flag is not None:
+        source, raw = "--budget", str(flag)
+    else:
+        source, raw = "MIXEDPOLY_BUDGET", os.environ.get("MIXEDPOLY_BUDGET")
+        if raw is None:
+            return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
+    return budget
 
 
 def _env_width() -> int:
@@ -151,39 +164,10 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return (int(text),)
 
 
-def _rat_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _poly_coeff_strings(p: XPoly) -> list[str]:
     if p.is_zero:
         return ["0"]
-    return [_rat_str(c) for c in p.coeffs]
-
-
-def _poly_latex(p: XPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        mag = abs(c)
-        if mag.denominator == 1:
-            mag_s = str(mag.numerator)
-        else:
-            mag_s = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if k == 0:
-            body = mag_s
-        else:
-            xs = "x" if k == 1 else f"x^{{{k}}}"
-            body = xs if mag == 1 else f"{mag_s} {xs}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return [str(c) for c in p.coeffs]
 
 
 def cmd_table(args, parser: argparse.ArgumentParser) -> int:
@@ -222,7 +206,7 @@ def cmd_table(args, parser: argparse.ArgumentParser) -> int:
     elif fmt == "latex":
         for n, p in table.rows:
             sym = latex_sym.replace("{n}", str(n))
-            out.write(f"{sym}(x) = {_poly_latex(p)} \\\\\n")
+            out.write(f"{sym}(x) = {p.latex()} \\\\\n")
     else:
         width = _env_width()
         for n, p in table.rows:
@@ -244,6 +228,8 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.n_max < 0:
+        parser.error("--n-max must be >= 0")
     try:
         orders = _parse_range(args.orders)
     except ValueError as exc:
@@ -268,7 +254,6 @@ def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
         levels = _parse_range(args.N)
     except ValueError as exc:
         parser.error(str(exc))
-    budget = args.budget if args.budget is not None else _env_budget()
     kind = IntegralKind(args.kind)
     target_name = args.target
     if target_name is None:
@@ -283,7 +268,7 @@ def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
             target,
             args.p,
             levels,
-            budget=budget,
+            budget=args.budget,
             k=args.k,
             x0=args.x0,
         )
@@ -357,7 +342,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
         elif args.format == "csv":
             sys.stdout.write(",".join([str(args.n)] + _poly_coeff_strings(poly)) + "\n")
         elif args.format == "latex":
-            sys.stdout.write(_poly_latex(poly) + "\n")
+            sys.stdout.write(poly.latex() + "\n")
         else:
             sys.stdout.write(str(poly) + "\n")
         return 0
@@ -377,7 +362,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
             if c.is_zero:
                 continue
             tpart = "" if n == 0 else (" t" if n == 1 else f" t^{{{n}}}")
-            terms.append(f"\\left({_poly_latex(c)}\\right){tpart}" if tpart else _poly_latex(c))
+            terms.append(f"\\left({c.latex()}\\right){tpart}" if tpart else c.latex())
         sys.stdout.write((" + ".join(terms) if terms else "0") + "\n")
     else:
         sys.stdout.write(str(series) + "\n")
@@ -387,6 +372,11 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.budget = _budget(args.budget)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "table":
         return cmd_table(args, parser)
     if args.command == "verify":

@@ -296,7 +296,7 @@ class _Parser:
         while (tok := self._peek()) is not None and tok.kind in (TokenKind.PLUS, TokenKind.MINUS):
             self._advance()
             rhs = self.parse_term()
-            span = (_span_of(node)[0], _span_of(rhs)[1])
+            span = (node.span[0], rhs.span[1])
             node = Add(node, rhs, span) if tok.kind is TokenKind.PLUS else Sub(node, rhs, span)
         return node
 
@@ -305,7 +305,7 @@ class _Parser:
         while (tok := self._peek()) is not None and tok.kind in (TokenKind.STAR, TokenKind.SLASH):
             self._advance()
             rhs = self.parse_unary()
-            span = (_span_of(node)[0], _span_of(rhs)[1])
+            span = (node.span[0], rhs.span[1])
             if tok.kind is TokenKind.STAR:
                 node = Mul(node, rhs, span)
             else:
@@ -317,7 +317,7 @@ class _Parser:
         if tok is not None and tok.kind is TokenKind.MINUS:
             self._advance()
             operand = self.parse_unary()
-            return Neg(operand, (tok.start, _span_of(operand)[1]))
+            return Neg(operand, (tok.start, operand.span[1]))
         return self.parse_power()
 
     def parse_power(self) -> Ast:
@@ -331,7 +331,7 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise ParseError(self.src_len, "an exponent", "end of input")
-        start = _span_of(base)[0]
+        start = base.span[0]
         if tok.kind is TokenKind.INT:
             self._advance()
             return PowInt(base, self._int_value(tok), (start, tok.end))
@@ -385,10 +385,6 @@ class _Parser:
             self._expect(TokenKind.RPAREN, "')'")
             return inner
         raise ParseError(tok.start, "an expression", repr(tok.text))
-
-
-def _span_of(node: Ast) -> Span:
-    return node.span
 
 
 def _make_div(left: Ast, right: Ast, span: Span) -> Ast:

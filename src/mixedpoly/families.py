@@ -48,7 +48,6 @@ __all__ = [
     "family_carrier",
     "family_gf",
     "family_kernel",
-    "family_number",
     "family_numbers",
     "family_oracle",
     "family_poly",
@@ -91,11 +90,22 @@ class FamilySpec:
 class PolyTable:
     """Rows (n, P_n(x)) for n = 0..n_max, in order."""
 
-    spec: object
     rows: tuple[tuple[int, XPoly], ...]
 
 
 @lru_cache(maxsize=None)
+def _stirling_row(first_kind: bool, n: int) -> tuple[int, ...]:
+    """Row S(n, 0..n) of a Stirling triangle, built iteratively from row 0."""
+    row = (1,)
+    for i in range(n):
+        below, level = (0,) + row, row + (0,)  # S(i, m-1) and S(i, m) at index m
+        if first_kind:
+            row = tuple(a - i * b for a, b in zip(below, level))
+        else:
+            row = tuple(a + m * b for m, (a, b) in enumerate(zip(below, level)))
+    return row
+
+
 def stirling1(n: int, m: int) -> int:
     """Signed Stirling number of the first kind.
 
@@ -103,14 +113,11 @@ def stirling1(n: int, m: int) -> int:
     S1(n+1, m) = S1(n, m-1) - n * S1(n, m) with S1(0, 0) = 1.
     Out-of-triangle arguments return 0.
     """
-    if n == 0 and m == 0:
-        return 1
-    if n <= 0 or m <= 0 or m > n:
+    if n < 0 or not 0 <= m <= n:
         return 0
-    return stirling1(n - 1, m - 1) - (n - 1) * stirling1(n - 1, m)
+    return _stirling_row(True, n)[m]
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind.
 
@@ -118,11 +125,9 @@ def stirling2(n: int, m: int) -> int:
     S2(n+1, m) = m * S2(n, m) + S2(n, m-1).  Out-of-triangle arguments
     return 0.
     """
-    if n == 0 and m == 0:
-        return 1
-    if n <= 0 or m <= 0 or m > n:
+    if n < 0 or not 0 <= m <= n:
         return 0
-    return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
+    return _stirling_row(False, n)[m]
 
 
 @lru_cache(maxsize=None)
@@ -224,10 +229,6 @@ def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
     return acc
 
 
-def family_number(spec: FamilySpec, n: int) -> Fraction:
-    return family_numbers(spec, n)[n]
-
-
 @lru_cache(maxsize=None)
 def family_oracle(spec: FamilySpec, n: int) -> XPoly:
     """P_n^(r)(x) through the GF-free route.
@@ -257,4 +258,4 @@ def family_oracle(spec: FamilySpec, n: int) -> XPoly:
 def poly_table(spec: FamilySpec, n_max: int) -> PolyTable:
     """Materialize rows n = 0..n_max via generating-function extraction."""
     gf = family_gf(spec, n_max)
-    return PolyTable(spec=spec, rows=tuple((n, gf.poly(n)) for n in range(n_max + 1)))
+    return PolyTable(rows=tuple((n, gf.poly(n)) for n in range(n_max + 1)))

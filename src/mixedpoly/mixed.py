@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .families import (
@@ -132,10 +132,34 @@ def mixed_gf(spec: MixedSpec, trunc: int) -> TSeries:
     return _mixed_gf(spec.kind, spec.r, spec.s, trunc)
 
 
+def _conv(n: int, poly_at, nums) -> XPoly:
+    """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n."""
+    acc = XPoly.zero()
+    for m in range(n + 1):
+        if nums[n - m]:
+            acc = acc + poly_at(m) * (comb(n, m) * nums[n - m])
+    return acc
+
+
+def _weighted(n: int, poly_at, weight) -> XPoly:
+    """Weighted sum sum_m weight(m) poly_at(m) over m = 0..n."""
+    acc = XPoly.zero()
+    for m in range(n + 1):
+        w = weight(m)
+        if w:
+            acc = acc + poly_at(m) * w
+    return acc
+
+
+def _oracle(kind: FamilyKind, order: int):
+    """m -> P_m^(order)(x) through the GF-free route."""
+    return partial(family_oracle, FamilySpec(kind, order))
+
+
 def mixed_poly(spec: MixedSpec, n: int) -> XPoly:
     """Closed convolution form, built from oracle values only.
 
-    BE: sum_l C(n,l) E_l^(s) B_{n-l}^(r)(x)
+    BE: sum_m C(n,m) B_m^(r)(x) E_{n-m}^(s)
     DC: sum_m C(n,m) D_m^(r)(x) Ch_{n-m}^(s)
     CD: collapses to C_n^(r-s)(x), D_n^(s-r)(x), or (x)_n by order comparison
     CC: sum_m C(n,m) C_m^(r)(x) Ch_{n-m}^(s)
@@ -143,50 +167,28 @@ def mixed_poly(spec: MixedSpec, n: int) -> XPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     kind, r, s = spec.kind, spec.r, spec.s
-    if kind is MixedKind.BE:
-        e_nums = family_numbers(FamilySpec(FamilyKind.EULER, s), n)
-        acc = XPoly.zero()
-        for l in range(n + 1):
-            if e_nums[l] == 0:
-                continue
-            acc = acc + family_oracle(FamilySpec(FamilyKind.BERNOULLI, r), n - l) * (
-                comb(n, l) * e_nums[l]
-            )
-        return acc
     if kind is MixedKind.CD:
         if r > s:
             return family_oracle(FamilySpec(FamilyKind.CAUCHY, r - s), n)
         if r < s:
             return family_oracle(FamilySpec(FamilyKind.DAEHEE, s - r), n)
         return falling_factorial(n)
-    poly_kind = FamilyKind.DAEHEE if kind is MixedKind.DC else FamilyKind.CAUCHY
-    ch_nums = family_numbers(FamilySpec(FamilyKind.CHANGHEE, s), n)
-    acc = XPoly.zero()
-    for m in range(n + 1):
-        if ch_nums[n - m] == 0:
-            continue
-        acc = acc + family_oracle(FamilySpec(poly_kind, r), m) * (comb(n, m) * ch_nums[n - m])
-    return acc
+    kr, ks = _FACTORS[kind]
+    return _conv(n, _oracle(kr, r), family_numbers(FamilySpec(ks, s), n))
 
 
 def mixed_poly_table(spec: MixedSpec, n_max: int) -> PolyTable:
     """Rows n = 0..n_max via generating-function extraction."""
     gf = mixed_gf(spec, n_max)
-    return PolyTable(spec=spec, rows=tuple((n, gf.poly(n)) for n in range(n_max + 1)))
+    return PolyTable(rows=tuple((n, gf.poly(n)) for n in range(n_max + 1)))
 
 
 # --------------------------------------------------------------------------
 # Identity catalog
 # --------------------------------------------------------------------------
 
-IDENTITY_IDS = ("E11", "E14", "E17", "E21", "E24", "E28", "E31", "E34", "E37", "E40")
-
 # Identities parameterized by a single order r; their reports carry s = 0.
 SINGLE_ORDER_IDS = frozenset({"E11", "E14", "E17"})
-
-# Identities whose printed statement is suspected of a typo and therefore
-# has genuinely distinct as-printed/corrected readings.
-VARIANT_SENSITIVE_IDS = frozenset({"E28", "E34", "E40"})
 
 
 @lru_cache(maxsize=None)
@@ -201,152 +203,100 @@ def _mixed_gf_polys(kind: MixedKind, r: int, s: int, n_max: int) -> tuple[XPoly,
     return tuple(gf.poly(n) for n in range(n_max + 1))
 
 
-def _claims_E11(n, r, s, variant, n_max):
+def _mixed_row(kind: MixedKind):
+    # E21, E31, E37: the mixed GF row equals the closed form of mixed_poly.
+    return lambda n, r, s, corrected, n_max: [
+        (_mixed_gf_polys(kind, r, s, n_max)[n], mixed_poly(MixedSpec(kind, r, s), n))
+    ]
+
+
+# Each identity maps one instance (n, r, s, corrected, n_max) to its claims:
+# (lhs, rhs) pairs that must agree exactly.  One side of every claim reads
+# generating-function rows (_gf_polys, _mixed_gf_polys), the other oracle
+# values (family_oracle, family_numbers) or the falling factorial, so no
+# claim compares a code path with itself.  ``corrected`` selects the reading
+# of the typo-suspect identities E28, E34 and E40.
+_CATALOG = {
     # D_n^(r)(x) = sum_m B_m^(r)(x) S1(n, m)
-    lhs = _gf_polys(FamilyKind.DAEHEE, r, n_max)[n]
-    rhs = XPoly.zero()
-    for m in range(n + 1):
-        c = stirling1(n, m)
-        if c:
-            rhs = rhs + family_oracle(FamilySpec(FamilyKind.BERNOULLI, r), m) * c
-    return [(lhs, rhs)]
-
-
-def _claims_E14(n, r, s, variant, n_max):
+    "E11": lambda n, r, s, corrected, n_max: [(
+        _gf_polys(FamilyKind.DAEHEE, r, n_max)[n],
+        _weighted(n, _oracle(FamilyKind.BERNOULLI, r), partial(stirling1, n)),
+    )],
     # Ch_n^(r)(x) = sum_m E_m^(r)(x) S1(n, m)
-    lhs = _gf_polys(FamilyKind.CHANGHEE, r, n_max)[n]
-    rhs = XPoly.zero()
-    for m in range(n + 1):
-        c = stirling1(n, m)
-        if c:
-            rhs = rhs + family_oracle(FamilySpec(FamilyKind.EULER, r), m) * c
-    return [(lhs, rhs)]
-
-
-def _claims_E17(n, r, s, variant, n_max):
-    # (x)_n = sum_l C(n,l) C_l^(r)(x) D_{n-l}^(r)
-    #       = sum_l C(n,l) D_{n-l}^(r)(x) C_l^(r)
-    lhs = falling_factorial(n)
-    c_polys = _gf_polys(FamilyKind.CAUCHY, r, n_max)
-    d_polys = _gf_polys(FamilyKind.DAEHEE, r, n_max)
-    d_nums = family_numbers(FamilySpec(FamilyKind.DAEHEE, r), n)
-    c_nums = family_numbers(FamilySpec(FamilyKind.CAUCHY, r), n)
-    first = XPoly.zero()
-    second = XPoly.zero()
-    for l in range(n + 1):
-        b = comb(n, l)
-        first = first + c_polys[l] * (b * d_nums[n - l])
-        second = second + d_polys[n - l] * (b * c_nums[l])
-    return [(lhs, first), (lhs, second)]
-
-
-def _claims_E21(n, r, s, variant, n_max):
-    # BE_n^(r,s)(x) = sum_l C(n,l) E_l^(s) B_{n-l}^(r)(x)
-    lhs = _mixed_gf_polys(MixedKind.BE, r, s, n_max)[n]
-    return [(lhs, mixed_poly(MixedSpec(MixedKind.BE, r, s), n))]
-
-
-def _claims_E24(n, r, s, variant, n_max):
+    "E14": lambda n, r, s, corrected, n_max: [(
+        _gf_polys(FamilyKind.CHANGHEE, r, n_max)[n],
+        _weighted(n, _oracle(FamilyKind.EULER, r), partial(stirling1, n)),
+    )],
+    # (x)_n = sum_m C(n,m) C_m^(r)(x) D_{n-m}^(r)
+    #       = sum_m C(n,m) D_m^(r)(x) C_{n-m}^(r)
+    "E17": lambda n, r, s, corrected, n_max: [
+        (falling_factorial(n), _conv(
+            n,
+            _gf_polys(FamilyKind.CAUCHY, r, n_max).__getitem__,
+            family_numbers(FamilySpec(FamilyKind.DAEHEE, r), n),
+        )),
+        (falling_factorial(n), _conv(
+            n,
+            _gf_polys(FamilyKind.DAEHEE, r, n_max).__getitem__,
+            family_numbers(FamilySpec(FamilyKind.CAUCHY, r), n),
+        )),
+    ],
+    # BE_n^(r,s)(x) = sum_m C(n,m) B_m^(r)(x) E_{n-m}^(s)
+    "E21": _mixed_row(MixedKind.BE),
     # sum_m C(n,m) D_m^(r)(x) Ch_{n-m}^(s) = sum_m BE_m^(r,s)(x) S1(n, m)
-    ch_nums = family_numbers(FamilySpec(FamilyKind.CHANGHEE, s), n)
-    lhs = XPoly.zero()
-    for m in range(n + 1):
-        if ch_nums[n - m] == 0:
-            continue
-        lhs = lhs + family_oracle(FamilySpec(FamilyKind.DAEHEE, r), m) * (
-            comb(n, m) * ch_nums[n - m]
-        )
-    be = _mixed_gf_polys(MixedKind.BE, r, s, n_max)
-    rhs = XPoly.zero()
-    for m in range(n + 1):
-        c = stirling1(n, m)
-        if c:
-            rhs = rhs + be[m] * c
-    return [(lhs, rhs)]
-
-
-def _claims_E28(n, r, s, variant, n_max):
+    "E24": lambda n, r, s, corrected, n_max: [(
+        mixed_poly(MixedSpec(MixedKind.DC, r, s), n),
+        _weighted(
+            n, _mixed_gf_polys(MixedKind.BE, r, s, n_max).__getitem__, partial(stirling1, n)
+        ),
+    )],
     # DC_n^(r,s)(x) = sum_m C(n,m) D_m^(r)(x) Ch_{n-m}^(order)
     # where order is s in the corrected reading, r as printed.
-    lhs = _mixed_gf_polys(MixedKind.DC, r, s, n_max)[n]
-    ch_order = s if variant is Variant.CORRECTED else r
-    ch_nums = family_numbers(FamilySpec(FamilyKind.CHANGHEE, ch_order), n)
-    rhs = XPoly.zero()
-    for m in range(n + 1):
-        if ch_nums[n - m] == 0:
-            continue
-        rhs = rhs + family_oracle(FamilySpec(FamilyKind.DAEHEE, r), m) * (
-            comb(n, m) * ch_nums[n - m]
-        )
-    return [(lhs, rhs)]
-
-
-def _claims_E31(n, r, s, variant, n_max):
+    "E28": lambda n, r, s, corrected, n_max: [(
+        _mixed_gf_polys(MixedKind.DC, r, s, n_max)[n],
+        _conv(
+            n,
+            _oracle(FamilyKind.DAEHEE, r),
+            family_numbers(FamilySpec(FamilyKind.CHANGHEE, s if corrected else r), n),
+        ),
+    )],
     # CD_n^(r,s)(x) collapses by order comparison.
-    lhs = _mixed_gf_polys(MixedKind.CD, r, s, n_max)[n]
-    return [(lhs, mixed_poly(MixedSpec(MixedKind.CD, r, s), n))]
-
-
-def _claims_E34(n, r, s, variant, n_max):
-    # corrected:  sum_m DC_m^(r,s)(x) S2(n, m) = sum_l C(n,l) B_l^(r)(x) E_{n-l}^(s)
-    # as printed: sum_m DC_m^(r,s)(x) S2(m, n) = sum_l C(n,l) B_l^(r)(x) E_{n-l}
-    dc = _mixed_gf_polys(MixedKind.DC, r, s, n_max)
-    lhs = XPoly.zero()
-    for m in range(n + 1):
-        c = stirling2(n, m) if variant is Variant.CORRECTED else stirling2(m, n)
-        if c:
-            lhs = lhs + dc[m] * c
-    e_order = s if variant is Variant.CORRECTED else 1
-    e_nums = family_numbers(FamilySpec(FamilyKind.EULER, e_order), n)
-    rhs = XPoly.zero()
-    for l in range(n + 1):
-        if e_nums[n - l] == 0:
-            continue
-        rhs = rhs + family_oracle(FamilySpec(FamilyKind.BERNOULLI, r), l) * (
-            comb(n, l) * e_nums[n - l]
-        )
-    return [(lhs, rhs)]
-
-
-def _claims_E37(n, r, s, variant, n_max):
+    "E31": _mixed_row(MixedKind.CD),
+    # corrected:  sum_m DC_m^(r,s)(x) S2(n, m) = sum_m C(n,m) B_m^(r)(x) E_{n-m}^(s)
+    # as printed: sum_m DC_m^(r,s)(x) S2(m, n) = sum_m C(n,m) B_m^(r)(x) E_{n-m}
+    "E34": lambda n, r, s, corrected, n_max: [(
+        _weighted(
+            n,
+            _mixed_gf_polys(MixedKind.DC, r, s, n_max).__getitem__,
+            partial(stirling2, n) if corrected else lambda m: stirling2(m, n),
+        ),
+        _conv(
+            n,
+            _oracle(FamilyKind.BERNOULLI, r),
+            family_numbers(FamilySpec(FamilyKind.EULER, s if corrected else 1), n),
+        ),
+    )],
     # CC_n^(r,s)(x) = sum_m C(n,m) C_m^(r)(x) Ch_{n-m}^(s)
-    lhs = _mixed_gf_polys(MixedKind.CC, r, s, n_max)[n]
-    return [(lhs, mixed_poly(MixedSpec(MixedKind.CC, r, s), n))]
-
-
-def _claims_E40(n, r, s, variant, n_max):
+    "E37": _mixed_row(MixedKind.CC),
     # sum_l CC_l^(r,s)(x) S2(n, l)
     #   = sum_l [C(n,l) / C(l+r,l)] S2(l+r, r) E_{n-l}^(s)(x)   (corrected)
     # The printed form has S2(l+r, l) in the numerator, which does not match
     # the exact expansion of ((e^t - 1)/t)^r; both readings are kept.
-    cc = _mixed_gf_polys(MixedKind.CC, r, s, n_max)
-    lhs = XPoly.zero()
-    for l in range(n + 1):
-        c = stirling2(n, l)
-        if c:
-            lhs = lhs + cc[l] * c
-    rhs = XPoly.zero()
-    for l in range(n + 1):
-        s2 = stirling2(l + r, r) if variant is Variant.CORRECTED else stirling2(l + r, l)
-        if s2 == 0:
-            continue
-        weight = Fraction(comb(n, l) * s2, comb(l + r, l))
-        rhs = rhs + family_oracle(FamilySpec(FamilyKind.EULER, s), n - l) * weight
-    return [(lhs, rhs)]
-
-
-_CLAIMS = {
-    "E11": _claims_E11,
-    "E14": _claims_E14,
-    "E17": _claims_E17,
-    "E21": _claims_E21,
-    "E24": _claims_E24,
-    "E28": _claims_E28,
-    "E31": _claims_E31,
-    "E34": _claims_E34,
-    "E37": _claims_E37,
-    "E40": _claims_E40,
+    "E40": lambda n, r, s, corrected, n_max: [(
+        _weighted(
+            n, _mixed_gf_polys(MixedKind.CC, r, s, n_max).__getitem__, partial(stirling2, n)
+        ),
+        _weighted(
+            n,
+            lambda l: family_oracle(FamilySpec(FamilyKind.EULER, s), n - l),
+            lambda l: Fraction(
+                comb(n, l) * stirling2(l + r, r if corrected else l), comb(l + r, l)
+            ),
+        ),
+    )],
 }
+
+IDENTITY_IDS = tuple(_CATALOG)
 
 
 def verify_identity(
@@ -360,17 +310,22 @@ def verify_identity(
     Returns one report per (n, r, s) instance in deterministic sorted
     order; failures are recorded as data, never raised.  Identities
     parameterized by a single order enumerate r only and report s = 0.
+    An empty instance grid (n_max < 0 or no orders) raises ``ValueError``:
+    checking nothing is not a pass.
     """
-    if identity_id not in _CLAIMS:
+    if identity_id not in IDENTITY_IDS:
         raise KeyError(f"unknown identity id {identity_id!r}")
-    claims_fn = _CLAIMS[identity_id]
     orders = tuple(orders)
+    if n_max < 0 or not orders:
+        raise ValueError("a verification needs n_max >= 0 and at least one order")
+    claims_of = _CATALOG[identity_id]
+    corrected = variant is Variant.CORRECTED
     s_values = (0,) if identity_id in SINGLE_ORDER_IDS else orders
     reports: list[IdentityReport] = []
     for r in orders:
         for s in s_values:
             for n in range(n_max + 1):
-                claims = claims_fn(n, r, s, variant, n_max)
+                claims = claims_of(n, r, s, corrected, n_max)
                 lhs, rhs = claims[0]
                 passed = True
                 for cl, cr in claims:
@@ -441,10 +396,10 @@ def render_report(reports: list[IdentityReport], fmt: str = "plain") -> str:
             r"identity & variant & $n$ & $r$ & $s$ & verdict & diff \\",
             r"\hline",
         ]
-        for row in rows:
+        for rep, row in zip(reports, rows):
             lines.append(
                 f"{row['identity']} & {row['variant']} & {row['n']} & {row['r']} & "
-                f"{row['s']} & {row['verdict']} & ${_poly_latex_str(row['diff'])}$ \\\\"
+                f"{row['s']} & {row['verdict']} & ${rep.diff.latex()}$ \\\\"
             )
         lines.append(r"\end{tabular}")
         return "\n".join(lines) + "\n"
@@ -461,8 +416,3 @@ def render_report(reports: list[IdentityReport], fmt: str = "plain") -> str:
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
-
-def _poly_latex_str(poly_str: str) -> str:
-    # Reports keep diffs as plain polynomial strings; LaTeX output only
-    # needs the multiplication stars removed.
-    return poly_str.replace("*", " ")

@@ -188,7 +188,12 @@ class XPoly:
             acc = acc * lin + XPoly.const(self.coeffs[i])
         return acc
 
-    def __str__(self) -> str:
+    def _render(self, rat, power, times: str) -> str:
+        """Signed terms, highest degree first; one walk for every notation.
+
+        ``rat`` prints a positive rational, ``power`` the exponent k >= 2 of
+        x^k, and ``times`` joins a coefficient other than 1 to its power of x.
+        """
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -198,18 +203,31 @@ class XPoly:
                 continue
             mag = abs(c)
             if k == 0:
-                term = str(mag)
+                term = rat(mag)
             else:
-                xs = "x" if k == 1 else f"x^{k}"
-                term = xs if mag == 1 else f"{mag}*{xs}"
+                xs = "x" if k == 1 else f"x^{power(k)}"
+                term = xs if mag == 1 else f"{rat(mag)}{times}{xs}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
 
+    def __str__(self) -> str:
+        return self._render(str, str, "*")
+
+    def latex(self) -> str:
+        """LaTeX form: braced exponents x^{k} and \\frac{p}{q} coefficients."""
+        return self._render(_latex_rat, lambda k: f"{{{k}}}", " ")
+
     def __repr__(self) -> str:
         return f"XPoly({self})"
+
+
+def _latex_rat(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
 
 
 def _as_xpoly(value) -> "XPoly":

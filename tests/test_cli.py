@@ -120,6 +120,16 @@ def test_verify_multiple_ids(capsys):
     assert idents == {"E11", "E14"}
 
 
+def test_verify_negative_n_max_is_usage_error(capsys):
+    # A verification over zero instances would be a vacuous pass.
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--id", "E11", "--n-max", "-1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-max" in captured.err
+
+
 # -- padic -----------------------------------------------------------------------
 
 
@@ -171,6 +181,40 @@ def test_padic_budget_flag_override(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+PADIC_SMALL = ("padic", "--kind", "bosonic", "--binom", "0", "--p", "3", "--N", "5")
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "0", "-5"])
+def test_malformed_budget_env_exit_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("MIXEDPOLY_BUDGET", value)
+    for argv in (PADIC_SMALL, ("table", "--family", "B", "--order", "1", "--n", "2")):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: MIXEDPOLY_BUDGET must be an integer >= 1")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_malformed_budget_flag_exit_two(capsys, monkeypatch, value):
+    monkeypatch.delenv("MIXEDPOLY_BUDGET", raising=False)
+    code, out, err = run_main(capsys, *PADIC_SMALL, "--budget", value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --budget must be an integer >= 1, got '{value}'\n"
+
+
+def test_budget_env_read_and_flag_wins(capsys, monkeypatch):
+    monkeypatch.setenv("MIXEDPOLY_BUDGET", "100")
+    code, _, err = run_main(capsys, *PADIC_SMALL)
+    assert code == 2
+    assert "budget 100" in err
+    monkeypatch.setenv("MIXEDPOLY_BUDGET", "abc")
+    code, out, _ = run_main(capsys, *PADIC_SMALL, "--budget", "1000")
+    assert code == 0
+    assert out
 
 
 # -- eval ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Family generators, Stirling tables, and oracle equivalence."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -10,7 +11,7 @@ from mixedpoly.families import (
     falling_factorial,
     family_gf,
     family_kernel,
-    family_number,
+    family_numbers,
     family_oracle,
     family_poly,
     poly_table,
@@ -51,6 +52,40 @@ def test_stirling_inversion():
             want = 1 if n == k else 0
             assert forward == want
             assert backward == want
+
+
+@lru_cache(maxsize=None)
+def _stirling1_recursive(n, m):
+    # Reference: the recurrence S1(n, m) = S1(n-1, m-1) - (n-1) S1(n-1, m).
+    if n == 0 and m == 0:
+        return 1
+    if n <= 0 or m <= 0 or m > n:
+        return 0
+    return _stirling1_recursive(n - 1, m - 1) - (n - 1) * _stirling1_recursive(n - 1, m)
+
+
+@lru_cache(maxsize=None)
+def _stirling2_recursive(n, m):
+    # Reference: the recurrence S2(n, m) = m S2(n-1, m) + S2(n-1, m-1).
+    if n == 0 and m == 0:
+        return 1
+    if n <= 0 or m <= 0 or m > n:
+        return 0
+    return m * _stirling2_recursive(n - 1, m) + _stirling2_recursive(n - 1, m - 1)
+
+
+def test_stirling_rows_match_recursive_reference():
+    for n in range(-2, 41):
+        for m in range(-2, 43):
+            assert stirling1(n, m) == _stirling1_recursive(n, m), (n, m)
+            assert stirling2(n, m) == _stirling2_recursive(n, m), (n, m)
+
+
+def test_stirling_deep_rows_need_no_recursion():
+    # The recursive triangle overflowed the interpreter stack here.
+    assert stirling1(1500, 700) != 0
+    assert stirling2(1500, 700) > 0
+    assert stirling1(1500, 1500) == stirling2(1500, 1500) == 1
 
 
 def test_falling_factorial_examples():
@@ -103,21 +138,21 @@ def test_family_poly_range_check():
 
 
 def test_oracle_number_examples():
-    assert family_number(FamilySpec(FamilyKind.DAEHEE, 1), 3) == F(-3, 2)
-    assert family_number(FamilySpec(FamilyKind.CHANGHEE, 2), 1) == F(-1)
-    assert family_number(FamilySpec(FamilyKind.CAUCHY, 1), 2) == F(-1, 6)
+    assert family_numbers(FamilySpec(FamilyKind.DAEHEE, 1), 3)[3] == F(-3, 2)
+    assert family_numbers(FamilySpec(FamilyKind.CHANGHEE, 2), 1)[1] == F(-1)
+    assert family_numbers(FamilySpec(FamilyKind.CAUCHY, 1), 2)[2] == F(-1, 6)
 
 
 def test_classical_number_values():
     bernoulli = [1, F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42)]
     for n, want in enumerate(bernoulli):
-        assert family_number(FamilySpec(FamilyKind.BERNOULLI, 1), n) == want
+        assert family_numbers(FamilySpec(FamilyKind.BERNOULLI, 1), n)[n] == want
     euler_at_zero = [1, F(-1, 2), 0, F(1, 4), 0, F(-1, 2)]
     for n, want in enumerate(euler_at_zero):
-        assert family_number(FamilySpec(FamilyKind.EULER, 1), n) == want
+        assert family_numbers(FamilySpec(FamilyKind.EULER, 1), n)[n] == want
     cauchy = [1, F(1, 2), F(-1, 6), F(1, 4), F(-19, 30)]
     for n, want in enumerate(cauchy):
-        assert family_number(FamilySpec(FamilyKind.CAUCHY, 1), n) == want
+        assert family_numbers(FamilySpec(FamilyKind.CAUCHY, 1), n)[n] == want
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from mixedpoly import families, mixed
 from mixedpoly.families import (
     FamilyKind,
     FamilySpec,
@@ -219,6 +220,72 @@ def test_single_order_ids_report_zero_s():
 def test_unknown_identity_id():
     with pytest.raises(KeyError):
         verify_identity("E99", 2)
+
+
+@pytest.mark.parametrize("n_max,orders", [(-1, (1, 2)), (4, ())])
+def test_empty_instance_grid_is_rejected(n_max, orders):
+    with pytest.raises(ValueError):
+        verify_identity("E11", n_max, orders)
+    with pytest.raises(ValueError):
+        adjudicate_variant("E34", n_max, orders)
+
+
+def _clear_memos():
+    for module in (families, mixed):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _catalog_sides(n_max, corrected):
+    """Every claim of every identity over a small grid, keyed by instance."""
+    sides = {}
+    for ident in IDENTITY_IDS:
+        pairs = ((1, 0), (2, 0)) if ident in SINGLE_ORDER_IDS else ((1, 2), (2, 1))
+        for r, s in pairs:
+            for n in range(n_max + 1):
+                claims = mixed._CATALOG[ident](n, r, s, corrected, n_max)
+                for k, claim in enumerate(claims):
+                    sides[ident, n, r, s, k] = claim
+    return sides
+
+
+@pytest.mark.parametrize("corrected", [True, False])
+def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
+    # Scaling the kernels moves every GF row; scaling the order-1 numbers
+    # moves every oracle value.  Each must move exactly one side of each
+    # claim: a claim with the same route on both sides would move twice.
+    n_max = 5
+    _clear_memos()
+    base = _catalog_sides(n_max, corrected)
+    kernel, numbers = families.family_kernel, families._order1_numbers
+
+    def doubled_kernel(kind, trunc):
+        return kernel(kind, trunc) * 2
+
+    def tripled_numbers(kind, n_max):
+        return tuple(3 * v for v in numbers(kind, n_max))
+
+    perturbations = {
+        "gf": [(families, "family_kernel", doubled_kernel), (mixed, "family_kernel", doubled_kernel)],
+        "oracle": [(families, "_order1_numbers", tripled_numbers)],
+    }
+    try:
+        for route, patches in perturbations.items():
+            with monkeypatch.context() as patch:
+                for module, name, value in patches:
+                    patch.setattr(module, name, value)
+                _clear_memos()
+                moved = _catalog_sides(n_max, corrected)
+            for key, (lhs, rhs) in base.items():
+                changed = (moved[key][0] != lhs, moved[key][1] != rhs)
+                if not (lhs and rhs):
+                    # A zero side (E40 as printed, n = 0) cannot move under scaling.
+                    assert changed != (True, True), (route, key)
+                    continue
+                assert sum(changed) == 1, (route, key, changed)
+    finally:
+        _clear_memos()
 
 
 # -- report rendering -----------------------------------------------------------
