@@ -3,9 +3,10 @@ traces, and generating-function evaluation.
 
 Exit codes: 0 on success (verification: all instances pass), 1 on a
 verification or evaluation failure, 2 on usage errors (bad flags, unknown
-identity id, p not an odd prime, budget breach, malformed budget).
-Results go to stdout, diagnostics to stderr.  Identical invocations
-produce byte-identical output.
+identity id, an order, level or index out of range, p not an odd prime,
+budget breach, malformed budget) and on a result too large to print.
+Results go to stdout, each in one write through ``_emit``; diagnostics go
+to stderr as one line.  Identical invocations produce byte-identical output.
 
 The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
 default; whichever is in force must be an integer >= 1, or the command
@@ -18,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from math import factorial
+from math import factorial, inf
 
 from . import __version__
 from .dsl import DslError, eval_text, line_col
@@ -29,7 +30,6 @@ from .mixed import (
     MixedSpec,
     Variant,
     mixed_poly_table,
-    render_report,
     verify_identity,
 )
 from .padic import (
@@ -76,7 +76,9 @@ def _env_width() -> int:
         return 0
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags(sub: argparse.ArgumentParser, run) -> None:
+    """The flags every command takes, and ``run``, the function that runs it."""
+    sub.set_defaults(run=run)
     sub.add_argument("--format", choices=FORMATS, default="plain", help="output format")
     sub.add_argument(
         "--budget",
@@ -103,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--r", type=int, help="first order of the mixed family")
     p_table.add_argument("--s", type=int, help="second order of the mixed family")
     p_table.add_argument("--n", type=int, required=True, help="largest index n")
-    _common_flags(p_table)
+    _common_flags(p_table, cmd_table)
 
     p_verify = subs.add_parser("verify", help="verify identities exactly")
     p_verify.add_argument(
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=Variant.CORRECTED.value,
         help="reading used for typo-suspect identities (default corrected)",
     )
-    _common_flags(p_verify)
+    _common_flags(p_verify, cmd_verify)
 
     p_padic = subs.add_parser("padic", help="p-adic integral convergence traces")
     p_padic.add_argument(
@@ -141,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_padic.add_argument("--k", type=int, choices=(1, 2), default=1, help="folds (1 or 2)")
     p_padic.add_argument("--x0", type=int, default=0, help="shift of the integrand argument")
-    _common_flags(p_padic)
+    _common_flags(p_padic, cmd_padic)
 
     p_eval = subs.add_parser("eval", help="evaluate a generating-function expression")
     p_eval.add_argument("expr", help="expression over t and x")
@@ -149,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--n", type=int, default=None, help="print only the n-th extracted polynomial"
     )
-    _common_flags(p_eval)
+    _common_flags(p_eval, cmd_eval)
 
     return parser
 
@@ -164,55 +166,100 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return (int(text),)
 
 
+def _fail(message: str, code: int = 2) -> int:
+    """Write a one-line ``error:`` diagnostic to stderr; return ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _emit(fmt: str, *, value, rows, latex, plain, header=None, code: int = 0) -> int:
+    """Write a command's result to stdout in ``fmt`` with one write; return ``code``.
+
+    Each format is a zero-argument callable, so only the one asked for is
+    built: ``value`` gives the JSON value, ``rows`` the csv rows (lists of
+    cells, after ``header`` when given), ``latex`` and ``plain`` the lines.
+    A result holding an integer too long to convert to text exits 2 instead,
+    with stdout left empty.
+    """
+    try:
+        if fmt == "json":
+            lines = [json.dumps(value(), indent=2)]
+        elif fmt == "csv":
+            lines = map(",".join, [header, *rows()] if header else rows())
+        else:
+            lines = latex() if fmt == "latex" else plain()
+        text = "".join(line + "\n" for line in lines)
+    except ValueError as exc:  # the interpreter's limit on int-to-text conversion
+        return _fail(f"result too large to print: {exc}")
+    sys.stdout.write(text)
+    return code
+
+
+def _tabular(spec: str, header: list[str], rows) -> list[str]:
+    """Lines of a LaTeX tabular: the header row, a rule, then ``rows`` of cells."""
+    head, *body = (" & ".join(row) + r" \\" for row in [header, *rows])
+    return [rf"\begin{{tabular}}{{{spec}}}", head, r"\hline", *body, r"\end{tabular}"]
+
+
 def _poly_coeff_strings(p: XPoly) -> list[str]:
     if p.is_zero:
         return ["0"]
     return [str(c) for c in p.coeffs]
 
 
+def _coeff_rows(pairs):
+    """csv rows ``n, c_0, c_1, ...`` for (n, polynomial) pairs."""
+    return ([str(n), *_poly_coeff_strings(p)] for n, p in pairs)
+
+
+_REPORT_FIELDS = ["identity", "variant", "n", "r", "s", "verdict", "diff"]
+_REPORT_PLAIN = "{:<9}{:<12}{:>4}{:>4}{:>4}  {:<8}{}"
+
+
 def cmd_table(args, parser: argparse.ArgumentParser) -> int:
     use_family = args.family is not None
-    use_mixed = args.mixed is not None
-    if use_family == use_mixed:
+    if use_family == (args.mixed is not None):
         parser.error("exactly one of --family/--mixed is required")
     if args.n < 0:
         parser.error("--n must be >= 0")
+    if use_family and args.order is None:
+        parser.error("--family requires --order")
+    if not use_family and (args.r is None or args.s is None):
+        parser.error("--mixed requires --r and --s")
+    try:
+        if use_family:
+            spec = FamilySpec(_FAMILY_CODES[args.family], args.order)
+        else:
+            spec = MixedSpec(_MIXED_CODES[args.mixed], args.r, args.s)
+    except ValueError as exc:
+        return _fail(str(exc))
     if use_family:
-        if args.order is None:
-            parser.error("--family requires --order")
-        spec = FamilySpec(_FAMILY_CODES[args.family], args.order)
         table = poly_table(spec, args.n)
         head = {"family": args.family, "order": args.order, "n_max": args.n}
-        latex_sym = f"{args.family}_{{{{n}}}}^{{({args.order})}}"
+        sym, orders = args.family, str(args.order)
     else:
-        if args.r is None or args.s is None:
-            parser.error("--mixed requires --r and --s")
-        spec = MixedSpec(_MIXED_CODES[args.mixed], args.r, args.s)
         table = mixed_poly_table(spec, args.n)
         head = {"mixed": args.mixed, "r": args.r, "s": args.s, "n_max": args.n}
-        latex_sym = f"{args.mixed}_{{{{n}}}}^{{({args.r},{args.s})}}"
+        sym, orders = args.mixed, f"{args.r},{args.s}"
 
-    fmt = args.format
-    out = sys.stdout
-    if fmt == "json":
-        payload = dict(head)
-        payload["rows"] = [
-            {"n": n, "coeffs": _poly_coeff_strings(p)} for n, p in table.rows
-        ]
-        out.write(json.dumps(payload, indent=2) + "\n")
-    elif fmt == "csv":
-        for n, p in table.rows:
-            out.write(",".join([str(n)] + _poly_coeff_strings(p)) + "\n")
-    elif fmt == "latex":
-        for n, p in table.rows:
-            sym = latex_sym.replace("{n}", str(n))
-            out.write(f"{sym}(x) = {p.latex()} \\\\\n")
-    else:
+    def plain():
         width = _env_width()
         for n, p in table.rows:
             label = f"n={n}:"
-            out.write(f"{label:<{max(width, len(label) + 1)}}{p}\n")
-    return 0
+            yield f"{label:<{max(width, len(label) + 1)}}{p}"
+
+    return _emit(
+        args.format,
+        value=lambda: {
+            **head,
+            "rows": [{"n": n, "coeffs": _poly_coeff_strings(p)} for n, p in table.rows],
+        },
+        rows=lambda: _coeff_rows(table.rows),
+        latex=lambda: (
+            rf"{sym}_{{{n}}}^{{({orders})}}(x) = {p.latex()} \\" for n, p in table.rows
+        ),
+        plain=plain,
+    )
 
 
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
@@ -220,14 +267,11 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         ids = list(IDENTITY_IDS)
     else:
         ids = [part.strip() for part in args.id.split(",") if part.strip()]
+    if not ids:
+        return _fail("--id names no identity")
     for ident in ids:
         if ident not in IDENTITY_IDS:
-            print(
-                f"error: unknown identity id {ident!r}; known ids: "
-                + ",".join(IDENTITY_IDS),
-                file=sys.stderr,
-            )
-            return 2
+            return _fail(f"unknown identity id {ident!r}; known ids: " + ",".join(IDENTITY_IDS))
     if args.n_max < 0:
         parser.error("--n-max must be >= 0")
     try:
@@ -240,14 +284,33 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     reports = []
     for ident in ids:
         reports.extend(verify_identity(ident, args.n_max, orders, variant))
-    sys.stdout.write(render_report(reports, args.format))
-    return 0 if all(rep.passed for rep in reports) else 1
+
+    def cells(rep, diff) -> list:
+        inst = rep.instance
+        verdict = "pass" if rep.passed else "fail"
+        return [inst.identity_id, rep.variant.value, inst.n, inst.r, inst.s, verdict, diff]
+
+    return _emit(
+        args.format,
+        value=lambda: [dict(zip(_REPORT_FIELDS, cells(rep, str(rep.diff)))) for rep in reports],
+        header=_REPORT_FIELDS,
+        rows=lambda: (map(str, cells(rep, rep.diff)) for rep in reports),
+        latex=lambda: _tabular(
+            "llrrrll",
+            ["identity", "variant", "$n$", "$r$", "$s$", "verdict", "diff"],
+            (map(str, cells(rep, f"${rep.diff.latex()}$")) for rep in reports),
+        ),
+        plain=lambda: [
+            _REPORT_PLAIN.format(*_REPORT_FIELDS),
+            *(_REPORT_PLAIN.format(*cells(rep, rep.diff)) for rep in reports),
+        ],
+        code=0 if all(rep.passed for rep in reports) else 1,
+    )
 
 
 def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
     if not is_odd_prime(args.p):
-        print("error: p must be an odd prime", file=sys.stderr)
-        return 2
+        return _fail("p must be an odd prime")
     if args.binom < 0:
         parser.error("--binom must be >= 0")
     try:
@@ -272,101 +335,59 @@ def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
             k=args.k,
             x0=args.x0,
         )
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (BudgetExceededError, ValueError) as exc:
+        return _fail(str(exc))
 
-    fmt = args.format
-    payload = trace.to_dict()
-    payload["target_family"] = target_name
-    if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif fmt == "csv":
-        sys.stdout.write("N,approx,residual,vp\n")
-        for row in payload["rows"]:
-            vp_s = "" if row["vp"] is None else str(row["vp"])
-            sys.stdout.write(f"{row['N']},{row['approx']},{row['residual']},{vp_s}\n")
-    elif fmt == "latex":
-        lines = [
-            r"\begin{tabular}{rlll}",
-            r"$N$ & approximant & residual & $\nu_p$ \\",
-            r"\hline",
-        ]
-        for row in payload["rows"]:
-            vp_s = r"\infty" if row["vp"] is None else str(row["vp"])
-            lines.append(
-                f"{row['N']} & ${row['approx']}$ & ${row['residual']}$ & ${vp_s}$ \\\\"
-            )
-        lines.append(r"\end{tabular}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(
-            f"kind={payload['kind']} p={payload['p']} n={args.binom} k={args.k} "
-            f"x0={args.x0} target={payload['target']} ({target_name})\n"
-        )
-        for row in payload["rows"]:
-            vp_s = "inf" if row["vp"] is None else str(row["vp"])
-            sys.stdout.write(
-                f"N={row['N']}: approx={row['approx']} residual={row['residual']} "
-                f"vp={vp_s}\n"
-            )
-    return 0
+    def cells(inf_text: str):
+        """N, approximant, residual and valuation per level; +infinity prints as ``inf_text``."""
+        for row in trace.rows:
+            vp = inf_text if row.vp == inf else str(row.vp)
+            yield str(row.N), str(row.approximant), str(row.residual), vp
+
+    return _emit(
+        args.format,
+        value=lambda: {**trace.to_dict(), "target_family": target_name},
+        header=["N", "approx", "residual", "vp"],
+        rows=lambda: cells(""),
+        latex=lambda: _tabular(
+            "rlll",
+            ["$N$", "approximant", "residual", r"$\nu_p$"],
+            ([N, *(f"${cell}$" for cell in rest)] for N, *rest in cells(r"\infty")),
+        ),
+        plain=lambda: [
+            f"kind={kind.value} p={args.p} n={args.binom} k={args.k} "
+            f"x0={args.x0} target={trace.target} ({target_name})",
+            *("N={}: approx={} residual={} vp={}".format(*row) for row in cells("inf")),
+        ],
+    )
 
 
 def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     if args.T < 0:
         parser.error("--T must be >= 0")
+    if args.n is not None and not 0 <= args.n <= args.T:
+        parser.error(f"--n must lie in 0..{args.T}")
     try:
         series = eval_text(args.expr, args.T)
     except DslError as exc:
         line, col = line_col(args.expr, exc.position)
-        kind = type(exc).__name__
-        print(
-            f"error: {kind} at line {line}, column {col}: {exc.message}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.n is not None:
-        if not 0 <= args.n <= args.T:
-            parser.error(f"--n must lie in 0..{args.T}")
-        poly = series.poly(args.n)
-        if args.format == "json":
-            payload = {
-                "expr": args.expr,
-                "trunc": args.T,
-                "n": args.n,
-                "coeffs": _poly_coeff_strings(poly),
-                "poly": str(poly),
-            }
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        elif args.format == "csv":
-            sys.stdout.write(",".join([str(args.n)] + _poly_coeff_strings(poly)) + "\n")
-        elif args.format == "latex":
-            sys.stdout.write(poly.latex() + "\n")
-        else:
-            sys.stdout.write(str(poly) + "\n")
-        return 0
-    if args.format == "json":
-        payload = {
-            "expr": args.expr,
-            "trunc": args.T,
-            "coeffs": [_poly_coeff_strings(c) for c in series.coeffs],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        for n, c in enumerate(series.coeffs):
-            sys.stdout.write(",".join([str(n)] + _poly_coeff_strings(c)) + "\n")
-    elif args.format == "latex":
-        terms = []
-        for n, c in enumerate(series.coeffs):
-            if c.is_zero:
-                continue
-            tpart = "" if n == 0 else (" t" if n == 1 else f" t^{{{n}}}")
-            terms.append(f"\\left({c.latex()}\\right){tpart}" if tpart else c.latex())
-        sys.stdout.write((" + ".join(terms) if terms else "0") + "\n")
-    else:
-        sys.stdout.write(str(series) + "\n")
-    return 0
+        return _fail(f"{type(exc).__name__} at line {line}, column {col}: {exc.message}", 1)
+    result = series if args.n is None else series.poly(args.n)
+    pairs = list(enumerate(series.coeffs)) if args.n is None else [(args.n, result)]
+
+    def value():
+        head = {"expr": args.expr, "trunc": args.T}
+        if args.n is None:
+            return {**head, "coeffs": [_poly_coeff_strings(c) for c in series.coeffs]}
+        return {**head, "n": args.n, "coeffs": _poly_coeff_strings(result), "poly": str(result)}
+
+    return _emit(
+        args.format,
+        value=value,
+        rows=lambda: _coeff_rows(pairs),
+        latex=lambda: [result.latex()],
+        plain=lambda: [str(result)],
+    )
 
 
 def main(argv=None) -> int:
@@ -375,18 +396,8 @@ def main(argv=None) -> int:
     try:
         args.budget = _budget(args.budget)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "table":
-        return cmd_table(args, parser)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    if args.command == "padic":
-        return cmd_padic(args, parser)
-    if args.command == "eval":
-        return cmd_eval(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+        return _fail(str(exc))
+    return args.run(args, parser)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ Grammar (see docs/grammar.ebnf):
     atom    = INT | "t" | ("log" | "exp") "(" expr ")" | "(" expr ")" ;
 
 Every failure is a positioned ``LexError``, ``ParseError``, or
-``SemanticError``; no input text raises anything else.
+``SemanticError``; no input text raises anything else.  Syntax trees deeper
+than ``MAX_DEPTH`` and literals longer than ``MAX_DIGITS`` are parse errors.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ __all__ = [
 # Exponents are literal integers; anything this large is a typo or abuse,
 # and evaluating it would exhaust memory on constant bases.
 MAX_EXPONENT = 10**6
+# Deepest syntax tree, and deepest nesting of parentheses, unary minus, log
+# and exp, that parses; it keeps parsing and evaluation far from the
+# interpreter's recursion limit.
+MAX_DEPTH = 100
+# Longest integer literal; the interpreter may refuse to convert digit
+# strings longer than 640.
+MAX_DIGITS = 600
 
 Span = tuple[int, int]
 
@@ -272,6 +280,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.src_len = src_len
+        self.depth = 0
 
     def _peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -290,6 +299,15 @@ class _Parser:
         if tok.kind is not kind:
             raise ParseError(tok.start, what, repr(tok.text))
         return self._advance()
+
+    def _nest(self, tok: Token, parse):
+        """Run ``parse`` one nesting level below ``tok``, within MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(tok.start, f"nesting at most {MAX_DEPTH} deep", repr(tok.text))
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse_expr(self) -> Ast:
         node = self.parse_term()
@@ -316,7 +334,7 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok.kind is TokenKind.MINUS:
             self._advance()
-            operand = self.parse_unary()
+            operand = self._nest(tok, self.parse_unary)
             return Neg(operand, (tok.start, operand.span[1]))
         return self.parse_power()
 
@@ -354,8 +372,14 @@ class _Parser:
             repr(tok.text),
         )
 
+    def _literal(self, tok: Token) -> int:
+        if len(tok.text) > MAX_DIGITS:
+            expected = f"an integer of at most {MAX_DIGITS} digits"
+            raise ParseError(tok.start, expected, f"{len(tok.text)} digits")
+        return int(tok.text)
+
     def _int_value(self, tok: Token) -> int:
-        value = int(tok.text)
+        value = self._literal(tok)
         if value > MAX_EXPONENT:
             raise ParseError(tok.start, f"an exponent of magnitude <= {MAX_EXPONENT}", tok.text)
         return value
@@ -366,7 +390,7 @@ class _Parser:
             raise ParseError(self.src_len, "an expression", "end of input")
         if tok.kind is TokenKind.INT:
             self._advance()
-            return Const(Fraction(int(tok.text)), (tok.start, tok.end))
+            return Const(Fraction(self._literal(tok)), (tok.start, tok.end))
         if tok.kind is TokenKind.IDENT:
             if tok.text == "t":
                 self._advance()
@@ -375,13 +399,13 @@ class _Parser:
                 raise ParseError(tok.start, "x only as an exponent (write base^x)", "x")
             self._advance()  # log or exp
             self._expect(TokenKind.LPAREN, "'('")
-            arg = self.parse_expr()
+            arg = self._nest(tok, self.parse_expr)
             close = self._expect(TokenKind.RPAREN, "')'")
             span = (tok.start, close.end)
             return Log(arg, span) if tok.text == "log" else Exp(arg, span)
         if tok.kind is TokenKind.LPAREN:
             self._advance()
-            inner = self.parse_expr()
+            inner = self._nest(tok, self.parse_expr)
             self._expect(TokenKind.RPAREN, "')'")
             return inner
         raise ParseError(tok.start, "an expression", repr(tok.text))
@@ -404,6 +428,15 @@ def parse(tokens: list[Token], src_len: int = 0) -> Ast:
     leftover = parser._peek()
     if leftover is not None:
         raise ParseError(leftover.start, "end of input", repr(leftover.text))
+    # Chains such as t+t+...+t nest without recursing in the parser.
+    stack = [(node, 1)]
+    while stack:
+        sub, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(sub.span[0], f"an expression at most {MAX_DEPTH} deep", "a deeper one")
+        for attr in ("left", "right", "operand", "base", "arg"):
+            if (child := getattr(sub, attr, None)) is not None:
+                stack.append((child, depth + 1))
     return node
 
 

@@ -22,9 +22,6 @@ verifier records which variant holds instead of silently fixing anything.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -58,7 +55,6 @@ __all__ = [
     "mixed_gf",
     "mixed_poly",
     "mixed_poly_table",
-    "render_report",
     "verify_identity",
 ]
 
@@ -358,61 +354,4 @@ def adjudicate_variant(identity_id: str, n_max: int = 8, orders=(1, 2)) -> Varia
         if all(rep.passed for rep in verify_identity(identity_id, n_max, orders, variant)):
             return variant
     return None
-
-
-# --------------------------------------------------------------------------
-# Report serialization
-# --------------------------------------------------------------------------
-
-
-def report_to_dict(report: IdentityReport) -> dict:
-    inst = report.instance
-    return {
-        "identity": inst.identity_id,
-        "variant": report.variant.value,
-        "n": inst.n,
-        "r": inst.r,
-        "s": inst.s,
-        "verdict": "pass" if report.passed else "fail",
-        "diff": str(report.diff),
-    }
-
-
-def render_report(reports: list[IdentityReport], fmt: str = "plain") -> str:
-    """Serialize reports as json, csv, latex, or a plain text table."""
-    rows = [report_to_dict(rep) for rep in reports]
-    if fmt == "json":
-        return json.dumps(rows, indent=2)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["identity", "variant", "n", "r", "s", "verdict", "diff"])
-        for row in rows:
-            writer.writerow([row[k] for k in ("identity", "variant", "n", "r", "s", "verdict", "diff")])
-        return buf.getvalue()
-    if fmt == "latex":
-        lines = [
-            r"\begin{tabular}{llrrrll}",
-            r"identity & variant & $n$ & $r$ & $s$ & verdict & diff \\",
-            r"\hline",
-        ]
-        for rep, row in zip(reports, rows):
-            lines.append(
-                f"{row['identity']} & {row['variant']} & {row['n']} & {row['r']} & "
-                f"{row['s']} & {row['verdict']} & ${rep.diff.latex()}$ \\\\"
-            )
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines) + "\n"
-    if fmt == "plain":
-        if not rows:
-            return ""
-        header = f"{'identity':<9}{'variant':<12}{'n':>4}{'r':>4}{'s':>4}  {'verdict':<8}diff"
-        lines = [header]
-        for row in rows:
-            lines.append(
-                f"{row['identity']:<9}{row['variant']:<12}{row['n']:>4}{row['r']:>4}"
-                f"{row['s']:>4}  {row['verdict']:<8}{row['diff']}"
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
 

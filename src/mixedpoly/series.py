@@ -471,6 +471,16 @@ class TSeries:
                 terms.append(f"({body})*{tpart}" if needs_parens else f"{body}*{tpart}")
         return " + ".join(terms) if terms else "0"
 
+    def latex(self) -> str:
+        """LaTeX form: each nonconstant term is \\left(p\\right) t^{n}."""
+        terms: list[str] = []
+        for n, p in enumerate(self.coeffs):
+            if p.is_zero:
+                continue
+            tpart = "" if n == 0 else (" t" if n == 1 else f" t^{{{n}}}")
+            terms.append(f"\\left({p.latex()}\\right){tpart}" if tpart else p.latex())
+        return " + ".join(terms) if terms else "0"
+
     def __repr__(self) -> str:
         return f"TSeries(T={self.trunc}: {self})"
 

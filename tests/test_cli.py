@@ -1,14 +1,19 @@
 """CLI contract: exit codes, formats, determinism, schema validity."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixedpoly.cli import main
+from mixedpoly import cli
+from mixedpoly.cli import FORMATS, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -21,6 +26,13 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def run_proc(*argv):
@@ -74,6 +86,17 @@ def test_table_requires_exactly_one_spec(capsys):
     with pytest.raises(SystemExit) as info:
         main(["table", "--n", "2"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "B", "--order", "-1"),
+        ("--mixed", "BE", "--r", "0", "--s", "1"),
+    ],
+)
+def test_table_order_out_of_range_is_usage_error(capsys, argv):
+    assert_one_line_usage_error(*run_main(capsys, "table", *argv, "--n", "3"))
 
 
 # -- verify ----------------------------------------------------------------------
@@ -130,6 +153,53 @@ def test_verify_negative_n_max_is_usage_error(capsys):
     assert "--n-max" in captured.err
 
 
+@pytest.mark.parametrize("ids", [",", " ", ", ,"])
+def test_verify_empty_id_list_is_usage_error(capsys, ids):
+    # Naming no identity would verify zero instances: a vacuous pass.
+    code, out, err = run_main(capsys, "verify", "--id", ids, "--n-max", "2")
+    assert_one_line_usage_error(code, out, err)
+    assert "--id" in err
+
+
+def test_verify_json_single_pass_row(capsys):
+    code, out, _ = run_main(
+        capsys, "verify", "--id", "E11", "--n-max", "1", "--orders", "1..1", "--format", "json"
+    )
+    assert code == 0
+    assert out.endswith("]\n")
+    rows = json.loads(out)
+    assert rows[1:] == [
+        {
+            "identity": "E11",
+            "variant": "corrected",
+            "n": 1,
+            "r": 1,
+            "s": 0,
+            "verdict": "pass",
+            "diff": "0",
+        }
+    ]
+
+
+def test_verify_failure_carries_diff(capsys):
+    code, out, _ = run_main(
+        capsys,
+        "verify", "--id", "E40", "--variant", "as-printed", "--n-max", "3",
+        "--orders", "1..2", "--format", "plain",
+    )
+    assert code == 1
+    assert "fail" in out
+    assert "1/2*x" in out
+
+
+def test_verify_csv_and_latex_forms(capsys):
+    argv = ("verify", "--id", "E11", "--n-max", "1", "--orders", "1..1", "--format")
+    _, csv_text, _ = run_main(capsys, *argv, "csv")
+    assert csv_text.splitlines()[0] == "identity,variant,n,r,s,verdict,diff"
+    _, latex_text, _ = run_main(capsys, *argv, "latex")
+    assert latex_text.startswith(r"\begin{tabular}")
+
+
 # -- padic -----------------------------------------------------------------------
 
 
@@ -181,6 +251,15 @@ def test_padic_budget_flag_override(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("levels", ["0", "0..2", "-1"])
+def test_padic_level_out_of_range_is_usage_error(capsys, levels):
+    code, out, err = run_main(
+        capsys, "padic", "--kind", "bosonic", "--binom", "1", "--p", "3", "--N", levels
+    )
+    assert_one_line_usage_error(code, out, err)
+    assert "level N must be >= 1" in err
 
 
 PADIC_SMALL = ("padic", "--kind", "bosonic", "--binom", "0", "--p", "3", "--N", "5")
@@ -247,6 +326,37 @@ def test_eval_parse_error_exit_one(capsys):
     assert "ParseError" in err
 
 
+def test_eval_n_out_of_range_rejected_before_evaluation(capsys, monkeypatch):
+    def unreachable(*_):
+        raise AssertionError("the series was evaluated")
+
+    monkeypatch.setattr(cli, "eval_text", unreachable)
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "log(t)", "--T", "2", "--n", "9"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must lie in 0..2" in captured.err
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_eval_result_too_large_to_print(capsys, fmt):
+    # 2^1000000 has more digits than the interpreter converts to text.
+    code, out, err = run_main(
+        capsys, "eval", "2^1000000*t", "--T", "2", "--n", "1", "--format", fmt
+    )
+    assert_one_line_usage_error(code, out, err)
+    assert err.startswith("error: result too large to print")
+
+
+def test_eval_deep_nesting_is_positioned_error(capsys):
+    code, out, err = run_main(capsys, "eval", "(" * 3000 + "t" + ")" * 3000, "--T", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError at line 1, column 101:")
+    assert err.count("\n") == 1
+
+
 def test_eval_json_schema(capsys):
     code, out, _ = run_main(
         capsys, "eval", "(1+t)^x", "--T", "3", "--format", "json"
@@ -302,3 +412,96 @@ def test_results_to_stdout_diagnostics_to_stderr():
     proc = run_proc("table", "--family", "D", "--order", "1", "--n", "1")
     assert proc.stderr == b""
     assert proc.stdout.startswith(b"n=0")
+
+
+# -- argv fuzz ---------------------------------------------------------------------
+#
+# Mostly well-formed argv with small sizes (n, T <= 6, p^N <= 125), so that
+# most draws reach the library rather than stop in argparse.
+
+_SMALL = st.integers(-1, 6)
+
+
+def _flag(name, values):
+    """``[name, value]`` with ``value`` drawn from ``values``."""
+    return values.map(lambda v: [name, str(v)])
+
+
+def _maybe(name, values):
+    """An optional flag: nothing, or ``[name, value]``."""
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _range(top):
+    return st.one_of(
+        st.integers(-1, top).map(str),
+        st.tuples(st.integers(-1, top), st.integers(-1, top)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    )
+
+
+_SPEC = st.one_of(
+    st.tuples(
+        _flag("--family", st.sampled_from(["B", "E", "D", "Ch", "C"])), _flag("--order", _SMALL)
+    ),
+    st.tuples(
+        _flag("--mixed", st.sampled_from(["BE", "DC", "CD", "CC"])),
+        _flag("--r", st.integers(-1, 3)),
+        _flag("--s", st.integers(-1, 3)),
+    ),
+    st.sampled_from([(["--family", "B"],), (["--family", "B", "--mixed", "BE"],), ([],)]),
+)
+_TABLE = st.tuples(
+    st.just(["table"]), _SPEC.map(lambda parts: sum(parts, [])), _flag("--n", _SMALL)
+)
+_VERIFY = st.tuples(
+    st.just(["verify"]),
+    _flag("--id", st.sampled_from(["all", "E11", "E17,E40", "E11,,E14", ",", "nope", " E24 "])),
+    _maybe("--n-max", st.integers(-1, 4)),
+    _maybe("--orders", st.one_of(_range(3), st.sampled_from(["", "x", "1..", "..2"]))),
+    _maybe("--variant", st.sampled_from(["corrected", "as-printed"])),
+)
+_PADIC = st.sampled_from([(2, 6), (3, 4), (4, 3), (5, 3), (7, 2), (9, 2), (11, 2)]).flatmap(
+    lambda p_top: st.tuples(
+        st.just(["padic", "--p", str(p_top[0])]),
+        _flag("--kind", st.sampled_from(["bosonic", "fermionic"])),
+        _flag("--binom", _SMALL),
+        _flag("--N", _range(p_top[1])),
+        _maybe("--target", st.sampled_from(["daehee", "changhee"])),
+        _maybe("--k", st.integers(0, 3)),
+        _maybe("--x0", st.integers(-3, 3)),
+        _maybe("--budget", st.sampled_from(["125", "0", "x"])),
+    )
+)
+_EXPR = st.one_of(
+    st.sampled_from([
+        "(2/(2+t))*(1+t)^x", "(t/(exp(t)-1))^2*exp(t)^x", "log(1+t)/t", "log(t)", "1/0",
+        "0^(-1)", "x", "", "2^1000000*t", "(" * 200 + "t" + ")" * 200, "9" * 700,
+    ]),
+    st.lists(
+        st.sampled_from(["t", "x", "(", ")", "+", "-", "*", "/", "^", "1", "2", "log(", "exp("]),
+        max_size=8,
+    ).map("".join),
+)
+_EVAL = st.tuples(
+    _EXPR.map(lambda expr: ["eval", expr]), _maybe("--T", _SMALL), _maybe("--n", st.integers(-1, 7))
+)
+_ARGV = st.tuples(
+    st.one_of(_TABLE, _VERIFY, _PADIC, _EVAL).map(lambda parts: sum(parts, [])),
+    _maybe("--format", st.sampled_from(FORMATS + FORMATS + ("xml",))),
+    st.sampled_from([[]] * 6 + [["--bogus"], ["--n", "x"], ["3"]]),
+).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+def test_argv_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

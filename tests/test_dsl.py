@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from mixedpoly.dsl import (
+    MAX_DEPTH,
+    MAX_DIGITS,
     Add,
     Const,
     Div,
@@ -137,6 +139,44 @@ def test_rationals_fold_at_parse_time():
 def test_huge_exponent_rejected():
     with pytest.raises(ParseError):
         parse_text("9^99999999")
+
+
+# Each of these once escaped as RecursionError or ValueError instead of a
+# positioned DslError, in the parser or in eval_series.
+OVERSIZED = {
+    "parentheses": ("(" * 3000 + "t" + ")" * 3000, MAX_DEPTH),
+    "unary-minus": ("0+" + "-" * 5000 + "t", 2 + MAX_DEPTH),
+    "log": ("log(" * 3000 + "1+t" + ")" * 3000, 4 * MAX_DEPTH),
+    "sum": ("+".join(["t"] * 3000), None),
+    "power-chain": ("t" + "^2" * 3000, None),
+    "literal": ("1" * 5000, 0),
+    "exponent-literal": ("t^" + "1" * 5000, 2),
+}
+
+
+@pytest.mark.parametrize("src,position", OVERSIZED.values(), ids=OVERSIZED)
+def test_oversized_input_is_positioned_parse_error(src, position):
+    with pytest.raises(ParseError) as info:
+        eval_text(src, 2)
+    assert 0 <= info.value.position <= len(src)
+    if position is not None:
+        assert info.value.position == position
+
+
+def test_depth_limit_is_inclusive():
+    assert eval_text("(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH, 2) == TSeries.var(2)
+    assert eval_text("+".join(["t"] * MAX_DEPTH), 1).coeff(1) == XPoly((MAX_DEPTH,))
+    deeper = MAX_DEPTH + 1
+    for src in ("(" * deeper + "t" + ")" * deeper, "+".join(["t"] * deeper)):
+        with pytest.raises(ParseError):
+            parse_text(src)
+
+
+def test_literal_length_limit_is_inclusive():
+    assert parse_text("9" * MAX_DIGITS) == Const(F(10**MAX_DIGITS - 1), (0, 0))
+    with pytest.raises(ParseError) as info:
+        parse_text("1+" + "9" * (MAX_DIGITS + 1))
+    assert info.value.position == 2
 
 
 def test_parse_error_positions():

@@ -1,6 +1,5 @@
 """Mixed-type families and the identity catalog."""
 
-import json
 from fractions import Fraction as F
 from math import comb
 
@@ -20,15 +19,12 @@ from mixedpoly.families import (
 from mixedpoly.mixed import (
     IDENTITY_IDS,
     SINGLE_ORDER_IDS,
-    IdentityInstance,
-    IdentityReport,
     MixedKind,
     MixedSpec,
     Variant,
     adjudicate_variant,
     mixed_gf,
     mixed_poly,
-    render_report,
     verify_identity,
 )
 from mixedpoly.series import XPoly, binomial_x, expm1, log1p
@@ -286,52 +282,3 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
                 assert sum(changed) == 1, (route, key, changed)
     finally:
         _clear_memos()
-
-
-# -- report rendering -----------------------------------------------------------
-
-
-def _fake_report(passed, diff):
-    return IdentityReport(
-        instance=IdentityInstance("E11", 1, 1, 0),
-        passed=passed,
-        lhs=XPoly.x(),
-        rhs=XPoly.x() + diff,
-        diff=diff,
-        variant=Variant.CORRECTED,
-    )
-
-
-def test_render_empty_report():
-    assert render_report([], "plain") == ""
-    assert json.loads(render_report([], "json")) == []
-
-
-def test_render_single_pass():
-    out = render_report([_fake_report(True, XPoly.zero())], "json")
-    rows = json.loads(out)
-    assert rows == [
-        {
-            "identity": "E11",
-            "variant": "corrected",
-            "n": 1,
-            "r": 1,
-            "s": 0,
-            "verdict": "pass",
-            "diff": "0",
-        }
-    ]
-
-
-def test_render_failure_carries_diff():
-    out = render_report([_fake_report(False, XPoly((0, F(1, 2))))], "plain")
-    assert "fail" in out
-    assert "1/2*x" in out
-
-
-def test_render_csv_and_latex_forms():
-    reports = verify_identity("E11", 1, orders=(1,))
-    csv_text = render_report(reports, "csv")
-    assert csv_text.splitlines()[0] == "identity,variant,n,r,s,verdict,diff"
-    latex_text = render_report(reports, "latex")
-    assert latex_text.startswith(r"\begin{tabular}")
