@@ -10,7 +10,9 @@ to stderr as one line.  Identical invocations produce byte-identical output.
 
 The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
 default; whichever is in force must be an integer >= 1, or the command
-exits 2 with a one-line diagnostic.
+exits 2 with a one-line diagnostic.  MIXEDPOLY_WIDTH, the label column
+width of plain tables, must be an integer in 0..MAX_WIDTH when set, or the
+command exits 2 the same way.
 """
 
 from __future__ import annotations
@@ -43,37 +45,25 @@ from .padic import (
 from .series import XPoly
 
 FORMATS = ("json", "csv", "latex", "plain")
+MAX_WIDTH = 1000
 
 _FAMILY_CODES = {kind.value: kind for kind in FamilyKind}
 _MIXED_CODES = {kind.value: kind for kind in MixedKind}
 
 
-def _budget(flag: int | None) -> int:
-    """The evaluation budget: ``--budget``, else MIXEDPOLY_BUDGET, else the default.
+def _setting(source: str, raw: str, lo: int, hi: int | None = None) -> int:
+    """``raw`` as an integer in ``lo``..``hi`` (unbounded above without ``hi``).
 
-    Raises ValueError with a one-line message unless it is an integer >= 1.
+    Raises ValueError with a one-line message naming ``source`` otherwise.
     """
-    if flag is not None:
-        source, raw = "--budget", str(flag)
-    else:
-        source, raw = "MIXEDPOLY_BUDGET", os.environ.get("MIXEDPOLY_BUDGET")
-        if raw is None:
-            return DEFAULT_BUDGET
     try:
-        budget = int(raw)
+        value = int(raw)
     except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
-    return budget
-
-
-def _env_width() -> int:
-    raw = os.environ.get("MIXEDPOLY_WIDTH")
-    try:
-        return int(raw) if raw is not None else 0
-    except ValueError:
-        return 0
+        value = lo - 1
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{source} must be an integer {bounds}, got {raw!r}")
+    return value
 
 
 def _common_flags(sub: argparse.ArgumentParser, run) -> None:
@@ -243,10 +233,9 @@ def cmd_table(args, parser: argparse.ArgumentParser) -> int:
         sym, orders = args.mixed, f"{args.r},{args.s}"
 
     def plain():
-        width = _env_width()
         for n, p in table.rows:
             label = f"n={n}:"
-            yield f"{label:<{max(width, len(label) + 1)}}{p}"
+            yield f"{label:<{max(args.width, len(label) + 1)}}{p}"
 
     return _emit(
         args.format,
@@ -394,7 +383,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.budget = _budget(args.budget)
+        if args.budget is not None:
+            args.budget = _setting("--budget", str(args.budget), 1)
+        else:
+            raw = os.environ.get("MIXEDPOLY_BUDGET", str(DEFAULT_BUDGET))
+            args.budget = _setting("MIXEDPOLY_BUDGET", raw, 1)
+        raw = os.environ.get("MIXEDPOLY_WIDTH", "0")
+        args.width = _setting("MIXEDPOLY_WIDTH", raw, 0, MAX_WIDTH)
     except ValueError as exc:
         return _fail(str(exc))
     return args.run(args, parser)

@@ -66,8 +66,9 @@ __all__ = [
     "tokenize",
 ]
 
-# Exponents are literal integers; anything this large is a typo or abuse,
-# and evaluating it would exhaust memory on constant bases.
+# Exponents are literal integers; anything this large, alone or as the
+# product down a chain of powers, is a typo or abuse, and evaluating it
+# would exhaust memory on constant bases.
 MAX_EXPONENT = 10**6
 # Deepest syntax tree, and deepest nesting of parentheses, unary minus, log
 # and exp, that parses; it keeps parsing and evaluation far from the
@@ -352,7 +353,7 @@ class _Parser:
         start = base.span[0]
         if tok.kind is TokenKind.INT:
             self._advance()
-            return PowInt(base, self._int_value(tok), (start, tok.end))
+            return self._pow_int(base, self._literal(tok), tok, (start, tok.end))
         if tok.kind is TokenKind.IDENT and tok.text == "x":
             self._advance()
             return PowX(base, (start, tok.end))
@@ -365,24 +366,34 @@ class _Parser:
                 sign = -1
             num = self._expect(TokenKind.INT, "an integer exponent")
             close = self._expect(TokenKind.RPAREN, "')'")
-            return PowInt(base, sign * self._int_value(num), (start, close.end))
+            return self._pow_int(base, sign * self._literal(num), num, (start, close.end))
         raise ParseError(
             tok.start,
             "an integer literal, x, or a parenthesized integer (negative exponents require parentheses)",
             repr(tok.text),
         )
 
+    def _pow_int(self, base: Ast, exponent: int, tok: Token, span: Span) -> PowInt:
+        # A chain such as 2^1000^1000 or (t^1000)^1001 multiplies its
+        # exponents, so the bound applies to their product.  A chain longer
+        # than MAX_DEPTH fails the depth check in ``parse``, so the walk down
+        # it stops there.
+        product, link = abs(exponent), base
+        for _ in range(MAX_DEPTH):
+            if not isinstance(link, PowInt):
+                break
+            product *= abs(link.exponent)
+            link = link.base
+        if product > MAX_EXPONENT:
+            expected = f"an exponent of magnitude <= {MAX_EXPONENT}, times those below it in a chain"
+            raise ParseError(tok.start, expected, tok.text)
+        return PowInt(base, exponent, span)
+
     def _literal(self, tok: Token) -> int:
         if len(tok.text) > MAX_DIGITS:
             expected = f"an integer of at most {MAX_DIGITS} digits"
             raise ParseError(tok.start, expected, f"{len(tok.text)} digits")
         return int(tok.text)
-
-    def _int_value(self, tok: Token) -> int:
-        value = self._literal(tok)
-        if value > MAX_EXPONENT:
-            raise ParseError(tok.start, f"an exponent of magnitude <= {MAX_EXPONENT}", tok.text)
-        return value
 
     def parse_atom(self) -> Ast:
         tok = self._peek()

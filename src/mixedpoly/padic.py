@@ -10,8 +10,9 @@ the test suite were frozen from oracle runs of these routines, not derived
 analytically.
 
 Integrands are either ``XPoly`` values or first-class binomial-basis
-integrands C(x, n); the closed-form Volkenborn oracle lives in the
-binomial basis, so it is never expanded into monomials.
+integrands C(x, n).  Every sum, of any fold count, is evaluated in closed
+form in the binomial basis (``multifold_integral``), so its cost grows with
+the degree of the integrand, not with p^N.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
 from typing import Iterable, Union
 
 from .series import XPoly
@@ -106,26 +106,6 @@ class BinomialBasis:
 Integrand = Union[XPoly, BinomialBasis]
 
 
-def _binom_at(z: Union[int, Fraction], n: int) -> Fraction:
-    """Generalized binomial C(z, n) = z(z-1)..(z-n+1)/n!, exact."""
-    if isinstance(z, int) or z.denominator == 1:
-        zi = int(z)
-        if zi >= 0:
-            return Fraction(comb(zi, n))
-    acc = Fraction(1)
-    for i in range(n):
-        acc *= z - i
-    return acc / factorial(n)
-
-
-def _eval_integrand(f: Integrand, z: Union[int, Fraction]) -> Fraction:
-    if isinstance(f, BinomialBasis):
-        return _binom_at(z, f.n)
-    if isinstance(f, XPoly):
-        return f(Fraction(z))
-    raise TypeError(f"integrand must be XPoly or BinomialBasis, got {type(f).__name__}")
-
-
 def vp(q: Union[Fraction, int], p: int) -> Union[int, float]:
     """Normalized p-adic valuation of a rational; +infinity for 0."""
     if not is_odd_prime(p) and p != 2:
@@ -151,18 +131,7 @@ def finite_integral(kind: IntegralKind, f: Integrand, ctx: PAdicContext) -> Frac
     Bosonic:   p^(-N) * sum_{x=0}^{p^N-1} f(x)
     Fermionic: sum_{x=0}^{p^N-1} (-1)^x f(x)
     """
-    M = ctx.modulus
-    if kind is IntegralKind.BOSONIC:
-        total = sum((_eval_integrand(f, x) for x in range(M)), Fraction(0))
-        return total / M
-    if kind is IntegralKind.FERMIONIC:
-        total = Fraction(0)
-        sign = 1
-        for x in range(M):
-            total += sign * _eval_integrand(f, x)
-            sign = -sign
-        return total
-    raise ValueError(f"unknown integral kind {kind!r}")
+    return multifold_integral(kind, f, 1, 0, ctx)
 
 
 def multifold_integral(
@@ -174,9 +143,12 @@ def multifold_integral(
 ) -> Fraction:
     """k-fold nested approximant of f evaluated at y_1 + ... + y_k + x0.
 
-    Each nesting level carries the per-variable weight of ``kind``; the
-    result is an exact rational.  Only k in {1, 2} is supported (desk
-    scale), and p^(kN) must stay within the context budget.
+    Each y_i runs over 0 .. p^N - 1 with the per-variable weight of
+    ``kind``.  The value is computed in closed form: write f as
+    sum_j a_j C(x, j), expand C(x0 + y_1 + ... + y_k, n) by Vandermonde
+    into products of C(x0, j_0) and the 1-fold level values of C(y, j_i),
+    and sum.  The result is an exact rational.  Only k in {1, 2} is
+    supported, and p^(kN) must stay within the context budget.
     """
     if k not in (1, 2):
         raise ValueError("only 1- and 2-fold integrals are supported")
@@ -185,33 +157,56 @@ def multifold_integral(
         raise BudgetExceededError(
             f"p^(kN) = {ctx.p}^{k * ctx.N} exceeds budget {ctx.budget}"
         )
-    if isinstance(x0, Fraction) and x0.denominator == 1:
-        x0 = int(x0)
-    if k == 1:
-        if kind is IntegralKind.BOSONIC:
-            total = sum((_eval_integrand(f, y + x0) for y in range(M)), Fraction(0))
-            return total / M
-        total = Fraction(0)
-        sign = 1
-        for y in range(M):
-            total += sign * _eval_integrand(f, y + x0)
-            sign = -sign
-        return total
-    # k == 2: the integrand depends only on y1 + y2, so group by the sum
-    # with its lattice multiplicity; the fermionic weight (-1)^(y1+y2)
-    # also depends only on the sum.
-    counts = [min(s, M - 1) - max(0, s - M + 1) + 1 for s in range(2 * M - 1)]
+    coords = _binomial_coords(f)
+    level = _level_values(kind, M, len(coords) - 1)
+    shifted = _binomials(Fraction(x0), len(coords) - 1)
+    for _ in range(k):
+        shifted = [
+            sum((shifted[i] * level[n - i] for i in range(n + 1)), Fraction(0))
+            for n in range(len(coords))
+        ]
+    return sum((a * c for a, c in zip(coords, shifted)), Fraction(0))
+
+
+def _binomial_coords(f: Integrand) -> list[Fraction]:
+    """The a_j with f(x) = sum_j a_j C(x, j), for j = 0 .. degree of f."""
+    if isinstance(f, BinomialBasis):
+        return [Fraction(0)] * f.n + [Fraction(1)]
+    if not isinstance(f, XPoly):
+        raise TypeError(f"integrand must be XPoly or BinomialBasis, got {type(f).__name__}")
+    # Newton forward differences of f at 0 .. deg.
+    values = [f(x) for x in range(f.degree + 1)]
+    coords = []
+    while values:
+        coords.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return coords
+
+
+def _binomials(z: Fraction, d: int) -> list[Fraction]:
+    """C(z, j) for j = 0 .. d, for any rational z."""
+    out = [Fraction(1)]
+    for j in range(d):
+        out.append(out[-1] * (z - j) / (j + 1))
+    return out
+
+
+def _level_values(kind: IntegralKind, M: int, d: int) -> list[Fraction]:
+    """The 1-fold level-N values of C(y, j), j = 0 .. d, over y in 0 .. M - 1.
+
+    Bosonic: C(M, j + 1)/M, by the hockey-stick identity.  Fermionic:
+    A_0 = 1 and A_{j+1} = (C(M, j + 1) - A_j)/2, which follows from
+    C(y + 1, j + 1) = C(y, j + 1) + C(y, j) because M = p^N is odd
+    (``PAdicContext`` admits only odd primes).
+    """
     if kind is IntegralKind.BOSONIC:
-        total = sum(
-            (counts[s] * _eval_integrand(f, s + x0) for s in range(2 * M - 1)),
-            Fraction(0),
-        )
-        return total / (M * M)
-    total = Fraction(0)
-    for s in range(2 * M - 1):
-        term = counts[s] * _eval_integrand(f, s + x0)
-        total += term if s % 2 == 0 else -term
-    return total
+        return [c / M for c in _binomials(Fraction(M), d + 1)[1:]]
+    if kind is IntegralKind.FERMIONIC:
+        values = [Fraction(1)]
+        for c in _binomials(Fraction(M), d)[1:]:
+            values.append((c - values[-1]) / 2)
+        return values
+    raise ValueError(f"unknown integral kind {kind!r}")
 
 
 def shift_residual(kind: IntegralKind, f: XPoly, ctx: PAdicContext) -> Fraction:
@@ -226,16 +221,8 @@ def shift_residual(kind: IntegralKind, f: XPoly, ctx: PAdicContext) -> Fraction:
         raise TypeError("shift_residual expects an XPoly integrand")
     f1 = f.shifted(1)
     if kind is IntegralKind.BOSONIC:
-        return (
-            finite_integral(kind, f1, ctx)
-            - finite_integral(kind, f, ctx)
-            - f.derivative()(0)
-        )
-    return (
-        finite_integral(kind, f1, ctx)
-        + finite_integral(kind, f, ctx)
-        - 2 * f(0)
-    )
+        return finite_integral(kind, f1 - f, ctx) - f.derivative()(0)
+    return finite_integral(kind, f1 + f, ctx) - 2 * f(0)
 
 
 @dataclass(frozen=True)

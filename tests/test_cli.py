@@ -296,6 +296,24 @@ def test_budget_env_read_and_flag_wins(capsys, monkeypatch):
     assert out
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "-1", "1001", "10000000", "10^20"])
+def test_malformed_width_env_exit_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("MIXEDPOLY_WIDTH", value)
+    for argv in (PADIC_SMALL, ("table", "--family", "B", "--order", "1", "--n", "2")):
+        code, out, err = run_main(capsys, *argv)
+        assert_one_line_usage_error(code, out, err)
+        assert err == f"error: MIXEDPOLY_WIDTH must be an integer in 0..1000, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "7", str(cli.MAX_WIDTH)])
+def test_width_env_pads_plain_labels(capsys, monkeypatch, value):
+    monkeypatch.setenv("MIXEDPOLY_WIDTH", value)
+    code, out, _ = run_main(capsys, "table", "--family", "B", "--order", "1", "--n", "1")
+    assert code == 0
+    width = max(int(value), len("n=0:") + 1)
+    assert out == "n=0:".ljust(width) + "1\n" + "n=1:".ljust(width) + "x - 1/2\n"
+
+
 # -- eval ------------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 from mixedpoly.dsl import (
     MAX_DEPTH,
     MAX_DIGITS,
+    MAX_EXPONENT,
     Add,
     Const,
     Div,
@@ -139,6 +140,15 @@ def test_rationals_fold_at_parse_time():
 def test_huge_exponent_rejected():
     with pytest.raises(ParseError):
         parse_text("9^99999999")
+
+
+def test_power_chain_exponent_product_is_inclusive():
+    # A chain multiplies its exponents: 2^1000^1000 is 2^(10^6).
+    assert eval_text("2^1000^1000", 1).coeff(0) == XPoly((2**MAX_EXPONENT,))
+    for src in ("2^1000^1001", "(t^1000)^1001", "t^1000^(-1001)", "t" + "^10" * 7):
+        with pytest.raises(ParseError) as info:
+            parse_text(src)
+        assert info.value.position == src.rindex("10")
 
 
 # Each of these once escaped as RecursionError or ValueError instead of a

@@ -4,11 +4,14 @@ All numeric thresholds asserted here were frozen from oracle runs of these
 same routines; none are taken on faith.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 from math import comb, factorial, floor, log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedpoly.families import FamilyKind, FamilySpec, family_oracle
 from mixedpoly.padic import (
@@ -244,6 +247,110 @@ def test_multifold_consistency_with_family_targets(k, x0):
             fer = multifold_integral(FER, BinomialBasis(n), k, x0, ctx)
             assert vp(bos - d_target, 3) >= N - 1, ("bosonic", k, x0, n, N)
             assert vp(fer - ch_target, 3) >= N - 1, ("fermionic", k, x0, n, N)
+
+
+# -- brute-force oracle ------------------------------------------------------------
+#
+# The module evaluates every sum in closed form; this oracle sums the
+# definition term by term, nested once per fold, so no test compares a
+# closed form with itself.
+
+
+def _value_at(f, z):
+    if isinstance(f, BinomialBasis):
+        acc = F(1)
+        for i in range(f.n):
+            acc = acc * (z - i) / (i + 1)
+        return acc
+    return f(z)
+
+
+def brute_integral(kind, f, k, x0, ctx):
+    M = ctx.modulus
+    total = F(0)
+    for ys in itertools.product(range(M), repeat=k):
+        s = sum(ys)
+        value = _value_at(f, x0 + s)
+        total += value if kind is BOS or s % 2 == 0 else -value
+    return total / M**k if kind is BOS else total
+
+
+def brute_shift_residual(kind, f, ctx):
+    shifted, plain = (brute_integral(kind, f, 1, x0, ctx) for x0 in (1, 0))
+    if kind is BOS:
+        return shifted - plain - f.derivative()(0)
+    return shifted + plain - 2 * f(0)
+
+
+ORACLE_POLYS = (
+    XPoly(()),
+    XPoly((F(7, 3),)),
+    XPoly((F(1, 2), F(-5, 7), F(2, 5))),
+    XPoly((0, F(3, 4), 0, F(-1, 6))),
+    XPoly((F(-2, 9), 1, F(1, 3), 0, F(5, 2), F(-1, 8))),
+)
+ORACLE_INTEGRANDS = tuple(BinomialBasis(n) for n in range(8)) + ORACLE_POLYS
+
+
+@pytest.mark.parametrize("p,N", [(3, 1), (3, 2), (5, 1), (7, 1)])
+@pytest.mark.parametrize("kind", [BOS, FER])
+def test_closed_form_matches_nested_summation(p, N, kind):
+    ctx = PAdicContext(p, N)
+    for f in ORACLE_INTEGRANDS:
+        assert finite_integral(kind, f, ctx) == brute_integral(kind, f, 1, 0, ctx), f
+        for k in (1, 2):
+            for x0 in (0, 2, -1, F(1, 2)):
+                want = brute_integral(kind, f, k, x0, ctx)
+                assert multifold_integral(kind, f, k, x0, ctx) == want, (f, k, x0)
+    for f in ORACLE_POLYS:
+        assert shift_residual(kind, f, ctx) == brute_shift_residual(kind, f, ctx), f
+
+
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from([BOS, FER]),
+    p=st.sampled_from([3, 5, 7]),
+    k=st.sampled_from([1, 2]),
+    x0=_fractions,
+    coeffs=st.lists(_fractions, max_size=6),
+)
+def test_closed_form_matches_nested_summation_property(kind, p, k, x0, coeffs):
+    ctx = PAdicContext(p, 1)
+    f = XPoly(coeffs)
+    assert multifold_integral(kind, f, k, x0, ctx) == brute_integral(kind, f, k, x0, ctx)
+    assert shift_residual(kind, f, ctx) == brute_shift_residual(kind, f, ctx)
+
+
+# -- integral kinds ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["bosonic", "fermionic", None, FamilyKind.DAEHEE])
+def test_unknown_kind_rejected_on_every_entry_point(kind):
+    # multifold_integral once returned the fermionic value for any kind
+    # that was not IntegralKind.BOSONIC, and convergence_trace with it.
+    ctx = PAdicContext(3, 1)
+    calls = [
+        lambda: finite_integral(kind, BinomialBasis(2), ctx),
+        lambda: finite_integral(kind, XPoly(()), ctx),
+        lambda: shift_residual(kind, X2, ctx),
+        lambda: convergence_trace(kind, BinomialBasis(2), 0, 3, (1, 2)),
+    ]
+    calls += [
+        lambda k=k: multifold_integral(kind, BinomialBasis(2), k, 0, ctx) for k in (1, 2)
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown integral kind"):
+            call()
+
+
+def test_non_integrand_rejected():
+    with pytest.raises(TypeError):
+        multifold_integral(BOS, 3, 1, 0, PAdicContext(3, 1))
+    with pytest.raises(TypeError):
+        shift_residual(BOS, BinomialBasis(1), PAdicContext(3, 1))
 
 
 def test_trace_serialization():

@@ -291,6 +291,7 @@ def test_extraction_satisfies_binomial_convolution(triple):
         assert prod.poly(n) == want
 
 
+@settings(deadline=None)
 @given(st.integers(min_value=1, max_value=16))
 def test_binomial_identity_all_truncations(trunc):
     assert exp_xt(trunc).compose(log1p(trunc)) == binomial_x(trunc)
