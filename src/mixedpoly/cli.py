@@ -26,14 +26,7 @@ from math import factorial, inf
 from . import __version__
 from .dsl import DslError, eval_text, line_col
 from .families import FamilyKind, FamilySpec, family_oracle, poly_table
-from .mixed import (
-    IDENTITY_IDS,
-    MixedKind,
-    MixedSpec,
-    Variant,
-    mixed_poly_table,
-    verify_identity,
-)
+from .mixed import IDENTITY_IDS, MixedKind, MixedSpec, Variant, verify_identity
 from .padic import (
     DEFAULT_BUDGET,
     BinomialBasis,
@@ -223,12 +216,11 @@ def cmd_table(args, parser: argparse.ArgumentParser) -> int:
             spec = MixedSpec(_MIXED_CODES[args.mixed], args.r, args.s)
     except ValueError as exc:
         return _fail(str(exc))
+    table = poly_table(spec, args.n)
     if use_family:
-        table = poly_table(spec, args.n)
         head = {"family": args.family, "order": args.order, "n_max": args.n}
         sym, orders = args.family, str(args.order)
     else:
-        table = mixed_poly_table(spec, args.n)
         head = {"mixed": args.mixed, "r": args.r, "s": args.s, "n_max": args.n}
         sym, orders = args.mixed, f"{args.r},{args.s}"
 
@@ -335,7 +327,24 @@ def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
 
     return _emit(
         args.format,
-        value=lambda: {**trace.to_dict(), "target_family": target_name},
+        value=lambda: {
+            "p": args.p,
+            "kind": kind.value,
+            "n": args.binom,
+            "k": args.k,
+            "x0": str(args.x0),
+            "target": str(trace.target),
+            "rows": [
+                {
+                    "N": row.N,
+                    "approx": str(row.approximant),
+                    "residual": str(row.residual),
+                    "vp": None if row.vp == inf else row.vp,
+                }
+                for row in trace.rows
+            ],
+            "target_family": target_name,
+        },
         header=["N", "approx", "residual", "vp"],
         rows=lambda: cells(""),
         latex=lambda: _tabular(

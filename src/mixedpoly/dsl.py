@@ -66,8 +66,8 @@ __all__ = [
     "tokenize",
 ]
 
-# Exponents are literal integers; anything this large, alone or as the
-# product down a chain of powers, is a typo or abuse, and evaluating it
+# Exponents are literal integers; anything this large, alone or multiplied
+# by the exponents inside its base, is a typo or abuse, and evaluating it
 # would exhaust memory on constant bases.
 MAX_EXPONENT = 10**6
 # Deepest syntax tree, and deepest nesting of parentheses, unary minus, log
@@ -282,6 +282,9 @@ class _Parser:
         self.pos = 0
         self.src_len = src_len
         self.depth = 0
+        # Largest product of integer exponents along any path down from a
+        # power node finished since the innermost open ``parse_power``.
+        self.peak = 1
 
     def _peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -340,23 +343,30 @@ class _Parser:
         return self.parse_power()
 
     def parse_power(self) -> Ast:
+        # Every node of the atom is parsed here, so ``peak`` then holds the
+        # largest exponent product inside it, through any nesting; each
+        # exponent attached to the atom multiplies it.
+        outer, self.peak = self.peak, 1
         base = self.parse_atom()
+        weight = self.peak
         while (tok := self._peek()) is not None and tok.kind is TokenKind.CARET:
             self._advance()
-            base = self._attach_exponent(base, tok)
+            base, weight = self._attach_exponent(base, weight)
+        self.peak = max(outer, weight)
         return base
 
-    def _attach_exponent(self, base: Ast, caret: Token) -> Ast:
+    def _attach_exponent(self, base: Ast, weight: int) -> tuple[Ast, int]:
+        """The power of ``base`` by the next exponent, and its exponent product."""
         tok = self._peek()
         if tok is None:
             raise ParseError(self.src_len, "an exponent", "end of input")
         start = base.span[0]
         if tok.kind is TokenKind.INT:
             self._advance()
-            return self._pow_int(base, self._literal(tok), tok, (start, tok.end))
+            return self._pow_int(base, weight, self._literal(tok), tok, (start, tok.end))
         if tok.kind is TokenKind.IDENT and tok.text == "x":
             self._advance()
-            return PowX(base, (start, tok.end))
+            return PowX(base, (start, tok.end)), weight
         if tok.kind is TokenKind.LPAREN:
             self._advance()
             sign = 1
@@ -366,28 +376,24 @@ class _Parser:
                 sign = -1
             num = self._expect(TokenKind.INT, "an integer exponent")
             close = self._expect(TokenKind.RPAREN, "')'")
-            return self._pow_int(base, sign * self._literal(num), num, (start, close.end))
+            return self._pow_int(base, weight, sign * self._literal(num), num, (start, close.end))
         raise ParseError(
             tok.start,
             "an integer literal, x, or a parenthesized integer (negative exponents require parentheses)",
             repr(tok.text),
         )
 
-    def _pow_int(self, base: Ast, exponent: int, tok: Token, span: Span) -> PowInt:
-        # A chain such as 2^1000^1000 or (t^1000)^1001 multiplies its
-        # exponents, so the bound applies to their product.  A chain longer
-        # than MAX_DEPTH fails the depth check in ``parse``, so the walk down
-        # it stops there.
-        product, link = abs(exponent), base
-        for _ in range(MAX_DEPTH):
-            if not isinstance(link, PowInt):
-                break
-            product *= abs(link.exponent)
-            link = link.base
+    def _pow_int(
+        self, base: Ast, weight: int, exponent: int, tok: Token, span: Span
+    ) -> tuple[PowInt, int]:
+        # 2^1000^1000, (t^1000)^1001 and (-(2^1000))^1001 all raise a power
+        # to a power, so the bound applies to the product of the exponents.
+        # A zero counts as 1, so that (t^0)^(10^600) cannot pass the bound.
+        product = weight * max(abs(exponent), 1)
         if product > MAX_EXPONENT:
-            expected = f"an exponent of magnitude <= {MAX_EXPONENT}, times those below it in a chain"
+            expected = f"an exponent of magnitude <= {MAX_EXPONENT}, times those inside its base"
             raise ParseError(tok.start, expected, tok.text)
-        return PowInt(base, exponent, span)
+        return PowInt(base, exponent, span), product
 
     def _literal(self, tok: Token) -> int:
         if len(tok.text) > MAX_DIGITS:

@@ -1,11 +1,14 @@
-"""The five base polynomial families and their GF-free oracles.
+"""The five base polynomial families, one generating-function route for
+base and mixed families, and the GF-free oracles.
 
 Each family is defined by a generating function of the form
 
-    kernel(t)^r * carrier(t, x)
+    kernel_1(t)^r_1 * ... * kernel_k(t)^r_k * carrier(t, x)
 
-where the carrier is e^(x t) for Bernoulli and Euler and (1+t)^x for
-Daehee, Changhee, and Cauchy, and the order-1 kernels are
+where the carrier is that of the first kernel: e^(x t) for Bernoulli and
+Euler and (1+t)^x for Daehee, Changhee, and Cauchy.  A base family has one
+kernel and a mixed family two; a spec lists them as its ``factors``, pairs
+(kind, power).  The order-1 kernels are
 
     Bernoulli   t / (e^t - 1)
     Euler       2 / (e^t + 1)
@@ -13,10 +16,11 @@ Daehee, Changhee, and Cauchy, and the order-1 kernels are
     Changhee    2 / (t + 2)
     Cauchy      t / log(1+t)
 
-``family_gf`` builds the exact truncated series; ``family_oracle``
-recomputes the same polynomials through a completely different route
-(number recurrences plus binomial convolution), so agreement between the
-two is a genuine cross-check rather than a tautology.
+``family_gf`` builds the exact truncated series of either kind of spec and
+``gf_rows`` memoizes its extracted polynomials; ``family_oracle`` recomputes
+the base polynomials through a completely different route (number
+recurrences plus binomial convolution), so agreement between the two is a
+genuine cross-check rather than a tautology.
 
 Stirling numbers of both kinds and the falling factorial live here too;
 they are the change-of-basis data used throughout the identity catalog.
@@ -27,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 from .series import (
     TSeries,
     XPoly,
@@ -51,6 +57,7 @@ __all__ = [
     "family_numbers",
     "family_oracle",
     "family_poly",
+    "gf_rows",
     "poly_table",
     "stirling1",
     "stirling2",
@@ -84,6 +91,11 @@ class FamilySpec:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("family order must be >= 0")
+
+    @property
+    def factors(self) -> tuple[tuple[FamilyKind, int], ...]:
+        """(kernel, power) pairs of the generating function."""
+        return ((self.kind, self.order),)
 
 
 @dataclass(frozen=True)
@@ -156,23 +168,31 @@ def family_carrier(kind: FamilyKind, trunc: int) -> TSeries:
     return exp_xt(trunc) if kind in _EXP_CARRIER else binomial_x(trunc)
 
 
+def _gf(factors, trunc: int) -> TSeries:
+    """The kernel powers multiplied in order, then the first kernel's carrier once."""
+    kernels = reduce(mul, (family_kernel(kind, trunc) ** power for kind, power in factors))
+    return kernels * family_carrier(factors[0][0], trunc)
+
+
+def family_gf(spec, trunc: int) -> TSeries:
+    """Exact truncated generating function of a ``FamilySpec`` or ``MixedSpec``."""
+    return _gf(spec.factors, trunc)
+
+
 @lru_cache(maxsize=None)
-def _family_gf(kind: FamilyKind, order: int, trunc: int) -> TSeries:
-    return family_kernel(kind, trunc) ** order * family_carrier(kind, trunc)
+def gf_rows(factors, n_max: int) -> tuple[XPoly, ...]:
+    """P_0(x)..P_{n_max}(x) extracted from the generating function of ``factors``."""
+    gf = _gf(factors, n_max)
+    return tuple(gf.poly(n) for n in range(n_max + 1))
 
 
-def family_gf(spec: FamilySpec, trunc: int) -> TSeries:
-    """Exact truncated generating function kernel^order * carrier."""
-    return _family_gf(spec.kind, spec.order, trunc)
-
-
-def family_poly(spec: FamilySpec, n: int, trunc: int | None = None) -> XPoly:
+def family_poly(spec, n: int, trunc: int | None = None) -> XPoly:
     """P_n(x) extracted from the generating function (n! times [t^n])."""
     if trunc is None:
         trunc = n
-    if n > trunc:
+    if not 0 <= n <= trunc:
         raise ValueError(f"cannot extract degree {n} from truncation {trunc}")
-    return family_gf(spec, trunc).poly(n)
+    return gf_rows(spec.factors, trunc)[n]
 
 
 @lru_cache(maxsize=None)
@@ -229,6 +249,15 @@ def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
     return acc
 
 
+def _conv(n: int, poly_at, nums) -> XPoly:
+    """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n."""
+    acc = XPoly.zero()
+    for m in range(n + 1):
+        if nums[n - m]:
+            acc = acc + poly_at(m) * (comb(n, m) * nums[n - m])
+    return acc
+
+
 @lru_cache(maxsize=None)
 def family_oracle(spec: FamilySpec, n: int) -> XPoly:
     """P_n^(r)(x) through the GF-free route.
@@ -236,26 +265,20 @@ def family_oracle(spec: FamilySpec, n: int) -> XPoly:
     Numbers come from ``family_numbers``; the polynomial is rebuilt from
     them in the basis matching the carrier:
 
-        e^(x t) carrier:   P_n(x) = sum_k C(n, k) P_k x^(n-k)
-        (1+t)^x carrier:   P_n(x) = sum_k C(n, k) P_k (x)_(n-k)
+        e^(x t) carrier:   P_n(x) = sum_m C(n, m) x^m P_(n-m)
+        (1+t)^x carrier:   P_n(x) = sum_m C(n, m) (x)_m P_(n-m)
+
+    (x)_m is built from (x)_(m-1) with one multiply.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    nums = family_numbers(spec, n)
-    use_monomials = spec.kind in _EXP_CARRIER
-    acc = XPoly.zero()
-    for k in range(n + 1):
-        if nums[k] == 0:
-            continue
-        if use_monomials:
-            basis = XPoly([0] * (n - k) + [1])
-        else:
-            basis = falling_factorial(n - k)
-        acc = acc + basis * (comb(n, k) * nums[k])
-    return acc
+    if spec.kind in _EXP_CARRIER:
+        basis = [XPoly((0,) * m + (1,)) for m in range(n + 1)]
+    else:
+        basis = list(accumulate((XPoly((-i, 1)) for i in range(n)), mul, initial=XPoly.one()))
+    return _conv(n, basis.__getitem__, family_numbers(spec, n))
 
 
-def poly_table(spec: FamilySpec, n_max: int) -> PolyTable:
-    """Materialize rows n = 0..n_max via generating-function extraction."""
-    gf = family_gf(spec, n_max)
-    return PolyTable(rows=tuple((n, gf.poly(n)) for n in range(n_max + 1)))
+def poly_table(spec, n_max: int) -> PolyTable:
+    """Rows n = 0..n_max of a ``FamilySpec`` or ``MixedSpec``, from ``gf_rows``."""
+    return PolyTable(rows=tuple(enumerate(gf_rows(spec.factors, n_max))))

@@ -25,23 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 
 from .families import (
     FamilyKind,
     FamilySpec,
-    PolyTable,
+    _conv,
     falling_factorial,
-    family_carrier,
     family_gf,
-    family_kernel,
     family_numbers,
     family_oracle,
+    gf_rows,
     stirling1,
     stirling2,
 )
-from .series import TSeries, XPoly
+from .series import XPoly
 
 __all__ = [
     "IDENTITY_IDS",
@@ -54,7 +53,6 @@ __all__ = [
     "adjudicate_variant",
     "mixed_gf",
     "mixed_poly",
-    "mixed_poly_table",
     "verify_identity",
 ]
 
@@ -85,6 +83,12 @@ class MixedSpec:
         if self.r < 1 or self.s < 1:
             raise ValueError("mixed-type orders r, s must be >= 1")
 
+    @property
+    def factors(self) -> tuple[tuple[FamilyKind, int], ...]:
+        """(kernel, power) pairs of the generating function; the first picks the carrier."""
+        kr, ks = _FACTORS[self.kind]
+        return ((kr, self.r), (ks, self.s))
+
 
 class Variant(Enum):
     """Reading used for identities whose printed statement is suspect."""
@@ -113,28 +117,9 @@ class IdentityReport:
     variant: Variant
 
 
-@lru_cache(maxsize=None)
-def _mixed_gf(kind: MixedKind, r: int, s: int, trunc: int) -> TSeries:
-    kr, ks = _FACTORS[kind]
-    return (
-        family_kernel(kr, trunc) ** r
-        * family_kernel(ks, trunc) ** s
-        * family_carrier(kr, trunc)
-    )
-
-
-def mixed_gf(spec: MixedSpec, trunc: int) -> TSeries:
-    """Exact truncated generating function of a mixed-type family."""
-    return _mixed_gf(spec.kind, spec.r, spec.s, trunc)
-
-
-def _conv(n: int, poly_at, nums) -> XPoly:
-    """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n."""
-    acc = XPoly.zero()
-    for m in range(n + 1):
-        if nums[n - m]:
-            acc = acc + poly_at(m) * (comb(n, m) * nums[n - m])
-    return acc
+# A mixed family's generating function is built exactly as a base family's,
+# from the factors of its spec.
+mixed_gf = family_gf
 
 
 def _weighted(n: int, poly_at, weight) -> XPoly:
@@ -162,21 +147,14 @@ def mixed_poly(spec: MixedSpec, n: int) -> XPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    kind, r, s = spec.kind, spec.r, spec.s
-    if kind is MixedKind.CD:
+    (kr, r), (ks, s) = spec.factors
+    if spec.kind is MixedKind.CD:
         if r > s:
             return family_oracle(FamilySpec(FamilyKind.CAUCHY, r - s), n)
         if r < s:
             return family_oracle(FamilySpec(FamilyKind.DAEHEE, s - r), n)
         return falling_factorial(n)
-    kr, ks = _FACTORS[kind]
     return _conv(n, _oracle(kr, r), family_numbers(FamilySpec(ks, s), n))
-
-
-def mixed_poly_table(spec: MixedSpec, n_max: int) -> PolyTable:
-    """Rows n = 0..n_max via generating-function extraction."""
-    gf = mixed_gf(spec, n_max)
-    return PolyTable(rows=tuple((n, gf.poly(n)) for n in range(n_max + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -187,40 +165,29 @@ def mixed_poly_table(spec: MixedSpec, n_max: int) -> PolyTable:
 SINGLE_ORDER_IDS = frozenset({"E11", "E14", "E17"})
 
 
-@lru_cache(maxsize=None)
-def _gf_polys(kind: FamilyKind, order: int, n_max: int) -> tuple[XPoly, ...]:
-    gf = family_gf(FamilySpec(kind, order), n_max)
-    return tuple(gf.poly(n) for n in range(n_max + 1))
-
-
-@lru_cache(maxsize=None)
-def _mixed_gf_polys(kind: MixedKind, r: int, s: int, n_max: int) -> tuple[XPoly, ...]:
-    gf = mixed_gf(MixedSpec(kind, r, s), n_max)
-    return tuple(gf.poly(n) for n in range(n_max + 1))
-
-
 def _mixed_row(kind: MixedKind):
     # E21, E31, E37: the mixed GF row equals the closed form of mixed_poly.
-    return lambda n, r, s, corrected, n_max: [
-        (_mixed_gf_polys(kind, r, s, n_max)[n], mixed_poly(MixedSpec(kind, r, s), n))
-    ]
+    return lambda n, r, s, corrected, n_max: [(
+        gf_rows(MixedSpec(kind, r, s).factors, n_max)[n],
+        mixed_poly(MixedSpec(kind, r, s), n),
+    )]
 
 
 # Each identity maps one instance (n, r, s, corrected, n_max) to its claims:
 # (lhs, rhs) pairs that must agree exactly.  One side of every claim reads
-# generating-function rows (_gf_polys, _mixed_gf_polys), the other oracle
-# values (family_oracle, family_numbers) or the falling factorial, so no
-# claim compares a code path with itself.  ``corrected`` selects the reading
+# generating-function rows (gf_rows), the other oracle values
+# (family_oracle, family_numbers) or the falling factorial, so no claim
+# compares a code path with itself.  ``corrected`` selects the reading
 # of the typo-suspect identities E28, E34 and E40.
 _CATALOG = {
     # D_n^(r)(x) = sum_m B_m^(r)(x) S1(n, m)
     "E11": lambda n, r, s, corrected, n_max: [(
-        _gf_polys(FamilyKind.DAEHEE, r, n_max)[n],
+        gf_rows(FamilySpec(FamilyKind.DAEHEE, r).factors, n_max)[n],
         _weighted(n, _oracle(FamilyKind.BERNOULLI, r), partial(stirling1, n)),
     )],
     # Ch_n^(r)(x) = sum_m E_m^(r)(x) S1(n, m)
     "E14": lambda n, r, s, corrected, n_max: [(
-        _gf_polys(FamilyKind.CHANGHEE, r, n_max)[n],
+        gf_rows(FamilySpec(FamilyKind.CHANGHEE, r).factors, n_max)[n],
         _weighted(n, _oracle(FamilyKind.EULER, r), partial(stirling1, n)),
     )],
     # (x)_n = sum_m C(n,m) C_m^(r)(x) D_{n-m}^(r)
@@ -228,12 +195,12 @@ _CATALOG = {
     "E17": lambda n, r, s, corrected, n_max: [
         (falling_factorial(n), _conv(
             n,
-            _gf_polys(FamilyKind.CAUCHY, r, n_max).__getitem__,
+            gf_rows(FamilySpec(FamilyKind.CAUCHY, r).factors, n_max).__getitem__,
             family_numbers(FamilySpec(FamilyKind.DAEHEE, r), n),
         )),
         (falling_factorial(n), _conv(
             n,
-            _gf_polys(FamilyKind.DAEHEE, r, n_max).__getitem__,
+            gf_rows(FamilySpec(FamilyKind.DAEHEE, r).factors, n_max).__getitem__,
             family_numbers(FamilySpec(FamilyKind.CAUCHY, r), n),
         )),
     ],
@@ -243,13 +210,15 @@ _CATALOG = {
     "E24": lambda n, r, s, corrected, n_max: [(
         mixed_poly(MixedSpec(MixedKind.DC, r, s), n),
         _weighted(
-            n, _mixed_gf_polys(MixedKind.BE, r, s, n_max).__getitem__, partial(stirling1, n)
+            n,
+            gf_rows(MixedSpec(MixedKind.BE, r, s).factors, n_max).__getitem__,
+            partial(stirling1, n),
         ),
     )],
     # DC_n^(r,s)(x) = sum_m C(n,m) D_m^(r)(x) Ch_{n-m}^(order)
     # where order is s in the corrected reading, r as printed.
     "E28": lambda n, r, s, corrected, n_max: [(
-        _mixed_gf_polys(MixedKind.DC, r, s, n_max)[n],
+        gf_rows(MixedSpec(MixedKind.DC, r, s).factors, n_max)[n],
         _conv(
             n,
             _oracle(FamilyKind.DAEHEE, r),
@@ -263,7 +232,7 @@ _CATALOG = {
     "E34": lambda n, r, s, corrected, n_max: [(
         _weighted(
             n,
-            _mixed_gf_polys(MixedKind.DC, r, s, n_max).__getitem__,
+            gf_rows(MixedSpec(MixedKind.DC, r, s).factors, n_max).__getitem__,
             partial(stirling2, n) if corrected else lambda m: stirling2(m, n),
         ),
         _conv(
@@ -280,7 +249,9 @@ _CATALOG = {
     # the exact expansion of ((e^t - 1)/t)^r; both readings are kept.
     "E40": lambda n, r, s, corrected, n_max: [(
         _weighted(
-            n, _mixed_gf_polys(MixedKind.CC, r, s, n_max).__getitem__, partial(stirling2, n)
+            n,
+            gf_rows(MixedSpec(MixedKind.CC, r, s).factors, n_max).__getitem__,
+            partial(stirling2, n),
         ),
         _weighted(
             n,

@@ -245,29 +245,6 @@ class ValuationTrace:
     shift: Fraction
     rows: tuple[TraceRow, ...]
 
-    def to_dict(self) -> dict:
-        d = {
-            "p": self.p,
-            "kind": self.kind.value,
-        }
-        if isinstance(self.integrand, BinomialBasis):
-            d["n"] = self.integrand.n
-        else:
-            d["integrand"] = str(self.integrand)
-        d["k"] = self.fold
-        d["x0"] = str(self.shift)
-        d["target"] = str(self.target)
-        d["rows"] = [
-            {
-                "N": row.N,
-                "approx": str(row.approximant),
-                "residual": str(row.residual),
-                "vp": None if row.vp == math.inf else row.vp,
-            }
-            for row in self.rows
-        ]
-        return d
-
 
 def convergence_trace(
     kind: IntegralKind,

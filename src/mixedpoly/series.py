@@ -21,8 +21,6 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Union
 
-Rat = Fraction
-
 Scalar = Union[Fraction, int]
 
 

@@ -228,6 +228,20 @@ def test_padic_fermionic_single_level(capsys):
     assert payload["rows"][0]["vp"] == 1
 
 
+def test_trace_serialization(capsys):
+    # The daehee target of C(x, 1) is D_1 = -1/2.
+    code, out, _ = run_main(
+        capsys,
+        "padic", "--kind", "bosonic", "--binom", "1", "--p", "3", "--N", "2", "--format", "json",
+    )
+    assert code == 0
+    d = json.loads(out)
+    assert d["p"] == 3
+    assert d["kind"] == "bosonic"
+    assert d["n"] == 1
+    assert d["rows"] == [{"N": 2, "approx": "4", "residual": "9/2", "vp": 2}]
+
+
 def test_padic_rejects_p_two(capsys):
     code, _, err = run_main(capsys, "padic", "--kind", "bosonic", "--binom", "1", "--p", "2", "--N", "1")
     assert code == 2

@@ -151,6 +151,28 @@ def test_power_chain_exponent_product_is_inclusive():
         assert info.value.position == src.rindex("10")
 
 
+# Powers of constants nested in other nodes; each once evaluated to a
+# 10^7- or 10^8-bit integer, or would have needed far more.
+NESTED_POWERS = [
+    "(-(2^1000))^100000",
+    "(1*2^1000)^10000",
+    "(2^1000+1)^100000",
+    "(2^1000-1)^1001",
+    "(2^1000/3)^1001",
+    "exp(t*2^1000)^1001",
+    "(log(1+t^1000))^1001",
+    "(t^2+t^3)^600000",
+    "(t^0)^2000000",
+]
+
+
+@pytest.mark.parametrize("src", NESTED_POWERS)
+def test_exponent_product_bound_reaches_through_nesting(src):
+    with pytest.raises(ParseError) as info:
+        eval_text(src, 2)
+    assert info.value.position == src.rindex("^") + 1
+
+
 # Each of these once escaped as RecursionError or ValueError instead of a
 # positioned DslError, in the parser or in eval_series.
 OVERSIZED = {

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from mixedpoly.families import (
     family_numbers,
     family_oracle,
     family_poly,
+    gf_rows,
     poly_table,
     stirling1,
     stirling2,
@@ -132,6 +134,8 @@ def test_family_poly_examples():
 def test_family_poly_range_check():
     with pytest.raises(ValueError):
         family_poly(FamilySpec(FamilyKind.DAEHEE, 1), 5, trunc=3)
+    with pytest.raises(ValueError):
+        family_poly(FamilySpec(FamilyKind.DAEHEE, 1), -1, trunc=3)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -164,6 +168,30 @@ def test_oracle_equivalence(kind, order):
         assert gf.poly(n) == family_oracle(spec, n), (kind, order, n)
 
 
+def _per_term_oracle(spec, n):
+    # Reference: the oracle sum with each basis polynomial built afresh,
+    # (x)_(n-k) by falling_factorial and x^(n-k) from its coefficients.
+    nums = family_numbers(spec, n)
+    acc = XPoly.zero()
+    for k in range(n + 1):
+        if nums[k] == 0:
+            continue
+        if spec.kind in (FamilyKind.BERNOULLI, FamilyKind.EULER):
+            basis = XPoly([0] * (n - k) + [1])
+        else:
+            basis = falling_factorial(n - k)
+        acc = acc + basis * (comb(n, k) * nums[k])
+    return acc
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_oracle_matches_per_term_reference(kind):
+    for order in range(4):
+        spec = FamilySpec(kind, order)
+        for n in range(31):
+            assert family_oracle(spec, n) == _per_term_oracle(spec, n), (kind, order, n)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_degree_and_leading_coefficient(kind):
     for order in (1, 2, 3):
@@ -184,6 +212,13 @@ def test_kernel_powers_are_x_free(kind):
         gf = family_gf(FamilySpec(kind, order), 10)
         for n in range(11):
             assert gf.poly(n)(0) == k.poly(n).coeff(0)
+
+
+def test_gf_rows_are_the_extracted_gf_polynomials():
+    spec = FamilySpec(FamilyKind.CAUCHY, 2)
+    gf = family_gf(spec, 6)
+    assert gf_rows(spec.factors, 6) == tuple(gf.poly(n) for n in range(7))
+    assert family_poly(spec, 4, trunc=6) == gf.poly(4)
 
 
 def test_poly_table_rows():

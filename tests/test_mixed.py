@@ -10,9 +10,11 @@ from mixedpoly.families import (
     FamilyKind,
     FamilySpec,
     falling_factorial,
+    family_gf,
     family_kernel,
     family_numbers,
     family_oracle,
+    poly_table,
     stirling1,
     stirling2,
 )
@@ -46,6 +48,14 @@ def test_cd_equal_orders_collapses_to_binomial_series():
 def test_cc_first_polynomial():
     gf = mixed_gf(MixedSpec(MixedKind.CC, 1, 1), 1)
     assert gf.poly(1) == XPoly.x()
+
+
+def test_poly_table_takes_a_mixed_spec():
+    # Base and mixed families share one generating-function route.
+    assert mixed_gf is family_gf
+    spec = MixedSpec(MixedKind.DC, 2, 1)
+    gf = mixed_gf(spec, 5)
+    assert poly_table(spec, 5).rows == tuple((n, gf.poly(n)) for n in range(6))
 
 
 def test_cd_unequal_orders_collapse_before_extraction():
@@ -263,7 +273,7 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
         return tuple(3 * v for v in numbers(kind, n_max))
 
     perturbations = {
-        "gf": [(families, "family_kernel", doubled_kernel), (mixed, "family_kernel", doubled_kernel)],
+        "gf": [(families, "family_kernel", doubled_kernel)],
         "oracle": [(families, "_order1_numbers", tripled_numbers)],
     }
     try:

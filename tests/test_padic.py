@@ -351,12 +351,3 @@ def test_non_integrand_rejected():
         multifold_integral(BOS, 3, 1, 0, PAdicContext(3, 1))
     with pytest.raises(TypeError):
         shift_residual(BOS, BinomialBasis(1), PAdicContext(3, 1))
-
-
-def test_trace_serialization():
-    trace = convergence_trace(BOS, BinomialBasis(1), F(-1, 2), 3, (2,))
-    d = trace.to_dict()
-    assert d["p"] == 3
-    assert d["kind"] == "bosonic"
-    assert d["n"] == 1
-    assert d["rows"] == [{"N": 2, "approx": "4", "residual": "9/2", "vp": 2}]
