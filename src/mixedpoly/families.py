@@ -22,8 +22,9 @@ the base polynomials through a completely different route (number
 recurrences plus binomial convolution), so agreement between the two is a
 genuine cross-check rather than a tautology.
 
-Stirling numbers of both kinds and the falling factorial live here too;
-they are the change-of-basis data used throughout the identity catalog.
+Stirling numbers of both kinds are exported here too (their rows, and the
+falling factorial read from them, live in ``series``); they are the
+change-of-basis data used throughout the identity catalog.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 from .series import (
     TSeries,
     XPoly,
+    _stirling_row,
+    _sum_of_products,
     binomial_x,
     exp_xt,
     expm1,
@@ -103,19 +105,6 @@ class PolyTable:
     """Rows (n, P_n(x)) for n = 0..n_max, in order."""
 
     rows: tuple[tuple[int, XPoly], ...]
-
-
-@lru_cache(maxsize=None)
-def _stirling_row(first_kind: bool, n: int) -> tuple[int, ...]:
-    """Row S(n, 0..n) of a Stirling triangle, built iteratively from row 0."""
-    row = (1,)
-    for i in range(n):
-        below, level = (0,) + row, row + (0,)  # S(i, m-1) and S(i, m) at index m
-        if first_kind:
-            row = tuple(a - i * b for a, b in zip(below, level))
-        else:
-            row = tuple(a + m * b for m, (a, b) in enumerate(zip(below, level)))
-    return row
 
 
 def stirling1(n: int, m: int) -> int:
@@ -201,19 +190,20 @@ def _order1_numbers(kind: FamilyKind, n_max: int) -> tuple[Fraction, ...]:
 
     Bernoulli and Euler come from their classical linear recurrences,
     Daehee and Changhee from closed forms, Cauchy from exact term-wise
-    integration of the falling factorial over [0, 1].
+    integration of the falling factorial over [0, 1]:
+    C_n = sum_m S1(n, m) / (m + 1).
     """
     out: list[Fraction] = []
     if kind is FamilyKind.BERNOULLI:
         out.append(Fraction(1))
         for n in range(1, n_max + 1):
-            acc = sum((comb(n + 1, k) * out[k] for k in range(n)), Fraction(0))
-            out.append(-acc / (n + 1))
+            acc = _sum_of_products((comb(n + 1, k), out[k]) for k in range(n))
+            out.append(-acc.coeff(0) / (n + 1))
     elif kind is FamilyKind.EULER:
         out.append(Fraction(1))
         for n in range(1, n_max + 1):
-            acc = sum((comb(n, k) * out[k] for k in range(n)), Fraction(0))
-            out.append(-acc / 2)
+            acc = _sum_of_products((comb(n, k), out[k]) for k in range(n))
+            out.append(-acc.coeff(0) / 2)
     elif kind is FamilyKind.DAEHEE:
         for n in range(n_max + 1):
             out.append(Fraction((-1) ** n * factorial(n), n + 1))
@@ -221,9 +211,9 @@ def _order1_numbers(kind: FamilyKind, n_max: int) -> tuple[Fraction, ...]:
         for n in range(n_max + 1):
             out.append(Fraction((-1) ** n * factorial(n), 2**n))
     elif kind is FamilyKind.CAUCHY:
+        recip = [Fraction(1, m + 1) for m in range(n_max + 1)]
         for n in range(n_max + 1):
-            p = falling_factorial(n)
-            out.append(sum((p.coeff(i) / (i + 1) for i in range(n + 1)), Fraction(0)))
+            out.append(_sum_of_products(zip(_stirling_row(True, n), recip)).coeff(0))
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     return tuple(out)
@@ -232,7 +222,7 @@ def _order1_numbers(kind: FamilyKind, n_max: int) -> tuple[Fraction, ...]:
 def _binomial_convolve(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     n_max = min(len(a), len(b)) - 1
     return tuple(
-        sum((comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), Fraction(0))
+        _sum_of_products((comb(n, k), a[k], b[n - k]) for k in range(n + 1)).coeff(0)
         for n in range(n_max + 1)
     )
 
@@ -251,11 +241,13 @@ def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
 
 def _conv(n: int, poly_at, nums) -> XPoly:
     """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n."""
-    acc = XPoly.zero()
-    for m in range(n + 1):
-        if nums[n - m]:
-            acc = acc + poly_at(m) * (comb(n, m) * nums[n - m])
-    return acc
+    return _sum_of_products(
+        (poly_at(m), comb(n, m), nums[n - m]) for m in range(n + 1) if nums[n - m]
+    )
+
+
+def _monomial(m: int) -> XPoly:
+    return XPoly((0,) * m + (1,))
 
 
 @lru_cache(maxsize=None)
@@ -268,15 +260,12 @@ def family_oracle(spec: FamilySpec, n: int) -> XPoly:
         e^(x t) carrier:   P_n(x) = sum_m C(n, m) x^m P_(n-m)
         (1+t)^x carrier:   P_n(x) = sum_m C(n, m) (x)_m P_(n-m)
 
-    (x)_m is built from (x)_(m-1) with one multiply.
+    (x)_m is the memoized ``falling_factorial``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if spec.kind in _EXP_CARRIER:
-        basis = [XPoly((0,) * m + (1,)) for m in range(n + 1)]
-    else:
-        basis = list(accumulate((XPoly((-i, 1)) for i in range(n)), mul, initial=XPoly.one()))
-    return _conv(n, basis.__getitem__, family_numbers(spec, n))
+    basis = _monomial if spec.kind in _EXP_CARRIER else falling_factorial
+    return _conv(n, basis, family_numbers(spec, n))
 
 
 def poly_table(spec, n_max: int) -> PolyTable:

@@ -40,7 +40,7 @@ from .families import (
     stirling1,
     stirling2,
 )
-from .series import XPoly
+from .series import XPoly, _sum_of_products
 
 __all__ = [
     "IDENTITY_IDS",
@@ -124,12 +124,7 @@ mixed_gf = family_gf
 
 def _weighted(n: int, poly_at, weight) -> XPoly:
     """Weighted sum sum_m weight(m) poly_at(m) over m = 0..n."""
-    acc = XPoly.zero()
-    for m in range(n + 1):
-        w = weight(m)
-        if w:
-            acc = acc + poly_at(m) * w
-    return acc
+    return _sum_of_products((poly_at(m), w) for m in range(n + 1) if (w := weight(m)))
 
 
 def _oracle(kind: FamilyKind, order: int):

@@ -2,9 +2,18 @@
 
 Two nested commutative rings:
 
-* ``XPoly`` -- dense univariate polynomial in ``x`` over ``fractions.Fraction``.
+* ``XPoly`` -- dense univariate polynomial in ``x``, stored as a tuple of
+  integer numerators over one positive denominator, with the content
+  normalized (no trailing zeros; the gcd of the numerators and the
+  denominator is 1), so equality is structural.
 * ``TSeries`` -- power series in ``t``, truncated at a fixed order ``T``, whose
   coefficients are ``XPoly`` values.
+
+``fractions.Fraction`` appears only at the boundary: ``XPoly.coeffs``,
+``coeff``, evaluation, hashing of constants and the printers.  Inside, every
+sum of products -- a coefficient of a series product or quotient, and the
+convolutions of the families and the identity catalog -- is one integer sum
+over a common denominator, normalized once (``_sum_of_products``).
 
 Every generating function handled by this package lives in ``TSeries``; all
 arithmetic is exact, and a series never pretends to know coefficients beyond
@@ -18,7 +27,9 @@ Both classes are immutable value types; every operation returns a new object.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, gcd, lcm
+from operator import add
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
@@ -49,19 +60,37 @@ def _rat(value) -> Fraction:
 
 
 class XPoly:
-    """Dense polynomial in x, ascending coefficient order, always normalized.
+    """Dense polynomial in x: integer numerators over one positive denominator.
 
-    The zero polynomial stores an empty coefficient tuple; any other value
-    has a nonzero leading coefficient, so equality is structural.
+    ``_num`` holds the numerators in ascending degree and ``_den`` the common
+    denominator.  The content is always normalized -- no trailing zero
+    numerators, gcd of all numerators and the denominator equal to 1, zero
+    stored as ``((), 1)`` -- so equality is structural.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # Over the lcm of reduced denominators the content is already 1.
+        den = lcm(*(c.denominator for c in cs))
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
+
+    @classmethod
+    def _normalized(cls, num: list[int], den: int) -> "XPoly":
+        """The value num/den for integers num and den > 0, content removed."""
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            return _ZERO_POLY
+        g = gcd(den, *num)
+        p = object.__new__(cls)
+        p._num = tuple(num) if g == 1 else tuple(c // g for c in num)
+        p._den = den // g
+        return p
 
     @classmethod
     def const(cls, value: Scalar) -> "XPoly":
@@ -80,71 +109,54 @@ class XPoly:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction`` values, ascending in degree."""
+        return tuple(Fraction(c, self._den) for c in self._num)
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def is_scalar(self) -> bool:
         """True when the value is a constant (degree <= 0)."""
-        return len(self.coeffs) <= 1
+        return len(self._num) <= 1
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x**i (zero beyond the degree)."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
         return Fraction(0)
 
     def __add__(self, other) -> "XPoly":
-        other = _as_xpoly(other)
-        if other is NotImplemented:
+        if not isinstance(other, (XPoly, Fraction, int)):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return XPoly(out)
+        return _sum_of_products(((self,), (other,)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "XPoly":
-        return XPoly(tuple(-c for c in self.coeffs))
+        return XPoly._normalized([-c for c in self._num], self._den)
 
     def __sub__(self, other) -> "XPoly":
-        other = _as_xpoly(other)
-        if other is NotImplemented:
+        if not isinstance(other, (XPoly, Fraction, int)):
             return NotImplemented
-        return self + (-other)
+        return _sum_of_products(((self,), (other, -1)))
 
     def __rsub__(self, other) -> "XPoly":
-        other = _as_xpoly(other)
-        if other is NotImplemented:
+        if not isinstance(other, (Fraction, int)):
             return NotImplemented
-        return other + (-self)
+        return _sum_of_products(((other,), (self, -1)))
 
     def __mul__(self, other) -> "XPoly":
-        if isinstance(other, (Fraction, int)):
-            if other == 0:
-                return XPoly()
-            return XPoly(tuple(c * other for c in self.coeffs))
-        if isinstance(other, XPoly):
-            if self.is_zero or other.is_zero:
-                return XPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b != 0:
-                        out[i + j] += a * b
-            return XPoly(out)
-        return NotImplemented
+        if not isinstance(other, (XPoly, Fraction, int)):
+            return NotImplemented
+        return _sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -152,38 +164,39 @@ class XPoly:
         other = _as_xpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
         # Degree-0 values compare equal to bare rationals, so they must
         # hash like them.
-        if len(self.coeffs) <= 1:
+        if len(self._num) <= 1:
             return hash(self.coeff(0))
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __call__(self, value: Scalar) -> Fraction:
         """Evaluate at a rational point by Horner's rule, exactly."""
         v = _rat(value)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self._num):
             acc = acc * v + c
-        return acc
+        return acc / self._den
 
     def derivative(self) -> "XPoly":
         """Formal derivative."""
-        return XPoly(tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
+        return XPoly._normalized([c * i for i, c in enumerate(self._num)][1:], self._den)
 
     def shifted(self, c: Scalar) -> "XPoly":
         """The polynomial p(x + c), computed by Horner in the polynomial ring."""
         if self.is_zero:
             return XPoly()
         lin = XPoly((_rat(c), 1))
-        acc = XPoly.const(self.coeffs[-1])
-        for i in range(len(self.coeffs) - 2, -1, -1):
-            acc = acc * lin + XPoly.const(self.coeffs[i])
+        coeffs = self.coeffs
+        acc = XPoly.const(coeffs[-1])
+        for i in range(len(coeffs) - 2, -1, -1):
+            acc = acc * lin + coeffs[i]
         return acc
 
     def _render(self, rat, power, times: str) -> str:
@@ -192,11 +205,10 @@ class XPoly:
         ``rat`` prints a positive rational, ``power`` the exponent k >= 2 of
         x^k, and ``times`` joins a coefficient other than 1 to its power of x.
         """
-        if not self.coeffs:
+        if not self._num:
             return "0"
         parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+        for k, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             mag = abs(c)
@@ -220,6 +232,61 @@ class XPoly:
 
     def __repr__(self) -> str:
         return f"XPoly({self})"
+
+
+def _mac(out: list[int], a, b) -> list[int]:
+    """out += a * b for integer coefficient sequences; ``out`` grows as needed."""
+    lb = len(b)
+    out.extend([0] * (len(a) + lb - 1 - len(out)))
+    for i, ai in enumerate(a):
+        if ai:
+            out[i : i + lb] = map(add, out[i : i + lb], map(ai.__mul__, b))
+    return out
+
+
+def _sum_of_products(terms) -> XPoly:
+    """The sum over ``terms`` of the product of each term's factors, exactly.
+
+    A factor is an ``XPoly`` or a rational.  Each term is reduced to a scalar
+    numerator, the product of its factors' denominators and the numerator
+    tuples of its nonconstant factors; all terms are then scaled to the lcm
+    of those denominators, summed as integers and normalized once, so no
+    intermediate ``Fraction`` or ``XPoly`` is built.
+    """
+    rows = []
+    for term in terms:
+        scalar, den, polys = 1, 1, []
+        for f in term:
+            if type(f) is XPoly:
+                num = f._num
+                if len(num) > 1:
+                    polys.append(num)
+                elif num:
+                    scalar *= num[0]
+                else:
+                    break
+                den *= f._den
+            elif f:
+                scalar *= f.numerator
+                den *= f.denominator
+            else:
+                break
+        else:
+            rows.append((scalar, den, polys))
+    if not rows:
+        return _ZERO_POLY
+    common = lcm(*(den for _, den, _ in rows))
+    out = [0]
+    for scalar, den, polys in rows:
+        acc = (scalar * (common // den),)
+        if not polys:
+            out[0] += acc[0]
+            continue
+        polys.sort(key=len)
+        for p in polys[:-1]:
+            acc = _mac([], acc, p)
+        _mac(out, acc, polys[-1])
+    return XPoly._normalized(out, common)
 
 
 def _latex_rat(q: Fraction) -> str:
@@ -330,19 +397,11 @@ class TSeries:
     def __mul__(self, other) -> "TSeries":
         if isinstance(other, TSeries):
             self._check(other)
-            T = self.trunc
-            out = []
-            for n in range(T + 1):
-                acc = _ZERO_POLY
-                for k in range(n + 1):
-                    a = self.coeffs[k]
-                    if a.is_zero:
-                        continue
-                    b = other.coeffs[n - k]
-                    if not b.is_zero:
-                        acc = acc + a * b
-                out.append(acc)
-            return TSeries(T, out)
+            a, b = self.coeffs, other.coeffs
+            return TSeries(self.trunc, [
+                _sum_of_products((a[k], b[n - k]) for k in range(n + 1))
+                for n in range(self.trunc + 1)
+            ])
         if isinstance(other, (XPoly, Fraction, int)):
             return TSeries(self.trunc, tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -368,17 +427,16 @@ class TSeries:
             raise DivisionError("divisor has zero constant term")
         if not g0.is_scalar:
             raise DivisionError("divisor has x-dependent constant term")
-        inv = Fraction(1) / g0.coeff(0)
-        T = self.trunc
+        inv = 1 / g0.coeff(0)
+        neg_inv = -inv
+        f, g = self.coeffs, other.coeffs
         out: list[XPoly] = []
-        for n in range(T + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n + 1):
-                gk = other.coeffs[k]
-                if not gk.is_zero:
-                    acc = acc - gk * out[n - k]
-            out.append(acc * inv)
-        return TSeries(T, out)
+        for n in range(self.trunc + 1):
+            # q_n = (f_n - sum_{k>=1} g_k q_(n-k)) / g_0
+            out.append(_sum_of_products(
+                [(f[n], inv), *((g[k], out[n - k], neg_inv) for k in range(1, n + 1))]
+            ))
+        return TSeries(self.trunc, out)
 
     def __rtruediv__(self, other) -> "TSeries":
         p = _as_xpoly(other)
@@ -465,7 +523,7 @@ class TSeries:
                 terms.append(tpart)
             else:
                 body = str(p)
-                needs_parens = len([c for c in p.coeffs if c != 0]) > 1 or body.startswith("-")
+                needs_parens = sum(1 for c in p._num if c) > 1 or body.startswith("-")
                 terms.append(f"({body})*{tpart}" if needs_parens else f"{body}*{tpart}")
         return " + ".join(terms) if terms else "0"
 
@@ -490,14 +548,25 @@ def _require_xpoly(c) -> XPoly:
     return p
 
 
+@lru_cache(maxsize=None)
+def _stirling_row(first_kind: bool, n: int) -> tuple[int, ...]:
+    """Row S(n, 0..n) of a Stirling triangle, built iteratively from row 0."""
+    row = (1,)
+    for i in range(n):
+        below, level = (0,) + row, row + (0,)  # S(i, m-1) and S(i, m) at index m
+        if first_kind:
+            row = tuple(a - i * b for a, b in zip(below, level))
+        else:
+            row = tuple(a + m * b for m, (a, b) in enumerate(zip(below, level)))
+    return row
+
+
+@lru_cache(maxsize=None)
 def falling_factorial(n: int) -> XPoly:
-    """(x)_n = x (x-1) ... (x-n+1), with (x)_0 = 1."""
+    """(x)_n = x (x-1) ... (x-n+1) = sum_m S1(n, m) x^m, with (x)_0 = 1."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    p = XPoly.one()
-    for i in range(n):
-        p = p * XPoly((-i, 1))
-    return p
+    return XPoly(_stirling_row(True, n))
 
 
 def log1p(trunc: int) -> TSeries:

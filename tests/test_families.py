@@ -96,10 +96,20 @@ def test_falling_factorial_examples():
     assert falling_factorial(3) == XPoly((0, 2, -3, 1))
 
 
+def _linear_factor_product(n):
+    # (x)_n built as x (x-1) ... (x-n+1), independent of the Stirling rows
+    # that falling_factorial reads.
+    acc = XPoly.one()
+    for i in range(n):
+        acc = acc * XPoly((-i, 1))
+    return acc
+
+
 def test_falling_factorial_matches_stirling_expansion():
     for n in range(16):
-        want = XPoly([stirling1(n, m) for m in range(n + 1)])
+        want = _linear_factor_product(n)
         assert falling_factorial(n) == want
+        assert XPoly([stirling1(n, m) for m in range(n + 1)]) == want
 
 
 # -- generating functions ------------------------------------------------------
@@ -170,7 +180,8 @@ def test_oracle_equivalence(kind, order):
 
 def _per_term_oracle(spec, n):
     # Reference: the oracle sum with each basis polynomial built afresh,
-    # (x)_(n-k) by falling_factorial and x^(n-k) from its coefficients.
+    # (x)_(n-k) as a product of linear factors and x^(n-k) from its
+    # coefficients.
     nums = family_numbers(spec, n)
     acc = XPoly.zero()
     for k in range(n + 1):
@@ -179,7 +190,7 @@ def _per_term_oracle(spec, n):
         if spec.kind in (FamilyKind.BERNOULLI, FamilyKind.EULER):
             basis = XPoly([0] * (n - k) + [1])
         else:
-            basis = falling_factorial(n - k)
+            basis = _linear_factor_product(n - k)
         acc = acc + basis * (comb(n, k) * nums[k])
     return acc
 

@@ -1,0 +1,220 @@
+"""The integer-numerator series ring against a Fraction-coefficient oracle.
+
+``FracPoly`` is the dense ``Fraction`` polynomial that ``XPoly`` used to be,
+and the ``ref_*`` functions are the term-by-term series products, quotients
+and powers over it.  Every operation of ``XPoly`` and ``TSeries`` is
+compared with them on the same inputs: the coefficients must agree, and the
+result must be structurally equal to (and hash like) the ``XPoly`` built
+afresh from those coefficients, which holds only if the content is
+normalized.
+"""
+
+from fractions import Fraction as F
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mixedpoly.series import DivisionError, TSeries, XPoly
+
+
+class FracPoly:
+    """Dense polynomial over Fraction, ascending, trailing zeros stripped."""
+
+    def __init__(self, coeffs=()):
+        cs = [F(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FracPoly(out)
+
+    def __neg__(self):
+        return FracPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FracPoly):
+            return FracPoly(c * other for c in self.coeffs)
+        if not self.coeffs or not other.coeffs:
+            return FracPoly()
+        out = [F(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FracPoly(out)
+
+    def __call__(self, v):
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * v + c
+        return acc
+
+    def derivative(self):
+        return FracPoly(self.coeffs[i] * i for i in range(1, len(self.coeffs)))
+
+    def shifted(self, c):
+        acc = FracPoly()
+        for a in reversed(self.coeffs):
+            acc = acc * FracPoly((c, 1)) + FracPoly((a,))
+        return acc
+
+    def render(self, rat, power, times):
+        parts = []
+        for k in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if k == 0:
+                term = rat(mag)
+            else:
+                xs = "x" if k == 1 else f"x^{power(k)}"
+                term = xs if mag == 1 else f"{rat(mag)}{times}{xs}"
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + term)
+        return " ".join(parts) if parts else "0"
+
+    def __str__(self):
+        return self.render(str, str, "*")
+
+    def latex(self):
+        def rat(q):
+            return str(q.numerator) if q.denominator == 1 else rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
+
+        return self.render(rat, lambda k: f"{{{k}}}", " ")
+
+
+def ref_mul(f, g):
+    out = []
+    for n in range(len(f)):
+        acc = FracPoly()
+        for k in range(n + 1):
+            acc = acc + f[k] * g[n - k]
+        out.append(acc)
+    return out
+
+
+def ref_div(f, g):
+    inv = 1 / g[0].coeffs[0]
+    out = []
+    for n in range(len(f)):
+        acc = f[n]
+        for k in range(1, n + 1):
+            acc = acc - g[k] * out[n - k]
+        out.append(acc * inv)
+    return out
+
+
+def ref_pow(f, e):
+    if e < 0:
+        one = [FracPoly((1,))] + [FracPoly()] * (len(f) - 1)
+        f, e = ref_div(one, f), -e
+    acc = [FracPoly((1,))] + [FracPoly()] * (len(f) - 1)
+    for _ in range(e):
+        acc = ref_mul(acc, f)
+    return acc
+
+
+def same(got: XPoly, want: FracPoly):
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is F for c in got.coeffs)
+    fresh = XPoly(want.coeffs)
+    assert got == fresh
+    assert hash(got) == hash(fresh)
+
+
+# Rationals written with negative and non-reduced denominators.
+_rats = st.builds(
+    lambda n, d, k: F(n * k, d * k),
+    st.integers(-40, 40),
+    st.integers(-12, 12).filter(bool),
+    st.sampled_from([1, -1, 2, -3, 6]),
+)
+
+
+@st.composite
+def _pairs(draw, max_degree=4):
+    cs = draw(st.lists(_rats, max_size=max_degree + 1))
+    return XPoly(cs), FracPoly(cs)
+
+
+@given(_pairs(), _pairs(), _rats, st.integers(-5, 5))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_xpoly_matches_fraction_oracle(pa, pb, q, k):
+    (a, fa), (b, fb) = pa, pb
+    same(a, fa)
+    same(a + b, fa + fb)
+    same(a - b, fa - fb)
+    same(-a, -fa)
+    same(a * b, fa * fb)
+    same(a * q, fa * q)
+    same(q * a, fa * q)
+    same(a * k, fa * k)
+    same(a + q, fa + FracPoly((q,)))
+    same(q - a, FracPoly((q,)) - fa)
+    same(a.derivative(), fa.derivative())
+    same(a.shifted(q), fa.shifted(q))
+    assert (a == b) == (fa.coeffs == fb.coeffs)
+    assert a(q) == fa(q) and a(k) == fa(F(k))
+    assert type(a(q)) is F
+    assert [a.coeff(i) for i in range(-1, 7)] == [
+        fa.coeffs[i] if 0 <= i < len(fa.coeffs) else 0 for i in range(-1, 7)
+    ]
+    assert str(a) == str(fa) and a.latex() == fa.latex()
+    assert a.degree == len(fa.coeffs) - 1
+    assert a.is_scalar == (len(fa.coeffs) <= 1)
+
+
+@given(_rats, st.integers(-30, 30))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_degree_zero_hashes_like_a_bare_rational(q, k):
+    for value in (q, F(k), k):
+        p = XPoly.const(value)
+        assert p == value and value == p
+        assert hash(p) == hash(value)
+    assert {XPoly.const(q): 1}[q] == 1
+    assert XPoly.zero() == 0 and hash(XPoly.zero()) == hash(0)
+
+
+@st.composite
+def _series_pairs(draw):
+    trunc = draw(st.integers(0, 8))
+    mk = lambda: [draw(_pairs(max_degree=3)) for _ in range(trunc + 1)]
+    f, g = mk(), mk()
+    # A unit divisor: nonzero scalar constant term.
+    g[0] = (lambda c: (XPoly((c,)), FracPoly((c,))))(draw(_rats.filter(bool)))
+    return trunc, f, g
+
+
+@given(_series_pairs(), st.integers(-3, 3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_tseries_matches_fraction_oracle(case, e):
+    trunc, f, g = case
+    sf, rf = TSeries(trunc, [p for p, _ in f]), [r for _, r in f]
+    sg, rg = TSeries(trunc, [p for p, _ in g]), [r for _, r in g]
+    for got, want in (
+        (sf * sg, ref_mul(rf, rg)),
+        (sf / sg, ref_div(rf, rg)),
+        (sg**e, ref_pow(rg, e)),
+        (sf ** abs(e), ref_pow(rf, abs(e))),
+    ):
+        for c, w in zip(got.coeffs, want):
+            same(c, w)
+    assert all(type(c) is XPoly for c in (sf * sg).coeffs)
+    for n in range(trunc + 1):
+        same(sf.poly(n), rf[n] * factorial(n))
+    c0 = sf.coeffs[0]
+    if c0.is_zero or not c0.is_scalar:
+        with pytest.raises(DivisionError):
+            sg / sf
