@@ -28,14 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .series import (
-    DivisionError,
-    TSeries,
-    XPoly,
-    exp_xt,
-    expm1,
-    log1p,
-)
+from .series import TSeries, XPoly, _power, _product, _quotient, _Stream, _sum_of_products
 
 __all__ = [
     "Add",
@@ -314,24 +307,18 @@ class _Parser:
         return node
 
     def parse_expr(self) -> Ast:
-        node = self.parse_term()
-        while (tok := self._peek()) is not None and tok.kind in (TokenKind.PLUS, TokenKind.MINUS):
-            self._advance()
-            rhs = self.parse_term()
-            span = (node.span[0], rhs.span[1])
-            node = Add(node, rhs, span) if tok.kind is TokenKind.PLUS else Sub(node, rhs, span)
-        return node
+        return self._chain(self.parse_term, {TokenKind.PLUS: Add, TokenKind.MINUS: Sub})
 
     def parse_term(self) -> Ast:
-        node = self.parse_unary()
-        while (tok := self._peek()) is not None and tok.kind in (TokenKind.STAR, TokenKind.SLASH):
+        return self._chain(self.parse_unary, {TokenKind.STAR: Mul, TokenKind.SLASH: _make_div})
+
+    def _chain(self, operand, builders) -> Ast:
+        """Operands joined left to right by the operators that key ``builders``."""
+        node = operand()
+        while (tok := self._peek()) is not None and tok.kind in builders:
             self._advance()
-            rhs = self.parse_unary()
-            span = (node.span[0], rhs.span[1])
-            if tok.kind is TokenKind.STAR:
-                node = Mul(node, rhs, span)
-            else:
-                node = _make_div(node, rhs, span)
+            rhs = operand()
+            node = builders[tok.kind](node, rhs, (node.span[0], rhs.span[1]))
         return node
 
     def parse_unary(self) -> Ast:
@@ -466,6 +453,9 @@ def parse_text(src: str) -> Ast:
 # --------------------------------------------------------------------------
 
 
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
 def render(node: Ast) -> str:
     """Unparse to text that reparses to a structurally identical tree."""
     if isinstance(node, Const):
@@ -473,14 +463,8 @@ def render(node: Ast) -> str:
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(node, VarT):
         return "t"
-    if isinstance(node, Add):
-        return f"({render(node.left)} + {render(node.right)})"
-    if isinstance(node, Sub):
-        return f"({render(node.left)} - {render(node.right)})"
-    if isinstance(node, Mul):
-        return f"({render(node.left)} * {render(node.right)})"
-    if isinstance(node, Div):
-        return f"({render(node.left)} / {render(node.right)})"
+    if type(node) in _INFIX:
+        return f"({render(node.left)} {_INFIX[type(node)]} {render(node.right)})"
     if isinstance(node, Neg):
         return f"(-{render(node.operand)})"
     if isinstance(node, PowInt):
@@ -489,10 +473,8 @@ def render(node: Ast) -> str:
         return render(node.base) + suffix
     if isinstance(node, PowX):
         return render(node.base) + "^x"
-    if isinstance(node, Log):
-        return f"log({render(node.arg)})"
-    if isinstance(node, Exp):
-        return f"exp({render(node.arg)})"
+    if isinstance(node, (Log, Exp)):
+        return f"{type(node).__name__.lower()}({render(node.arg)})"
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -501,128 +483,116 @@ def render(node: Ast) -> str:
 # --------------------------------------------------------------------------
 
 
-def eval_series(node: Ast, trunc: int) -> TSeries:
-    """Evaluate an AST to an exact truncated series.
+_ZERO, _ONE, _X = XPoly(), XPoly.one(), XPoly.x()
 
-    Division handles denominators of positive t-valuation (for example the
-    bare ``t`` in ``log(1+t)/t``, or ``exp(t)-1`` in ``t/(exp(t)-1)``) by
-    evaluating both sides at a raised truncation and shifting the common
-    power of t out, so the result is still exact at the requested order.
-    ``log`` requires a constant term of exactly 1, ``exp`` of exactly 0,
-    and ``base^x`` a constant term of exactly 1; violations raise
-    positioned :class:`SemanticError` values.
+
+def _monomial(k: int) -> _Stream:
+    return _Stream(lambda n: _ONE if n == k else _ZERO, k)
+
+
+def _exp(g: _Stream, c=1) -> _Stream:
+    """exp(c g) for g_0 = 0, online: n e_n = sum_(k=1..n) k c g_k e_(n-k)."""
+
+    def rule(n):
+        terms = [(Fraction(k, n), c, g[k], e[n - k]) for k in range(1, n + 1)]
+        return _sum_of_products(terms) if n else _ONE
+
+    e = _Stream(rule)
+    return e
+
+
+def _log(g: _Stream) -> _Stream:
+    """log g for g_0 = 1, online: n l_n = n g_n - sum_(k=1..n-1) k l_k g_(n-k)."""
+
+    def rule(n):
+        rest = ((Fraction(-k, n), lg[k], g[n - k]) for k in range(1, n))
+        return _sum_of_products([(g[n],), *rest]) if n else _ZERO
+
+    lg = _Stream(rule)
+    return lg
+
+
+# Per function node: the constant term its argument needs, the error otherwise, its stream.
+_FUNCTIONS = {
+    Log: (_ONE, SemanticReason.LOG_ARG_NOT_ONE, "log argument", _log),
+    Exp: (_ZERO, SemanticReason.EXP_ARG_NOT_ZERO, "exp argument", _exp),
+    PowX: (_ONE, SemanticReason.POWX_BASE_NOT_ONE, "base of ^x", lambda b: _exp(_log(b), _X)),
+}
+
+
+def _stream(node: Ast, cap: int) -> _Stream:
+    """The stream of ``node``, after its semantic checks, children first.
+
+    A divisor is checked before its numerator, and its valuation is searched
+    up to ``cap``: T plus the valuations shifted out by enclosing quotients.
     """
-    if trunc < 0:
-        raise ValueError("truncation order must be >= 0")
     if isinstance(node, Const):
-        return TSeries.constant(node.value, trunc)
+        value = XPoly.const(node.value)
+        return _Stream(lambda n: value if n == 0 else _ZERO)
     if isinstance(node, VarT):
-        return TSeries.var(trunc)
-    if isinstance(node, Add):
-        return eval_series(node.left, trunc) + eval_series(node.right, trunc)
-    if isinstance(node, Sub):
-        return eval_series(node.left, trunc) - eval_series(node.right, trunc)
+        return _monomial(1)
+    if isinstance(node, (Add, Sub)):
+        a, b = _stream(node.left, cap), _stream(node.right, cap)
+        sign = 1 if isinstance(node, Add) else -1
+        return _Stream(lambda n: _sum_of_products(((a[n],), (b[n], sign))))
     if isinstance(node, Mul):
-        return eval_series(node.left, trunc) * eval_series(node.right, trunc)
+        return _product(_stream(node.left, cap), _stream(node.right, cap))
     if isinstance(node, Neg):
-        return -eval_series(node.operand, trunc)
+        a = _stream(node.operand, cap)
+        return _Stream(lambda n: -a[n])
     if isinstance(node, Div):
-        return _eval_div(node, trunc)
+        den = _stream(node.right, cap)
+        v = den.valuation
+        if v is None:
+            v = next((i for i in range(cap + 1) if den[i]), None)
+            if v is None:
+                detail = f"divisor vanishes to order {cap}"
+                raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
+        if not den[v].is_scalar:
+            detail = "leading divisor coefficient depends on x"
+            raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
+        num = _stream(node.left, cap + v)
+        low = next((i for i in range(v) if num[i]), None)
+        if low is not None:
+            detail = f"numerator coefficient of t^{low} is nonzero"
+            raise SemanticError(node.span[0], SemanticReason.T_DIVISION_IMPOSSIBLE, detail)
+        return _quotient(num, den, v)
     if isinstance(node, PowInt):
-        base = eval_series(node.base, trunc)
-        try:
-            return base**node.exponent
-        except DivisionError as exc:
-            raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, str(exc)) from exc
-    if isinstance(node, PowX):
-        base = eval_series(node.base, trunc)
-        if base.coeff(0) != XPoly.one():
-            raise SemanticError(
-                node.span[0],
-                SemanticReason.POWX_BASE_NOT_ONE,
-                "base of ^x must have constant term 1",
-            )
-        log_base = log1p(trunc).compose(base - 1)
-        return exp_xt(trunc).compose(log_base)
-    if isinstance(node, Log):
-        arg = eval_series(node.arg, trunc)
-        if arg.coeff(0) != XPoly.one():
-            raise SemanticError(
-                node.span[0],
-                SemanticReason.LOG_ARG_NOT_ONE,
-                "log argument must have constant term 1",
-            )
-        return log1p(trunc).compose(arg - 1)
-    if isinstance(node, Exp):
-        arg = eval_series(node.arg, trunc)
-        if not arg.coeff(0).is_zero:
-            raise SemanticError(
-                node.span[0],
-                SemanticReason.EXP_ARG_NOT_ZERO,
-                "exp argument must have constant term 0",
-            )
-        return expm1(trunc).compose(arg) + 1
+        base, k = _stream(node.base, cap), node.exponent
+        if k == 0 or (k > 0 and isinstance(node.base, VarT)):
+            return _monomial(k)
+        if k < 0:
+            b0 = base[0]
+            if b0.is_zero or not b0.is_scalar:
+                detail = f"divisor has {'zero' if b0.is_zero else 'x-dependent'} constant term"
+                raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
+            base, k = _quotient(_monomial(0), base, 0), -k
+        return _power(base, k)
+    if type(node) in _FUNCTIONS:
+        want, reason, what, function = _FUNCTIONS[type(node)]
+        arg = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
+        if arg[0] != want:
+            raise SemanticError(node.span[0], reason, f"{what} must have constant term {want}")
+        return function(arg)
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _literal_t_power(node: Ast) -> int | None:
-    """k when the node is literally t or t^k with k > 0, else None."""
-    if isinstance(node, VarT):
-        return 1
-    if isinstance(node, PowInt) and isinstance(node.base, VarT) and node.exponent > 0:
-        return node.exponent
-    return None
+def eval_series(node: Ast, trunc: int) -> TSeries:
+    """Evaluate an AST to an exact truncated series in one pass.
 
-
-def _shift_quotient(node: Div, v: int, trunc: int) -> TSeries:
-    num_hi = eval_series(node.left, trunc + v)
-    for i in range(v):
-        if not num_hi.coeff(i).is_zero:
-            raise SemanticError(
-                node.span[0],
-                SemanticReason.T_DIVISION_IMPOSSIBLE,
-                f"numerator coefficient of t^{i} is nonzero",
-            )
-    den_hi = eval_series(node.right, trunc + v)
-    return num_hi.shift_down(v) / den_hi.shift_down(v)
-
-
-def _eval_div(node: Div, trunc: int) -> TSeries:
-    # A literal t (or t^k) denominator has known valuation, so it works at
-    # any truncation, including ones too low to observe the leading term.
-    literal = _literal_t_power(node.right)
-    if literal is not None:
-        return _shift_quotient(node, literal, trunc)
-    den = eval_series(node.right, trunc)
-    c0 = den.coeff(0)
-    if not c0.is_zero:
-        if not c0.is_scalar:
-            raise SemanticError(
-                node.span[0],
-                SemanticReason.NON_UNIT_DIVISOR,
-                "divisor constant term depends on x",
-            )
-        return eval_series(node.left, trunc) / den
-    # Denominator is divisible by t: find its valuation v, re-evaluate both
-    # sides exactly at truncation T + v, and shift t^v out of each.
-    v = None
-    for i in range(trunc + 1):
-        if not den.coeff(i).is_zero:
-            v = i
-            break
-    if v is None:
-        raise SemanticError(
-            node.span[0],
-            SemanticReason.NON_UNIT_DIVISOR,
-            f"divisor vanishes to order {trunc}",
-        )
-    if not den.coeff(v).is_scalar:
-        raise SemanticError(
-            node.span[0],
-            SemanticReason.NON_UNIT_DIVISOR,
-            "leading divisor coefficient depends on x",
-        )
-    return _shift_quotient(node, v, trunc)
+    Every node is one memoized stream of t-coefficients, computed on demand
+    from its children's streams, so no subtree is evaluated twice.  A
+    quotient by a divisor of t-valuation v > 0 (``t`` in ``log(1+t)/t``,
+    ``exp(t)-1`` in ``t/(exp(t)-1)``) reads its numerator v coefficients
+    further, so the result stays exact.  ``exp``, ``log`` and ``base^x =
+    exp(x log base)`` are first-order recurrences; ``log`` and ``base^x``
+    need a constant term of exactly 1 and ``exp`` of exactly 0, and
+    violations raise positioned :class:`SemanticError` values.
+    """
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
+    stream = _stream(node, trunc)
+    return TSeries(trunc, [stream[n] for n in range(trunc + 1)])
 
 
 def eval_text(src: str, trunc: int) -> TSeries:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, repeat
 from math import factorial, gcd, lcm
 from operator import add
 from typing import Iterable, Union
@@ -289,6 +290,51 @@ def _sum_of_products(terms) -> XPoly:
     return XPoly._normalized(out, common)
 
 
+class _Stream(dict):
+    """Terms of a sequence, each computed once, on demand, lowest index first.
+
+    ``rule(n)`` computes term n from other sequences and from the terms below
+    n.  ``valuation`` is a series' t-valuation when known without reading it.
+    """
+
+    def __init__(self, rule, valuation: int | None = None):
+        super().__init__()
+        self.rule = rule
+        self.valuation = valuation
+
+    def __missing__(self, n: int):
+        for i in range(len(self), n + 1):
+            self[i] = term = self.rule(i)
+        return term
+
+
+def _product(a, b) -> _Stream:
+    """The product of two coefficient sequences (streams or tuples)."""
+    return _Stream(lambda n: _sum_of_products([(a[k], b[n - k]) for k in range(n + 1)]))
+
+
+def _quotient(f, g, v: int) -> _Stream:
+    """f / g for g of valuation v, scalar g_v, f_0 .. f_(v-1) zero: forward substitution."""
+    inv = 1 / g[v].coeff(0)
+
+    def rule(n):
+        rest = ((g[v + k], q[n - k], -inv) for k in range(1, n + 1))
+        return _sum_of_products([(f[n + v], inv), *rest])
+
+    q = _Stream(rule)
+    return q
+
+
+def _power(base, k: int) -> _Stream:
+    """base^k for k >= 1 by binary powering; a new stream even for k = 1, so no valuation leaks."""
+    result = _Stream(base.__getitem__)
+    for bit in bin(k)[3:]:
+        result = _product(result, result)
+        if bit == "1":
+            result = _product(result, base)
+    return result
+
+
 def _latex_rat(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -397,11 +443,8 @@ class TSeries:
     def __mul__(self, other) -> "TSeries":
         if isinstance(other, TSeries):
             self._check(other)
-            a, b = self.coeffs, other.coeffs
-            return TSeries(self.trunc, [
-                _sum_of_products((a[k], b[n - k]) for k in range(n + 1))
-                for n in range(self.trunc + 1)
-            ])
+            product = _product(self.coeffs, other.coeffs)
+            return TSeries(self.trunc, [product[n] for n in range(self.trunc + 1)])
         if isinstance(other, (XPoly, Fraction, int)):
             return TSeries(self.trunc, tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -427,16 +470,8 @@ class TSeries:
             raise DivisionError("divisor has zero constant term")
         if not g0.is_scalar:
             raise DivisionError("divisor has x-dependent constant term")
-        inv = 1 / g0.coeff(0)
-        neg_inv = -inv
-        f, g = self.coeffs, other.coeffs
-        out: list[XPoly] = []
-        for n in range(self.trunc + 1):
-            # q_n = (f_n - sum_{k>=1} g_k q_(n-k)) / g_0
-            out.append(_sum_of_products(
-                [(f[n], inv), *((g[k], out[n - k], neg_inv) for k in range(1, n + 1))]
-            ))
-        return TSeries(self.trunc, out)
+        quotient = _quotient(self.coeffs, other.coeffs, 0)
+        return TSeries(self.trunc, [quotient[n] for n in range(self.trunc + 1)])
 
     def __rtruediv__(self, other) -> "TSeries":
         p = _as_xpoly(other)
@@ -454,18 +489,9 @@ class TSeries:
             return NotImplemented
         if exponent == 0:
             return TSeries.constant(1, self.trunc)
-        base = self
-        if exponent < 0:
-            base = TSeries.constant(1, self.trunc) / self
-            exponent = -exponent
-        result = None
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        base = self if exponent > 0 else TSeries.constant(1, self.trunc) / self
+        power = _power(base.coeffs, abs(exponent))
+        return TSeries(self.trunc, [power[n] for n in range(self.trunc + 1)])
 
     def compose(self, inner: "TSeries") -> "TSeries":
         """Substitute ``inner`` for t, truncated at the shared order.
@@ -548,16 +574,19 @@ def _require_xpoly(c) -> XPoly:
     return p
 
 
-@lru_cache(maxsize=None)
+# Memoized Stirling rows, by kind and then by n; only rows asked for are kept.
+_STIRLING_ROWS = {True: {0: (1,)}, False: {0: (1,)}}
+
+
 def _stirling_row(first_kind: bool, n: int) -> tuple[int, ...]:
-    """Row S(n, 0..n) of a Stirling triangle, built iteratively from row 0."""
-    row = (1,)
-    for i in range(n):
-        below, level = (0,) + row, row + (0,)  # S(i, m-1) and S(i, m) at index m
-        if first_kind:
-            row = tuple(a - i * b for a, b in zip(below, level))
-        else:
-            row = tuple(a + m * b for m, (a, b) in enumerate(zip(below, level)))
+    """Row S(n, 0..n) of a Stirling triangle, stepped up from the nearest memoized row."""
+    rows = _STIRLING_ROWS[first_kind]
+    row = rows.get(n) or rows[max(i for i in rows if i <= n)]
+    for i in range(len(row) - 1, n):  # row i has i + 1 entries
+        # S1(i+1, m) = S1(i, m-1) - i S1(i, m) and S2(i+1, m) = S2(i, m-1) + m S2(i, m)
+        weights = repeat(-i) if first_kind else count()
+        row = tuple(a + w * b for a, w, b in zip((0,) + row, weights, row + (0,)))
+    rows[n] = row
     return row
 
 

@@ -2,9 +2,13 @@
 
 import random
 import string
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedpoly.dsl import (
     MAX_DEPTH,
@@ -14,6 +18,7 @@ from mixedpoly.dsl import (
     Const,
     Div,
     DslError,
+    Exp,
     LexError,
     Log,
     Mul,
@@ -23,7 +28,10 @@ from mixedpoly.dsl import (
     PowX,
     SemanticError,
     SemanticReason,
+    Sub,
     TokenKind,
+    VarT,
+    eval_series,
     eval_text,
     line_col,
     parse_text,
@@ -32,7 +40,7 @@ from mixedpoly.dsl import (
 )
 from mixedpoly.families import FamilyKind, FamilySpec, family_gf
 from mixedpoly.mixed import MixedKind, MixedSpec, mixed_gf
-from mixedpoly.series import TSeries, XPoly, binomial_x
+from mixedpoly.series import DivisionError, TSeries, XPoly, binomial_x, exp_xt, expm1, log1p
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -309,6 +317,228 @@ def _builtin_gf(descr, trunc):
 @pytest.mark.parametrize("src,descr", NINE_GF_STRINGS)
 def test_dsl_builtin_equivalence(src, descr):
     assert eval_text(src, 16) == _builtin_gf(descr, 16)
+
+
+# -- single-pass streams against the eager reference --------------------------------
+
+
+def _eager(node, trunc):
+    """The recursive evaluator the streams replaced, kept as a reference.
+
+    Each node is a whole series at its truncation; a quotient whose divisor
+    has t-valuation v > 0 evaluates both operands again at T + v, so nested
+    quotients cost 2^depth.  Use it for T <= 10 and small trees only.
+    """
+    if isinstance(node, Const):
+        return TSeries.constant(node.value, trunc)
+    if isinstance(node, VarT):
+        return TSeries.var(trunc)
+    if isinstance(node, Add):
+        return _eager(node.left, trunc) + _eager(node.right, trunc)
+    if isinstance(node, Sub):
+        return _eager(node.left, trunc) - _eager(node.right, trunc)
+    if isinstance(node, Mul):
+        return _eager(node.left, trunc) * _eager(node.right, trunc)
+    if isinstance(node, Neg):
+        return -_eager(node.operand, trunc)
+    if isinstance(node, Div):
+        return _eager_div(node, trunc)
+    if isinstance(node, PowInt):
+        base = _eager(node.base, trunc)
+        try:
+            return base**node.exponent
+        except DivisionError as exc:
+            raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, str(exc)) from exc
+    arg = _eager(node.base if isinstance(node, PowX) else node.arg, trunc)
+    if isinstance(node, PowX):
+        if arg.coeff(0) != XPoly.one():
+            raise SemanticError(
+                node.span[0],
+                SemanticReason.POWX_BASE_NOT_ONE,
+                "base of ^x must have constant term 1",
+            )
+        return exp_xt(trunc).compose(log1p(trunc).compose(arg - 1))
+    if isinstance(node, Log):
+        if arg.coeff(0) != XPoly.one():
+            raise SemanticError(
+                node.span[0],
+                SemanticReason.LOG_ARG_NOT_ONE,
+                "log argument must have constant term 1",
+            )
+        return log1p(trunc).compose(arg - 1)
+    if not arg.coeff(0).is_zero:
+        raise SemanticError(
+            node.span[0], SemanticReason.EXP_ARG_NOT_ZERO, "exp argument must have constant term 0"
+        )
+    return expm1(trunc).compose(arg) + 1
+
+
+def _eager_shift_quotient(node, v, trunc):
+    num_hi = _eager(node.left, trunc + v)
+    for i in range(v):
+        if not num_hi.coeff(i).is_zero:
+            raise SemanticError(
+                node.span[0],
+                SemanticReason.T_DIVISION_IMPOSSIBLE,
+                f"numerator coefficient of t^{i} is nonzero",
+            )
+    den_hi = _eager(node.right, trunc + v)
+    return num_hi.shift_down(v) / den_hi.shift_down(v)
+
+
+def _eager_div(node, trunc):
+    right = node.right
+    if isinstance(right, VarT):
+        return _eager_shift_quotient(node, 1, trunc)
+    if isinstance(right, PowInt) and isinstance(right.base, VarT) and right.exponent > 0:
+        return _eager_shift_quotient(node, right.exponent, trunc)
+    den = _eager(right, trunc)
+    c0 = den.coeff(0)
+    if not c0.is_zero:
+        if not c0.is_scalar:
+            raise SemanticError(
+                node.span[0], SemanticReason.NON_UNIT_DIVISOR, "divisor constant term depends on x"
+            )
+        return _eager(node.left, trunc) / den
+    v = next((i for i in range(trunc + 1) if not den.coeff(i).is_zero), None)
+    if v is None:
+        raise SemanticError(
+            node.span[0], SemanticReason.NON_UNIT_DIVISOR, f"divisor vanishes to order {trunc}"
+        )
+    if not den.coeff(v).is_scalar:
+        raise SemanticError(
+            node.span[0],
+            SemanticReason.NON_UNIT_DIVISOR,
+            "leading divisor coefficient depends on x",
+        )
+    return _eager_shift_quotient(node, v, trunc)
+
+
+# The reference's one message that the single-pass evaluator words
+# differently: one check of the divisor's leading coefficient covers it.
+_RENAMED_MESSAGES = {
+    "NonUnitDivisor: divisor constant term depends on x": (
+        "NonUnitDivisor: leading divisor coefficient depends on x"
+    ),
+}
+
+
+def _outcome(evaluate, node, trunc):
+    """The series, or the reason, position and message of the SemanticError."""
+    try:
+        return evaluate(node, trunc)
+    except SemanticError as exc:
+        return exc.reason, exc.position, _RENAMED_MESSAGES.get(exc.message, exc.message)
+
+
+_NOWHERE = (0, 0)  # spans are ignored: trees are rendered and parsed again
+_ONE_NODE, _T_NODE = Const(F(1), _NOWHERE), VarT(_NOWHERE)
+
+
+def _grow(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        *(pairs.map(lambda ab, kind=kind: kind(*ab, _NOWHERE)) for kind in (Add, Sub, Mul, Div)),
+        *(children.map(lambda a, kind=kind: kind(a, _NOWHERE)) for kind in (Neg, PowX, Log, Exp)),
+        st.tuples(children, st.integers(-2, 3)).map(lambda ak: PowInt(*ak, _NOWHERE)),
+        # Shapes that pass the constant-term checks, so the nodes below them run.
+        children.map(lambda a: Add(_ONE_NODE, Mul(_T_NODE, a, _NOWHERE), _NOWHERE)),
+        children.map(lambda a: Exp(Mul(_T_NODE, a, _NOWHERE), _NOWHERE)),
+        children.map(lambda a: Div(a, Sub(Exp(_T_NODE, _NOWHERE), _ONE_NODE, _NOWHERE), _NOWHERE)),
+        st.tuples(children, st.integers(1, 3)).map(
+            lambda ak: Div(ak[0], PowInt(_T_NODE, ak[1], _NOWHERE), _NOWHERE)
+        ),
+        # A power ^1 of a literal t^k is no literal divisor.
+        pairs.map(lambda ab: Div(ab[0], PowInt(ab[1], 1, _NOWHERE), _NOWHERE)),
+    )
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([F(0), F(1), F(2), F(1, 2)]).map(lambda v: Const(v, _NOWHERE)),
+    st.just(_T_NODE),
+    st.integers(1, 3).map(lambda k: PowInt(_T_NODE, k, _NOWHERE)),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(tree=st.recursive(_LEAVES, _grow, max_leaves=8), trunc=st.integers(0, 6))
+def test_streams_match_eager_reference(tree, trunc):
+    node = parse_text(render(tree))
+    assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
+
+
+# Inputs whose parent outcome hangs on where a divisor's valuation search
+# stops: at T plus the valuations shifted out by the enclosing quotients.
+SEARCH_CAP_CASES = [
+    ("((2^0/(t^3*t^2))/t^3)*t^3", 0),
+    ("(1/(t^3*t^2))/t^3", 2),
+    ("(t^5/(t^3*t^2))/t^3", 0),
+    ("t^6/(t^2)^3", 5),
+    ("t^6/(t^2)^3", 6),
+    ("(t^2/(t*t))/(exp(t)-1)", 0),
+    ("1/(((1+t)^x-1)/t)", 3),
+    ("(((1+t)^x-1)/t)^(-1)", 3),
+    ("t/((1+t)^x-1)", 3),
+    ("(t^2^0)^(-1)", 2),
+    ("t/(t)^1^1", 0),
+    ("t^2/(t^2)^1", 1),
+    ("t^3/(t)^3", 0),
+]
+
+
+@pytest.mark.parametrize("src,trunc", SEARCH_CAP_CASES)
+def test_streams_match_eager_reference_on_quotient_edges(src, trunc):
+    node = parse_text(src)
+    assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
+
+
+@pytest.mark.parametrize("src", ["1/(((1+t)^x-1)/t)", "t/((1+t)^x-1)"])
+def test_x_dependent_leading_divisor_coefficient_is_one_error(src):
+    # A quotient by a literal t can leave an x-dependent constant term, so
+    # the divisor's leading coefficient may depend on x at any valuation.
+    with pytest.raises(SemanticError) as info:
+        eval_text(src, 3)
+    assert info.value.reason is SemanticReason.NON_UNIT_DIVISOR
+    assert info.value.position == 0
+    assert info.value.message == "NonUnitDivisor: leading divisor coefficient depends on x"
+
+
+def _quotient_chain(k):
+    """E_0 = exp(t)-1 and E_(j+1) = (exp(t)-1)^2/E_j; each E_j is exp(t)-1."""
+    src = "(exp(t)-1)"
+    for _ in range(k):
+        src = f"((exp(t)-1)^2/{src})"
+    return src
+
+
+def test_nested_quotient_chain_is_linear():
+    # Re-evaluating each quotient's operands once cost 2^k: k = 12 took
+    # seconds and k = 40 never finished.
+    src = _quotient_chain(40)
+    assert len(src) == 610
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixedpoly", "eval", src, "--T", "4"],
+        capture_output=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert eval_text(src, 6) == eval_text("exp(t)-1", 6)
+
+
+# Each reaches MAX_DEPTH, and every node of it adds frames to a
+# coefficient read.
+DEEP_INPUTS = {
+    "sum": "+".join(["t"] * MAX_DEPTH),
+    "power-one": "(1+t)" + "^1" * (MAX_DEPTH - 2),
+    "exp-minus-one": "exp(" * (MAX_DEPTH // 2 - 1) + "t*t" + ")-1" * (MAX_DEPTH // 2 - 1),
+    "powx-one": "(1+t)" + "^x^1" * ((MAX_DEPTH - 2) // 2),
+}
+
+
+@pytest.mark.parametrize("src", DEEP_INPUTS.values(), ids=DEEP_INPUTS)
+def test_deepest_trees_evaluate(src):
+    node = parse_text(src)
+    assert eval_series(node, 8) == _eager(node, 8)
 
 
 # -- round trips ------------------------------------------------------------------

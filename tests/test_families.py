@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from mixedpoly import series
 from mixedpoly.families import (
     FamilyKind,
     FamilySpec,
@@ -81,6 +82,19 @@ def test_stirling_rows_match_recursive_reference():
         for m in range(-2, 43):
             assert stirling1(n, m) == _stirling1_recursive(n, m), (n, m)
             assert stirling2(n, m) == _stirling2_recursive(n, m), (n, m)
+
+
+@pytest.mark.parametrize("order", [range(61), [60, *range(61)]], ids=["ascending", "cold-at-60"])
+def test_stirling_rows_stepped_from_the_row_below_match_reference(monkeypatch, order):
+    for kind in (True, False):
+        monkeypatch.setitem(series._STIRLING_ROWS, kind, {0: (1,)})
+    for n in order:
+        assert [stirling1(n, m) for m in range(n + 1)] == [
+            _stirling1_recursive(n, m) for m in range(n + 1)
+        ]
+        assert [stirling2(n, m) for m in range(n + 1)] == [
+            _stirling2_recursive(n, m) for m in range(n + 1)
+        ]
 
 
 def test_stirling_deep_rows_need_no_recursion():

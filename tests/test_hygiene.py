@@ -1,8 +1,10 @@
 """Static checks over the package source, built on ``ast`` only.
 
-Every ``__all__`` entry must name something the module binds, and every
+Every ``__all__`` entry must name something the module binds, every
 module-level private name must be used somewhere besides its own
-definition, so a helper that a refactor leaves behind is caught.
+definition, and every module-level import must be read by its module or
+listed in its ``__all__``, so a helper or an import that a refactor leaves
+behind is caught.
 """
 
 import ast
@@ -80,3 +82,24 @@ def test_private_names_are_used(module):
         if name not in uses:
             unused.append(name)
     assert not unused, (module, unused)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_module_imports_are_read(module):
+    tree = MODULES[module]
+    exported = set(_dunder_all(tree))
+    read = {
+        use
+        for top in tree.body
+        if not isinstance(top, (ast.Import, ast.ImportFrom))
+        for use in _uses(top)
+    }
+    unread = [
+        name
+        for name, stmt in _bindings(tree).items()
+        if isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and getattr(stmt, "module", None) != "__future__"
+        and name not in exported
+        and name not in read
+    ]
+    assert not unread, (module, unread)
