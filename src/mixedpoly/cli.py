@@ -3,8 +3,9 @@ traces, and generating-function evaluation.
 
 Exit codes: 0 on success (verification: all instances pass), 1 on a
 verification or evaluation failure, 2 on usage errors (bad flags, unknown
-identity id, an order, level or index out of range, p not an odd prime,
-budget breach, malformed budget) and on a result too large to print.
+identity id, an order, level, fold count or index out of range, p not an
+odd prime, budget breach, malformed budget) and on a result too large to
+print.
 Results go to stdout, each in one write through ``_emit``; diagnostics go
 to stderr as one line.  Identical invocations produce byte-identical output.
 
@@ -32,8 +33,9 @@ from .padic import (
     BinomialBasis,
     BudgetExceededError,
     IntegralKind,
+    PAdicContext,
+    check_level,
     convergence_trace,
-    is_odd_prime,
 )
 from .series import XPoly
 
@@ -65,7 +67,6 @@ def _common_flags(sub: argparse.ArgumentParser, run) -> None:
     sub.add_argument("--format", choices=FORMATS, default="plain", help="output format")
     sub.add_argument(
         "--budget",
-        type=int,
         default=None,
         help=f"evaluation budget for p-adic sums (default {DEFAULT_BUDGET}, "
         "or MIXEDPOLY_BUDGET)",
@@ -124,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="target family (default: daehee for bosonic, changhee for fermionic)",
     )
-    p_padic.add_argument("--k", type=int, choices=(1, 2), default=1, help="folds (1 or 2)")
+    p_padic.add_argument(
+        "--k", type=int, default=1, help="fold count k >= 1; p^(kN) must stay within the budget"
+    )
     p_padic.add_argument("--x0", type=int, default=0, help="shift of the integrand argument")
     _common_flags(p_padic, cmd_padic)
 
@@ -139,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+def _parse_range(text: str) -> range:
+    """'a..b' or 'a' as a range, which the caller can check by its ends unexpanded."""
+    lo_s, dots, hi_s = text.partition("..")
+    lo = int(lo_s)
+    hi = int(hi_s) if dots else lo
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -290,14 +293,19 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
-    if not is_odd_prime(args.p):
-        return _fail("p must be an odd prime")
     if args.binom < 0:
         parser.error("--binom must be >= 0")
     try:
         levels = _parse_range(args.N)
     except ValueError as exc:
         parser.error(str(exc))
+    try:
+        # The top level and the fold count against the budget first, then the
+        # lowest level and p, all before the target or any level is built.
+        check_level(args.p, levels[-1], args.budget, args.k)
+        PAdicContext(args.p, levels[0], args.budget)
+    except (BudgetExceededError, ValueError) as exc:
+        return _fail(str(exc))
     kind = IntegralKind(args.kind)
     target_name = args.target
     if target_name is None:
@@ -305,19 +313,16 @@ def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
     family = FamilyKind.DAEHEE if target_name == "daehee" else FamilyKind.CHANGHEE
     target_poly = family_oracle(FamilySpec(family, args.k), args.binom)
     target = target_poly(args.x0) / factorial(args.binom)
-    try:
-        trace = convergence_trace(
-            kind,
-            BinomialBasis(args.binom),
-            target,
-            args.p,
-            levels,
-            budget=args.budget,
-            k=args.k,
-            x0=args.x0,
-        )
-    except (BudgetExceededError, ValueError) as exc:
-        return _fail(str(exc))
+    trace = convergence_trace(
+        kind,
+        BinomialBasis(args.binom),
+        target,
+        args.p,
+        levels,
+        budget=args.budget,
+        k=args.k,
+        x0=args.x0,
+    )
 
     def cells(inf_text: str):
         """N, approximant, residual and valuation per level; +infinity prints as ``inf_text``."""
@@ -393,7 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.budget is not None:
-            args.budget = _setting("--budget", str(args.budget), 1)
+            args.budget = _setting("--budget", args.budget, 1)
         else:
             raw = os.environ.get("MIXEDPOLY_BUDGET", str(DEFAULT_BUDGET))
             args.budget = _setting("MIXEDPOLY_BUDGET", raw, 1)

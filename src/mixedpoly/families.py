@@ -219,11 +219,10 @@ def _order1_numbers(kind: FamilyKind, n_max: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _binomial_convolve(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n_max = min(len(a), len(b)) - 1
-    return tuple(
-        _sum_of_products((comb(n, k), a[k], b[n - k]) for k in range(n + 1)).coeff(0)
-        for n in range(n_max + 1)
+def _conv(n: int, poly_at, nums) -> XPoly:
+    """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n."""
+    return _sum_of_products(
+        (poly_at(m), comb(n, m), nums[n - m]) for m in range(n + 1) if nums[n - m]
     )
 
 
@@ -235,15 +234,8 @@ def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
     base = _order1_numbers(spec.kind, n_max)
     acc = base
     for _ in range(spec.order - 1):
-        acc = _binomial_convolve(acc, base)
+        acc = tuple(_conv(n, acc.__getitem__, base).coeff(0) for n in range(n_max + 1))
     return acc
-
-
-def _conv(n: int, poly_at, nums) -> XPoly:
-    """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n."""
-    return _sum_of_products(
-        (poly_at(m), comb(n, m), nums[n - m]) for m in range(n + 1) if nums[n - m]
-    )
 
 
 def _monomial(m: int) -> XPoly:

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .series import XPoly
+from .series import XPoly, _power, _product, _sum_of_products
 
 __all__ = [
     "BinomialBasis",
@@ -34,6 +34,7 @@ __all__ = [
     "PAdicError",
     "TraceRow",
     "ValuationTrace",
+    "check_level",
     "convergence_trace",
     "finite_integral",
     "is_odd_prime",
@@ -69,23 +70,39 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def check_level(p: int, N: int, budget: int, k: int = 1) -> None:
+    """Reject k < 1, N < 1, and a k-fold level N whose p^(kN) exceeds ``budget``.
+
+    Exponents are compared before a power is built: p^e >= 2^(e (bits(p) - 1)),
+    so p^(kN) is built only when it has at most about twice the bits of
+    ``budget``, and a huge k or N is rejected at once.
+    """
+    if k < 1:
+        raise ValueError("fold count k must be >= 1")
+    if N < 1:
+        raise ValueError("level N must be >= 1")
+    e = k * N
+    if e * (p.bit_length() - 1) >= budget.bit_length() or p**e > budget:
+        label = "p^N" if k == 1 else "p^(kN)"
+        raise BudgetExceededError(f"{label} = {p}^{e} exceeds budget {budget}")
+
+
 @dataclass(frozen=True)
 class PAdicContext:
-    """Summation level: p odd prime, sums run over 0 .. p^N - 1."""
+    """Summation level: p odd prime, sums run over 0 .. p^N - 1.
+
+    The level is checked against the budget before p is tested for
+    primality, so the trial division never runs on a p above the budget.
+    """
 
     p: int
     N: int
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        check_level(self.p, self.N, self.budget)
         if not is_odd_prime(self.p):
             raise ValueError("p must be an odd prime")
-        if self.N < 1:
-            raise ValueError("level N must be >= 1")
-        if self.p**self.N > self.budget:
-            raise BudgetExceededError(
-                f"p^N = {self.p}^{self.N} exceeds budget {self.budget}"
-            )
 
     @property
     def modulus(self) -> int:
@@ -144,28 +161,19 @@ def multifold_integral(
     """k-fold nested approximant of f evaluated at y_1 + ... + y_k + x0.
 
     Each y_i runs over 0 .. p^N - 1 with the per-variable weight of
-    ``kind``.  The value is computed in closed form: write f as
-    sum_j a_j C(x, j), expand C(x0 + y_1 + ... + y_k, n) by Vandermonde
+    ``kind``.  The value is computed in closed form for every k >= 1: write
+    f as sum_j a_j C(x, j), expand C(x0 + y_1 + ... + y_k, n) by Vandermonde
     into products of C(x0, j_0) and the 1-fold level values of C(y, j_i),
-    and sum.  The result is an exact rational.  Only k in {1, 2} is
-    supported, and p^(kN) must stay within the context budget.
+    so the k folds are the k-th power of the level-value series times the
+    series of C(x0, j), and take the dot product with the a_j.  The result
+    is an exact rational.  p^(kN) must stay within the context budget.
     """
-    if k not in (1, 2):
-        raise ValueError("only 1- and 2-fold integrals are supported")
-    M = ctx.modulus
-    if M**k > ctx.budget:
-        raise BudgetExceededError(
-            f"p^(kN) = {ctx.p}^{k * ctx.N} exceeds budget {ctx.budget}"
-        )
+    check_level(ctx.p, ctx.N, ctx.budget, k)
     coords = _binomial_coords(f)
-    level = _level_values(kind, M, len(coords) - 1)
-    shifted = _binomials(Fraction(x0), len(coords) - 1)
-    for _ in range(k):
-        shifted = [
-            sum((shifted[i] * level[n - i] for i in range(n + 1)), Fraction(0))
-            for n in range(len(coords))
-        ]
-    return sum((a * c for a, c in zip(coords, shifted)), Fraction(0))
+    d = len(coords) - 1
+    level = _level_values(kind, ctx.modulus, d)
+    folded = _product(_binomials(Fraction(x0), d), _power(level, k))
+    return _sum_of_products((a, folded[n]) for n, a in enumerate(coords)).coeff(0)
 
 
 def _binomial_coords(f: Integrand) -> list[Fraction]:
@@ -237,12 +245,7 @@ class TraceRow:
 class ValuationTrace:
     """Residual valuations of level-N approximants against a fixed target."""
 
-    kind: IntegralKind
-    p: int
-    integrand: Integrand
     target: Fraction
-    fold: int
-    shift: Fraction
     rows: tuple[TraceRow, ...]
 
 
@@ -269,12 +272,4 @@ def convergence_trace(
         approx = multifold_integral(kind, f, k, x0, ctx)
         residual = approx - target
         rows.append(TraceRow(N, approx, residual, vp(residual, p)))
-    return ValuationTrace(
-        kind=kind,
-        p=p,
-        integrand=f,
-        target=target,
-        fold=k,
-        shift=Fraction(x0),
-        rows=tuple(rows),
-    )
+    return ValuationTrace(target=target, rows=tuple(rows))

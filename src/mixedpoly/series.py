@@ -623,10 +623,14 @@ def exp_xt(trunc: int) -> TSeries:
 
 
 def binomial_x(trunc: int) -> TSeries:
-    """(1+t)^x: the coefficient of t^n is (x)_n / n!."""
-    coeffs = []
-    for n in range(trunc + 1):
-        coeffs.append(falling_factorial(n) * Fraction(1, factorial(n)))
+    """(1+t)^x: the coefficient of t^n is C(x, n) = (x)_n / n!.
+
+    Built by its own step, c_n = c_(n-1) (x - n + 1) / n, so the carrier
+    reads no Stirling row and shares no code with ``falling_factorial``.
+    """
+    coeffs = [_ONE_POLY]
+    for n in range(1, trunc + 1):
+        coeffs.append(coeffs[-1] * XPoly((Fraction(1 - n, n), Fraction(1, n))))
     return TSeries(trunc, coeffs)
 
 

@@ -1,11 +1,14 @@
 """The series ring's boundary, as read from outside the package.
 
 The CLI prints ``XPoly.coeffs`` as rationals, and the perfbench tracer wraps
-``XPoly.__mul__`` through the class dict and reads the bit sizes of the
-coefficients it returns.
+``XPoly.__mul__`` and the ``TSeries`` methods named in its
+``_TSERIES_METHODS`` through the class dicts, and reads the bit sizes of the
+coefficients ``XPoly.__mul__`` returns.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from mixedpoly.families import FamilyKind, FamilySpec, family_gf
 from mixedpoly.series import TSeries, XPoly
@@ -14,6 +17,26 @@ from mixedpoly.series import TSeries, XPoly
 def test_xpoly_mul_is_defined_on_the_class():
     assert "__mul__" in XPoly.__dict__
     assert XPoly.__dict__["__mul__"](XPoly.x(), XPoly.x()) == XPoly((0, 0, 1))
+
+
+def _tracer_tseries_methods() -> dict:
+    """``_TSERIES_METHODS`` of perfbench/tracing.py, read from its source without importing it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_TSERIES_METHODS" for t in stmt.targets
+        ):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("perfbench/tracing.py binds no _TSERIES_METHODS")
+
+
+def test_traced_tseries_methods_are_defined_on_the_class():
+    # The tracer reads each name from TSeries.__dict__; a method deleted or
+    # inherited instead would break a traced benchmark run.
+    methods = _tracer_tseries_methods()
+    assert {"compose", "shift_down", "__mul__"} <= set(methods)
+    missing = [name for name in methods if name not in TSeries.__dict__]
+    assert not missing, missing
 
 
 def test_coeffs_are_fractions_and_xpolys():

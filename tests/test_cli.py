@@ -2,9 +2,13 @@
 
 import io
 import json
+import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -276,6 +280,76 @@ def test_padic_level_out_of_range_is_usage_error(capsys, levels):
     assert "level N must be >= 1" in err
 
 
+def test_padic_three_folds_json(capsys):
+    code, out, _ = run_main(
+        capsys,
+        "padic", "--kind", "bosonic", "--binom", "2", "--p", "3", "--N", "1..2", "--k", "3",
+        "--x0", "1", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("trace.schema.json"))
+    assert payload["k"] == 3
+    # Nested summation of C(1 + y1 + y2 + y3, 2) over 0..3^N - 1, divided by 3^(3N).
+    for row in payload["rows"]:
+        M = 3 ** row["N"]
+        total = sum(
+            comb(1 + y1 + y2 + y3, 2) for y1 in range(M) for y2 in range(M) for y3 in range(M)
+        )
+        assert Fraction(row["approx"]) == Fraction(total, M**3)
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_padic_fold_count_below_one_is_usage_error(capsys, k):
+    code, out, err = run_main(
+        capsys, "padic", "--kind", "bosonic", "--binom", "1", "--p", "3", "--N", "1", "--k", k
+    )
+    assert_one_line_usage_error(code, out, err)
+    assert "fold count k must be >= 1" in err
+
+
+# Requests whose validation once ran for seconds or without bound: a trial
+# division of a large p, 3^N for a huge N, a 10^8-level range expanded before
+# any level was checked, and an order-k target folded before the budget check.
+UNBOUNDED_PADIC = [
+    ("--p", "10000000000000061", "--N", "1"),
+    ("--p", "1000000000000000003", "--N", "1"),
+    ("--p", "3", "--N", "10000000"),
+    ("--p", "3", "--N", "100000000"),
+    ("--p", "3", "--N", "1..100000000"),
+    ("--p", "3", "--N", "1", "--k", "10000000"),
+]
+
+
+@pytest.mark.parametrize("tail", UNBOUNDED_PADIC)
+def test_padic_over_budget_rejected_at_once(capsys, monkeypatch, tail):
+    monkeypatch.delenv("MIXEDPOLY_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "padic", "--kind", "bosonic", "--binom", "1", *tail)
+    assert time.perf_counter() - start < 0.5
+    assert_one_line_usage_error(code, out, err)
+    assert "exceeds budget 10000000" in err
+
+
+def _limit_memory():
+    # A regression that expands the level range fails with MemoryError
+    # instead of taking the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_padic_over_budget_rejected_at_once_subprocess():
+    for tail in UNBOUNDED_PADIC:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedpoly", "padic", "--kind", "bosonic", "--binom", "1", *tail],
+            capture_output=True,
+            timeout=20,
+            preexec_fn=_limit_memory,
+        )
+        assert proc.returncode == 2, (tail, proc.stderr)
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, tail
+
+
 PADIC_SMALL = ("padic", "--kind", "bosonic", "--binom", "0", "--p", "3", "--N", "5")
 
 
@@ -290,7 +364,7 @@ def test_malformed_budget_env_exit_two(capsys, monkeypatch, value):
         assert err.startswith("error: MIXEDPOLY_BUDGET must be an integer >= 1")
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "0", "-5"])
 def test_malformed_budget_flag_exit_two(capsys, monkeypatch, value):
     monkeypatch.delenv("MIXEDPOLY_BUDGET", raising=False)
     code, out, err = run_main(capsys, *PADIC_SMALL, "--budget", value)

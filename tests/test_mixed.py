@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from mixedpoly import families, mixed
+from mixedpoly import families, mixed, series
 from mixedpoly.families import (
     FamilyKind,
     FamilySpec,
@@ -261,10 +261,14 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
     # Scaling the kernels moves every GF row; scaling the order-1 numbers
     # moves every oracle value.  Each must move exactly one side of each
     # claim: a claim with the same route on both sides would move twice.
+    # Scaling the falling factorial moves the oracle basis of the (1+t)^x
+    # families and E17's left side, but must not move the GF carrier, so it
+    # moves exactly one side of the claims that read either, and never two.
     n_max = 5
     _clear_memos()
     base = _catalog_sides(n_max, corrected)
     kernel, numbers = families.family_kernel, families._order1_numbers
+    falling = series.falling_factorial
 
     def doubled_kernel(kind, trunc):
         return kernel(kind, trunc) * 2
@@ -272,12 +276,20 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
     def tripled_numbers(kind, n_max):
         return tuple(3 * v for v in numbers(kind, n_max))
 
+    def quintupled_falling(n):
+        return falling(n) * 5
+
+    # route -> (patches, ids each of whose claims must move; None for all)
     perturbations = {
-        "gf": [(families, "family_kernel", doubled_kernel)],
-        "oracle": [(families, "_order1_numbers", tripled_numbers)],
+        "gf": ([(families, "family_kernel", doubled_kernel)], None),
+        "oracle": ([(families, "_order1_numbers", tripled_numbers)], None),
+        "falling": (
+            [(module, "falling_factorial", quintupled_falling) for module in (series, families, mixed)],
+            {"E17", "E24", "E28", "E31", "E37"},
+        ),
     }
     try:
-        for route, patches in perturbations.items():
+        for route, (patches, must_move) in perturbations.items():
             with monkeypatch.context() as patch:
                 for module, name, value in patches:
                     patch.setattr(module, name, value)
@@ -285,9 +297,11 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
                 moved = _catalog_sides(n_max, corrected)
             for key, (lhs, rhs) in base.items():
                 changed = (moved[key][0] != lhs, moved[key][1] != rhs)
+                assert changed != (True, True), (route, key)
+                if must_move is not None and key[0] not in must_move:
+                    continue
                 if not (lhs and rhs):
                     # A zero side (E40 as printed, n = 0) cannot move under scaling.
-                    assert changed != (True, True), (route, key)
                     continue
                 assert sum(changed) == 1, (route, key, changed)
     finally:

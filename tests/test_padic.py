@@ -6,6 +6,7 @@ same routines; none are taken on faith.
 
 import itertools
 import math
+import time
 from fractions import Fraction as F
 from math import comb, factorial, floor, log
 
@@ -138,11 +139,35 @@ def test_multifold_matches_nested_bruteforce():
                 assert got == want
 
 
-def test_multifold_rejects_k3_and_budget():
-    with pytest.raises(ValueError):
-        multifold_integral(BOS, BinomialBasis(0), 3, 0, PAdicContext(3, 1))
+def test_multifold_fold_count_and_budget():
+    ctx = PAdicContext(3, 1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="fold count k must be >= 1"):
+            multifold_integral(BOS, BinomialBasis(0), k, 0, ctx)
+    for kind in (BOS, FER):
+        for f in (BinomialBasis(0), BinomialBasis(3), X2):
+            got = multifold_integral(kind, f, 3, 1, ctx)
+            assert got == brute_integral(kind, f, 3, 1, ctx), (kind, f)
     with pytest.raises(BudgetExceededError):
         multifold_integral(BOS, BinomialBasis(0), 2, 0, PAdicContext(3, 8))
+    # p^(kN) = 3^(10^9) is rejected by its exponent, never built.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        multifold_integral(BOS, BinomialBasis(0), 10**9, 0, ctx)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "p,N",
+    [(3, 10**7), (3, 10**8), (10000000000000061, 1), (1000000000000000003, 1), (4, 10**8)],
+)
+def test_context_checks_level_before_power_and_primality(p, N):
+    # Neither 3^N nor a trial division of a large p runs before the budget
+    # rejects the level, whether or not p is prime.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        PAdicContext(p, N)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- shift identities -----------------------------------------------------------
@@ -228,7 +253,7 @@ def test_fermionic_changhee_frozen_residuals():
     assert got == want
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("x0", [0, 1, 2])
 def test_multifold_consistency_with_family_targets(k, x0):
     # The k-fold approximants approach D_n^(k)(x0)/n! (bosonic) and
@@ -298,7 +323,7 @@ def test_closed_form_matches_nested_summation(p, N, kind):
     ctx = PAdicContext(p, N)
     for f in ORACLE_INTEGRANDS:
         assert finite_integral(kind, f, ctx) == brute_integral(kind, f, 1, 0, ctx), f
-        for k in (1, 2):
+        for k in (1, 2, 3):
             for x0 in (0, 2, -1, F(1, 2)):
                 want = brute_integral(kind, f, k, x0, ctx)
                 assert multifold_integral(kind, f, k, x0, ctx) == want, (f, k, x0)
@@ -313,7 +338,7 @@ _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 @given(
     kind=st.sampled_from([BOS, FER]),
     p=st.sampled_from([3, 5, 7]),
-    k=st.sampled_from([1, 2]),
+    k=st.sampled_from([1, 2, 3]),
     x0=_fractions,
     coeffs=st.lists(_fractions, max_size=6),
 )
