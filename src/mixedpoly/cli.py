@@ -3,11 +3,14 @@ traces, and generating-function evaluation.
 
 Exit codes: 0 on success (verification: all instances pass), 1 on a
 verification or evaluation failure, 2 on usage errors (bad flags, unknown
-identity id, an order, level, fold count or index out of range, p not an
-odd prime, budget breach, malformed budget) and on a result too large to
-print.
+identity id, an order, level, fold count or index out of range, malformed
+range text, p not an odd prime, budget breach, malformed budget) and on a
+result too large to print.
 Results go to stdout, each in one write through ``_emit``; diagnostics go
-to stderr as one line.  Identical invocations produce byte-identical output.
+to stderr as one ``error:`` line.  Argparse's errors, the bounds declared on
+the flags and the library's rejections all raise ``_UsageError``, which
+``main`` writes before it returns 2; only --help and --version exit through
+SystemExit.  Identical invocations produce byte-identical output.
 
 The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
 default; whichever is in force must be an integer >= 1, or the command
@@ -22,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from math import factorial, inf
 
 from . import __version__
@@ -46,19 +50,58 @@ _FAMILY_CODES = {kind.value: kind for kind in FamilyKind}
 _MIXED_CODES = {kind.value: kind for kind in MixedKind}
 
 
-def _setting(source: str, raw: str, lo: int, hi: int | None = None) -> int:
-    """``raw`` as an integer in ``lo``..``hi`` (unbounded above without ``hi``).
+class _UsageError(Exception):
+    """Exit 2 with this one-line message; argparse passes it out of a ``type`` unchanged."""
 
-    Raises ValueError with a one-line message naming ``source`` otherwise.
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``_UsageError`` instead of exiting."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _setting(source: str, lo: int, hi: int | None = None):
+    """A parser of text as an integer in ``lo``..``hi`` (unbounded above without ``hi``).
+
+    Other text raises ``_UsageError`` naming ``source``: the flag, for a flag's ``type``.
     """
+    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = lo - 1
+        if value < lo or (hi is not None and value > hi):
+            raise _UsageError(f"{source} must be an integer {bounds}, got {raw!r}")
+        return value
+
+    return parse
+
+
+def _parse_range(source: str, text: str, lo: int | None = None) -> range:
+    """'a..b' or 'a' as a range, which the caller can check by its ends unexpanded.
+
+    Raises ``_UsageError`` naming ``source`` unless lo <= a <= b (a <= b without ``lo``).
+    """
+    a, dots, b = text.partition("..")
     try:
-        value = int(raw)
+        out = range(int(a), int(b if dots else a) + 1)
     except ValueError:
-        value = lo - 1
-    if value < lo or (hi is not None and value > hi):
-        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValueError(f"{source} must be an integer {bounds}, got {raw!r}")
-    return value
+        out = range(0)
+    if not out or (lo is not None and out[0] < lo):
+        bounds = "a <= b" if lo is None else f"{lo} <= a <= b"
+        raise _UsageError(f"{source} must be 'a..b' or 'a' with integers {bounds}, got {text!r}")
+    return out
+
+
+def _checked(build, *args):
+    """``build(*args)``, a library check run before any work; its rejection is a usage error."""
+    try:
+        return build(*args)
+    except (BudgetExceededError, ValueError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _common_flags(sub: argparse.ArgumentParser, run) -> None:
@@ -67,14 +110,13 @@ def _common_flags(sub: argparse.ArgumentParser, run) -> None:
     sub.add_argument("--format", choices=FORMATS, default="plain", help="output format")
     sub.add_argument(
         "--budget",
-        default=None,
-        help=f"evaluation budget for p-adic sums (default {DEFAULT_BUDGET}, "
-        "or MIXEDPOLY_BUDGET)",
+        type=_setting("--budget", 1),
+        help=f"evaluation budget for p-adic sums (default {DEFAULT_BUDGET}, or MIXEDPOLY_BUDGET)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixedpoly",
         description="Exact tables, identity verification, p-adic traces, and "
         "generating-function evaluation for special polynomial families.",
@@ -88,19 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--mixed", choices=sorted(_MIXED_CODES), help="mixed family code")
     p_table.add_argument("--r", type=int, help="first order of the mixed family")
     p_table.add_argument("--s", type=int, help="second order of the mixed family")
-    p_table.add_argument("--n", type=int, required=True, help="largest index n")
+    p_table.add_argument("--n", type=_setting("--n", 0), required=True, help="largest index n")
     _common_flags(p_table, cmd_table)
 
     p_verify = subs.add_parser("verify", help="verify identities exactly")
     p_verify.add_argument(
         "--id",
         required=True,
-        help="identity id (comma-separated list, or 'all'); one of "
-        + ",".join(IDENTITY_IDS),
+        help="identity id (comma-separated list, or 'all'); one of " + ",".join(IDENTITY_IDS),
     )
-    p_verify.add_argument("--n-max", type=int, default=8, help="largest index n (default 8)")
     p_verify.add_argument(
-        "--orders", default="1..3", help="order range 'a..b' for r and s (default 1..3)"
+        "--n-max", type=_setting("--n-max", 0), default=8, help="largest index n (default 8)"
+    )
+    p_verify.add_argument(
+        "--orders",
+        type=partial(_parse_range, "--orders", lo=1),
+        default="1..3",
+        help="order range 'a..b' for r and s (default 1..3)",
     )
     p_verify.add_argument(
         "--variant",
@@ -111,18 +157,17 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_verify, cmd_verify)
 
     p_padic = subs.add_parser("padic", help="p-adic integral convergence traces")
+    p_padic.add_argument("--kind", choices=[k.value for k in IntegralKind], required=True)
     p_padic.add_argument(
-        "--kind", choices=[k.value for k in IntegralKind], required=True
-    )
-    p_padic.add_argument(
-        "--binom", type=int, required=True, help="integrand C(x, n): the index n"
+        "--binom", type=_setting("--binom", 0), required=True, help="integrand C(x, n): the index n"
     )
     p_padic.add_argument("--p", type=int, required=True, help="odd prime")
-    p_padic.add_argument("--N", required=True, help="level or level range 'a..b'")
+    p_padic.add_argument(
+        "--N", type=partial(_parse_range, "--N"), required=True, help="level or level range 'a..b'"
+    )
     p_padic.add_argument(
         "--target",
         choices=("daehee", "changhee"),
-        default=None,
         help="target family (default: daehee for bosonic, changhee for fermionic)",
     )
     p_padic.add_argument(
@@ -133,28 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = subs.add_parser("eval", help="evaluate a generating-function expression")
     p_eval.add_argument("expr", help="expression over t and x")
-    p_eval.add_argument("--T", type=int, default=8, help="truncation order (default 8)")
     p_eval.add_argument(
-        "--n", type=int, default=None, help="print only the n-th extracted polynomial"
+        "--T", type=_setting("--T", 0), default=8, help="truncation order (default 8)"
     )
+    p_eval.add_argument("--n", type=int, help="print only the n-th extracted polynomial")
     _common_flags(p_eval, cmd_eval)
 
     return parser
 
 
-def _parse_range(text: str) -> range:
-    """'a..b' or 'a' as a range, which the caller can check by its ends unexpanded."""
-    lo_s, dots, hi_s = text.partition("..")
-    lo = int(lo_s)
-    hi = int(hi_s) if dots else lo
-    if hi < lo:
-        raise ValueError(f"empty range {text!r}")
-    return range(lo, hi + 1)
-
-
 def _fail(message: str, code: int = 2) -> int:
-    """Write a one-line ``error:`` diagnostic to stderr; return ``code``."""
-    print(f"error: {message}", file=sys.stderr)
+    """Write a one-line ``error:`` diagnostic to stderr, line breaks escaped; return ``code``."""
+    print("error: " + message.replace("\n", "\\n"), file=sys.stderr)
     return code
 
 
@@ -188,9 +223,8 @@ def _tabular(spec: str, header: list[str], rows) -> list[str]:
 
 
 def _poly_coeff_strings(p: XPoly) -> list[str]:
-    if p.is_zero:
-        return ["0"]
-    return [str(c) for c in p.coeffs]
+    """The coefficients as exact "p/q" strings, ascending; ``["0"]`` for the zero polynomial."""
+    return [str(c) for c in p.coeffs] or ["0"]
 
 
 def _coeff_rows(pairs):
@@ -202,30 +236,23 @@ _REPORT_FIELDS = ["identity", "variant", "n", "r", "s", "verdict", "diff"]
 _REPORT_PLAIN = "{:<9}{:<12}{:>4}{:>4}{:>4}  {:<8}{}"
 
 
-def cmd_table(args, parser: argparse.ArgumentParser) -> int:
+def cmd_table(args) -> int:
     use_family = args.family is not None
     if use_family == (args.mixed is not None):
-        parser.error("exactly one of --family/--mixed is required")
-    if args.n < 0:
-        parser.error("--n must be >= 0")
+        return _fail("exactly one of --family/--mixed is required")
     if use_family and args.order is None:
-        parser.error("--family requires --order")
+        return _fail("--family requires --order")
     if not use_family and (args.r is None or args.s is None):
-        parser.error("--mixed requires --r and --s")
-    try:
-        if use_family:
-            spec = FamilySpec(_FAMILY_CODES[args.family], args.order)
-        else:
-            spec = MixedSpec(_MIXED_CODES[args.mixed], args.r, args.s)
-    except ValueError as exc:
-        return _fail(str(exc))
-    table = poly_table(spec, args.n)
+        return _fail("--mixed requires --r and --s")
     if use_family:
+        spec = _checked(FamilySpec, _FAMILY_CODES[args.family], args.order)
         head = {"family": args.family, "order": args.order, "n_max": args.n}
         sym, orders = args.family, str(args.order)
     else:
+        spec = _checked(MixedSpec, _MIXED_CODES[args.mixed], args.r, args.s)
         head = {"mixed": args.mixed, "r": args.r, "s": args.s, "n_max": args.n}
         sym, orders = args.mixed, f"{args.r},{args.s}"
+    table = poly_table(spec, args.n)
 
     def plain():
         for n, p in table.rows:
@@ -239,14 +266,12 @@ def cmd_table(args, parser: argparse.ArgumentParser) -> int:
             "rows": [{"n": n, "coeffs": _poly_coeff_strings(p)} for n, p in table.rows],
         },
         rows=lambda: _coeff_rows(table.rows),
-        latex=lambda: (
-            rf"{sym}_{{{n}}}^{{({orders})}}(x) = {p.latex()} \\" for n, p in table.rows
-        ),
+        latex=lambda: (rf"{sym}_{{{n}}}^{{({orders})}}(x) = {p.latex()} \\" for n, p in table.rows),
         plain=plain,
     )
 
 
-def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args) -> int:
     if args.id.strip().lower() == "all":
         ids = list(IDENTITY_IDS)
     else:
@@ -256,18 +281,8 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     for ident in ids:
         if ident not in IDENTITY_IDS:
             return _fail(f"unknown identity id {ident!r}; known ids: " + ",".join(IDENTITY_IDS))
-    if args.n_max < 0:
-        parser.error("--n-max must be >= 0")
-    try:
-        orders = _parse_range(args.orders)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not orders or orders[0] < 1:
-        parser.error("--orders must start at 1")
     variant = Variant(args.variant)
-    reports = []
-    for ident in ids:
-        reports.extend(verify_identity(ident, args.n_max, orders, variant))
+    reports = [r for ident in ids for r in verify_identity(ident, args.n_max, args.orders, variant)]
 
     def cells(rep, diff) -> list:
         inst = rep.instance
@@ -292,24 +307,13 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     )
 
 
-def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
-    if args.binom < 0:
-        parser.error("--binom must be >= 0")
-    try:
-        levels = _parse_range(args.N)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        # The top level and the fold count against the budget first, then the
-        # lowest level and p, all before the target or any level is built.
-        check_level(args.p, levels[-1], args.budget, args.k)
-        PAdicContext(args.p, levels[0], args.budget)
-    except (BudgetExceededError, ValueError) as exc:
-        return _fail(str(exc))
+def cmd_padic(args) -> int:
+    # The top level and the fold count against the budget first, then the
+    # lowest level and p, all before the target or any level is built.
+    _checked(check_level, args.p, args.N[-1], args.budget, args.k)
+    _checked(PAdicContext, args.p, args.N[0], args.budget)
     kind = IntegralKind(args.kind)
-    target_name = args.target
-    if target_name is None:
-        target_name = "daehee" if kind is IntegralKind.BOSONIC else "changhee"
+    target_name = args.target or ("daehee" if kind is IntegralKind.BOSONIC else "changhee")
     family = FamilyKind.DAEHEE if target_name == "daehee" else FamilyKind.CHANGHEE
     target_poly = family_oracle(FamilySpec(family, args.k), args.binom)
     target = target_poly(args.x0) / factorial(args.binom)
@@ -318,7 +322,7 @@ def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
         BinomialBasis(args.binom),
         target,
         args.p,
-        levels,
+        args.N,
         budget=args.budget,
         k=args.k,
         x0=args.x0,
@@ -365,11 +369,9 @@ def cmd_padic(args, parser: argparse.ArgumentParser) -> int:
     )
 
 
-def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
-    if args.T < 0:
-        parser.error("--T must be >= 0")
+def cmd_eval(args) -> int:
     if args.n is not None and not 0 <= args.n <= args.T:
-        parser.error(f"--n must lie in 0..{args.T}")
+        return _fail(f"--n must lie in 0..{args.T}")
     try:
         series = eval_text(args.expr, args.T)
     except DslError as exc:
@@ -394,19 +396,16 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.budget is not None:
-            args.budget = _setting("--budget", args.budget, 1)
-        else:
+        args = build_parser().parse_args(argv)
+        if args.budget is None:
             raw = os.environ.get("MIXEDPOLY_BUDGET", str(DEFAULT_BUDGET))
-            args.budget = _setting("MIXEDPOLY_BUDGET", raw, 1)
+            args.budget = _setting("MIXEDPOLY_BUDGET", 1)(raw)
         raw = os.environ.get("MIXEDPOLY_WIDTH", "0")
-        args.width = _setting("MIXEDPOLY_WIDTH", raw, 0, MAX_WIDTH)
-    except ValueError as exc:
+        args.width = _setting("MIXEDPOLY_WIDTH", 0, MAX_WIDTH)(raw)
+        return args.run(args)
+    except _UsageError as exc:
         return _fail(str(exc))
-    return args.run(args, parser)
 
 
 if __name__ == "__main__":

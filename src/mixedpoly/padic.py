@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .series import XPoly, _power, _product, _sum_of_products
@@ -59,15 +60,10 @@ class IntegralKind(Enum):
     FERMIONIC = "fermionic"
 
 
+@lru_cache
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Trial division, memoized: a trace asks about its one p at every level and row."""
+    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
 
 
 def check_level(p: int, N: int, budget: int, k: int = 1) -> None:

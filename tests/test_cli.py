@@ -84,12 +84,10 @@ def test_table_latex_notation(capsys):
 
 
 def test_table_requires_exactly_one_spec(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["table", "--family", "D", "--mixed", "BE", "--n", "2"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["table", "--n", "2"])
-    assert info.value.code == 2
+    for spec in (("--family", "D", "--mixed", "BE"), ()):
+        code, out, err = run_main(capsys, "table", *spec, "--n", "2")
+        assert_one_line_usage_error(code, out, err)
+        assert err == "error: exactly one of --family/--mixed is required\n"
 
 
 @pytest.mark.parametrize(
@@ -149,12 +147,9 @@ def test_verify_multiple_ids(capsys):
 
 def test_verify_negative_n_max_is_usage_error(capsys):
     # A verification over zero instances would be a vacuous pass.
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--id", "E11", "--n-max", "-1"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--n-max" in captured.err
+    code, out, err = run_main(capsys, "verify", "--id", "E11", "--n-max", "-1")
+    assert_one_line_usage_error(code, out, err)
+    assert "--n-max" in err
 
 
 @pytest.mark.parametrize("ids", [",", " ", ", ,"])
@@ -278,6 +273,24 @@ def test_padic_level_out_of_range_is_usage_error(capsys, levels):
     )
     assert_one_line_usage_error(code, out, err)
     assert "level N must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("padic", "--kind", "bosonic", "--binom", "1", "--p", "3", "--N", text), "--N")
+        for text in ("1..", "..2", "3..1")
+    ]
+    + [
+        (("verify", "--id", "E11", "--n-max", "2", "--orders", text), "--orders")
+        for text in ("1..2..3", "a..b")
+    ],
+)
+def test_malformed_range_text_is_one_line_naming_the_flag(capsys, argv, flag):
+    code, out, err = run_main(capsys, *argv)
+    assert_one_line_usage_error(code, out, err)
+    assert err.startswith(f"error: {flag} must be 'a..b' or 'a' with integers ")
+    assert err.endswith(f"got {argv[-1]!r}\n")
 
 
 def test_padic_three_folds_json(capsys):
@@ -437,12 +450,9 @@ def test_eval_n_out_of_range_rejected_before_evaluation(capsys, monkeypatch):
         raise AssertionError("the series was evaluated")
 
     monkeypatch.setattr(cli, "eval_text", unreachable)
-    with pytest.raises(SystemExit) as info:
-        main(["eval", "log(t)", "--T", "2", "--n", "9"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--n must lie in 0..2" in captured.err
+    code, out, err = run_main(capsys, "eval", "log(t)", "--T", "2", "--n", "9")
+    assert_one_line_usage_error(code, out, err)
+    assert "--n must lie in 0..2" in err
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -479,6 +489,27 @@ def test_eval_json_schema(capsys):
 
 
 # -- process-level contract --------------------------------------------------------
+
+
+def test_help_and_version_exit_zero_on_stdout(capsys):
+    for argv, head in [
+        (["--help"], "usage: mixedpoly "),
+        (["table", "--help"], "usage: mixedpoly table "),
+        (["--version"], f"mixedpoly {cli.__version__}\n"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(head), argv
+        assert captured.err == ""
+
+
+def test_line_break_in_an_echoed_argument_stays_on_one_line(capsys):
+    # argparse echoes unrecognized arguments as given, line breaks included.
+    code, out, err = run_main(capsys, "eval", "t", "a\nb")
+    assert_one_line_usage_error(code, out, err)
+    assert err == "error: unrecognized arguments: a\\nb\n"
 
 
 def test_exit_code_matrix_subprocess():
@@ -601,13 +632,13 @@ _ARGV = st.tuples(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_ARGV)
 def test_argv_fuzz_exit_codes(argv):
+    # Every draw returns from main: only --help and --version raise SystemExit.
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
     if code == 2:
         assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv

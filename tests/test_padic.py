@@ -22,6 +22,7 @@ from mixedpoly.padic import (
     PAdicContext,
     convergence_trace,
     finite_integral,
+    is_odd_prime,
     multifold_integral,
     shift_residual,
     vp,
@@ -168,6 +169,21 @@ def test_context_checks_level_before_power_and_primality(p, N):
     with pytest.raises(BudgetExceededError):
         PAdicContext(p, N)
     assert time.perf_counter() - start < 0.5
+
+
+def test_is_odd_prime_matches_divisor_count():
+    for p in range(-3, 500):
+        divisors = sum(p % d == 0 for d in range(1, p + 1))
+        assert is_odd_prime(p) == (divisors == 2 and p != 2), p
+
+
+def test_each_p_is_tested_for_primality_once():
+    # A trace builds a context for every level and takes a valuation for
+    # every row, all for the same p: one trial division serves them all.
+    is_odd_prime.cache_clear()
+    trace = convergence_trace(BOS, BinomialBasis(2), F(-1, 6), 5, range(1, 4))
+    assert len(trace.rows) == 3
+    assert is_odd_prime.cache_info().misses == 1
 
 
 # -- shift identities -----------------------------------------------------------
