@@ -38,6 +38,7 @@ from operator import mul
 from .series import (
     TSeries,
     XPoly,
+    _Stream,
     _stirling_row,
     _sum_of_products,
     binomial_x,
@@ -185,59 +186,78 @@ def family_poly(spec, n: int, trunc: int | None = None) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def _order1_numbers(kind: FamilyKind, n_max: int) -> tuple[Fraction, ...]:
-    """Order-1 number sequence P_0..P_{n_max} at x = 0, GF-free.
+def _order1_stream(kind: FamilyKind) -> _Stream:
+    """Order-1 numbers P_0, P_1, ... at x = 0, GF-free, each computed once on demand.
 
-    Bernoulli and Euler come from their classical linear recurrences,
-    Daehee and Changhee from closed forms, Cauchy from exact term-wise
-    integration of the falling factorial over [0, 1]:
+    Bernoulli and Euler come from their classical linear recurrences over
+    the terms so far (``nums.items()`` is P_0..P_(n-1) while term n is
+    computed), Daehee and Changhee from closed forms, Cauchy from exact
+    term-wise integration of the falling factorial over [0, 1]:
     C_n = sum_m S1(n, m) / (m + 1).
     """
-    out: list[Fraction] = []
     if kind is FamilyKind.BERNOULLI:
-        out.append(Fraction(1))
-        for n in range(1, n_max + 1):
-            acc = _sum_of_products((comb(n + 1, k), out[k]) for k in range(n))
-            out.append(-acc.coeff(0) / (n + 1))
+        def rule(n):  # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1
+            acc = _sum_of_products((comb(n + 1, k), b) for k, b in nums.items())
+            return -acc.coeff(0) / (n + 1)
     elif kind is FamilyKind.EULER:
-        out.append(Fraction(1))
-        for n in range(1, n_max + 1):
-            acc = _sum_of_products((comb(n, k), out[k]) for k in range(n))
-            out.append(-acc.coeff(0) / 2)
+        def rule(n):  # E_n + sum_{k<=n} C(n, k) E_k = 0 for n >= 1
+            acc = _sum_of_products((comb(n, k), e) for k, e in nums.items())
+            return -acc.coeff(0) / 2
     elif kind is FamilyKind.DAEHEE:
-        for n in range(n_max + 1):
-            out.append(Fraction((-1) ** n * factorial(n), n + 1))
+        def rule(n):
+            return Fraction((-1) ** n * factorial(n), n + 1)
     elif kind is FamilyKind.CHANGHEE:
-        for n in range(n_max + 1):
-            out.append(Fraction((-1) ** n * factorial(n), 2**n))
+        def rule(n):
+            return Fraction((-1) ** n * factorial(n), 2**n)
     elif kind is FamilyKind.CAUCHY:
-        recip = [Fraction(1, m + 1) for m in range(n_max + 1)]
-        for n in range(n_max + 1):
-            out.append(_sum_of_products(zip(_stirling_row(True, n), recip)).coeff(0))
+        recip = []  # the weights 1/(m+1); the stream asks for terms in order
+
+        def rule(n):
+            recip.append(Fraction(1, n + 1))
+            return _sum_of_products(zip(_stirling_row(True, n), recip)).coeff(0)
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    return tuple(out)
+    nums = _Stream(rule)
+    if kind in _EXP_CARRIER:
+        nums[0] = Fraction(1)
+    return nums
 
 
 def _conv(n: int, poly_at, nums) -> XPoly:
     """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n."""
     return _sum_of_products(
-        (poly_at(m), comb(n, m), nums[n - m]) for m in range(n + 1) if nums[n - m]
+        (poly_at(m), comb(n, m), c) for m in range(n + 1) if (c := nums[n - m])
     )
 
 
 @lru_cache(maxsize=None)
-def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
-    """Order-r numbers P_0^(r)..P_{n_max}^(r), by (r-1)-fold binomial convolution."""
+def _numbers_stream(spec: FamilySpec) -> _Stream:
+    """Order-r numbers: 1, 0, 0, ... at order 0, then order r-1 convolved with order 1."""
     if spec.order == 0:
-        return (Fraction(1),) + (Fraction(0),) * n_max
-    base = _order1_numbers(spec.kind, n_max)
-    acc = base
-    for _ in range(spec.order - 1):
-        acc = tuple(_conv(n, acc.__getitem__, base).coeff(0) for n in range(n_max + 1))
-    return acc
+        return _Stream(lambda n: Fraction(int(n == 0)))
+    base = _order1_stream(spec.kind)
+    if spec.order == 1:
+        return base
+    # Order r-1 is looked up per term, so building a stream never recurses.
+    lower = FamilySpec(spec.kind, spec.order - 1)
+    return _Stream(lambda n: _conv(n, _numbers_stream(lower).__getitem__, base).coeff(0))
 
 
+def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
+    """Order-r numbers P_0^(r)..P_{n_max}^(r), by (r-1)-fold binomial convolution.
+
+    Orders 1..r are filled to n_max in turn, lowest first, so no read recurses through them.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    nums = _numbers_stream(spec)
+    if n_max not in nums:
+        for order in range(1, spec.order + 1):
+            _numbers_stream(FamilySpec(spec.kind, order))[n_max]
+    return tuple(map(nums.__getitem__, range(n_max + 1)))
+
+
+@lru_cache(maxsize=None)
 def _monomial(m: int) -> XPoly:
     return XPoly((0,) * m + (1,))
 
@@ -252,7 +272,7 @@ def family_oracle(spec: FamilySpec, n: int) -> XPoly:
         e^(x t) carrier:   P_n(x) = sum_m C(n, m) x^m P_(n-m)
         (1+t)^x carrier:   P_n(x) = sum_m C(n, m) (x)_m P_(n-m)
 
-    (x)_m is the memoized ``falling_factorial``.
+    x^m and (x)_m are memoized.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, formats, determinism, schema validity."""
 
+import hashlib
 import io
 import json
 import resource
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedpoly import cli
+from mixedpoly import cli, families
 from mixedpoly.cli import FORMATS, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -319,6 +320,26 @@ def test_padic_fold_count_below_one_is_usage_error(capsys, k):
     )
     assert_one_line_usage_error(code, out, err)
     assert "fold count k must be >= 1" in err
+
+
+def test_padic_deep_fold_count_needs_no_recursion(capsys):
+    # The order-3000 Daehee target is read from cold memos; its numbers are
+    # filled one order at a time, since recursing through the orders below
+    # would overflow the interpreter stack.  The digest is the stdout of the
+    # earlier from-scratch number loop.
+    for value in vars(families).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    code, out, err = run_main(
+        capsys,
+        "padic", "--kind", "bosonic", "--binom", "3", "--p", "3", "--N", "1", "--k", "3000",
+        "--budget", str(3**3001),
+    )
+    assert (code, err) == (0, "")
+    assert "target=-563437875 (daehee)" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cbdf38b0e9703c34f32e9da9c729f5e82a492a6aafe8764f71d493563e9c759d"
+    )
 
 
 # Requests whose validation once ran for seconds or without bound: a trial

@@ -2,11 +2,13 @@
 
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixedpoly import series
+from mixedpoly import families, series
 from mixedpoly.families import (
     FamilyKind,
     FamilySpec,
@@ -181,6 +183,74 @@ def test_classical_number_values():
     cauchy = [1, F(1, 2), F(-1, 6), F(1, 4), F(-19, 30)]
     for n, want in enumerate(cauchy):
         assert family_numbers(FamilySpec(FamilyKind.CAUCHY, 1), n)[n] == want
+
+
+def _clear_family_memos():
+    for value in vars(families).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _numbers_from_scratch(kind, order, n_max):
+    # Reference: the whole sequence rebuilt from n = 0 in plain Fractions,
+    # the order-1 numbers from their recurrences and closed forms (Cauchy
+    # from the recursive Stirling reference), then folded by order binomial
+    # convolutions starting from 1, 0, 0, ...
+    base = []
+    for n in range(n_max + 1):
+        if kind is FamilyKind.BERNOULLI:
+            value = -sum(comb(n + 1, k) * base[k] for k in range(n)) / F(n + 1) if n else F(1)
+        elif kind is FamilyKind.EULER:
+            value = -sum(comb(n, k) * base[k] for k in range(n)) / F(2) if n else F(1)
+        elif kind is FamilyKind.DAEHEE:
+            value = F((-1) ** n * factorial(n), n + 1)
+        elif kind is FamilyKind.CHANGHEE:
+            value = F((-1) ** n * factorial(n), 2**n)
+        else:
+            value = sum(F(_stirling1_recursive(n, m), m + 1) for m in range(n + 1))
+        base.append(value)
+    acc = [F(int(n == 0)) for n in range(n_max + 1)]
+    for _ in range(order):
+        acc = [sum(comb(n, m) * acc[m] * base[n - m] for m in range(n + 1)) for n in range(n_max + 1)]
+    return tuple(acc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    calls=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 30)), min_size=1, max_size=8),
+    arrangement=st.sampled_from(["ascending", "descending", "random"]),
+)
+def test_numbers_match_from_scratch_reference_in_any_call_order(kind, calls, arrangement):
+    # Cold memos, then reads of several orders in the drawn order of n: each
+    # result is the reference's prefix, and a shorter result of an order is a
+    # prefix of every longer one.
+    if arrangement != "random":
+        calls = sorted(calls, key=lambda call: call[1], reverse=arrangement == "descending")
+    _clear_family_memos()
+    results = [(order, family_numbers(FamilySpec(kind, order), n)) for order, n in calls]
+    for (order, n), (_, got) in zip(calls, results):
+        assert got == _numbers_from_scratch(kind, order, 30)[: n + 1], (kind, order, n)
+    for order, short in results:
+        for other, long in results:
+            if other == order and len(short) <= len(long):
+                assert long[: len(short)] == short
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_numbers_reject_negative_n_max(kind):
+    for order in range(3):
+        with pytest.raises(ValueError):
+            family_numbers(FamilySpec(kind, order), -1)
+
+
+def test_deep_order_numbers_need_no_recursion():
+    # Order 3000 is filled one order at a time from cold memos; a read that
+    # recursed through the orders below would overflow the interpreter stack.
+    _clear_family_memos()
+    spec = FamilySpec(FamilyKind.DAEHEE, 3000)
+    assert family_numbers(spec, 3) == _numbers_from_scratch(FamilyKind.DAEHEE, 3000, 3)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

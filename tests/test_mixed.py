@@ -267,14 +267,15 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
     n_max = 5
     _clear_memos()
     base = _catalog_sides(n_max, corrected)
-    kernel, numbers = families.family_kernel, families._order1_numbers
+    kernel, numbers = families.family_kernel, families._order1_stream
     falling = series.falling_factorial
 
     def doubled_kernel(kind, trunc):
         return kernel(kind, trunc) * 2
 
-    def tripled_numbers(kind, n_max):
-        return tuple(3 * v for v in numbers(kind, n_max))
+    def tripled_numbers(kind):
+        nums = numbers(kind)
+        return series._Stream(lambda n: 3 * nums[n])
 
     def quintupled_falling(n):
         return falling(n) * 5
@@ -282,7 +283,7 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
     # route -> (patches, ids each of whose claims must move; None for all)
     perturbations = {
         "gf": ([(families, "family_kernel", doubled_kernel)], None),
-        "oracle": ([(families, "_order1_numbers", tripled_numbers)], None),
+        "oracle": ([(families, "_order1_stream", tripled_numbers)], None),
         "falling": (
             [(module, "falling_factorial", quintupled_falling) for module in (series, families, mixed)],
             {"E17", "E24", "E28", "E31", "E37"},
