@@ -10,17 +10,21 @@ Euler and (1+t)^x for Daehee, Changhee, and Cauchy.  A base family has one
 kernel and a mixed family two; a spec lists them as its ``factors``, pairs
 (kind, power).  The order-1 kernels are
 
-    Bernoulli   t / (e^t - 1)
-    Euler       2 / (e^t + 1)
+    Bernoulli   t / (e^t - 1)   = ((e^t - 1)/t)^-1
+    Euler       2 / (e^t + 1)   = ((e^t + 1)/2)^-1
     Daehee      log(1+t) / t
-    Changhee    2 / (t + 2)
-    Cauchy      t / log(1+t)
+    Changhee    2 / (t + 2)     = (1 + t/2)^-1
+    Cauchy      t / log(1+t)    = (log(1+t)/t)^-1
 
-``family_gf`` builds the exact truncated series of either kind of spec and
-``gf_rows`` memoizes its extracted polynomials; ``family_oracle`` recomputes
-the base polynomials through a completely different route (number
-recurrences plus binomial convolution), so agreement between the two is a
-genuine cross-check rather than a tautology.
+so each kernel power is a base series with constant term 1, read from its
+closed form, raised to an integer power by J.C.P. Miller's recurrence: no
+series quotient and no division by t.  The rows P_n(x) are read from the
+kernel powers and the carrier's coefficients, one growing stream per spec,
+so a longer table extends the rows already computed.  ``gf_rows`` and
+``family_gf`` read those streams; ``family_oracle`` recomputes the base
+polynomials through a completely different route (number recurrences plus
+binomial convolution), so agreement between the two is a genuine
+cross-check rather than a tautology.
 
 Stirling numbers of both kinds are exported here too (their rows, and the
 falling factorial read from them, live in ``series``); they are the
@@ -32,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import comb, factorial
-from operator import mul
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm
+from operator import add, sub
 from .series import (
     TSeries,
     XPoly,
@@ -43,10 +47,7 @@ from .series import (
     _sum_of_products,
     binomial_x,
     exp_xt,
-    expm1,
     falling_factorial,
-    geom2,
-    log1p,
 )
 
 __all__ = [
@@ -132,25 +133,118 @@ def stirling2(n: int, m: int) -> int:
     return _stirling_row(False, n)[m]
 
 
-@lru_cache(maxsize=None)
-def family_kernel(kind: FamilyKind, trunc: int) -> TSeries:
-    """Order-1 generating kernel of a family, exact at the given truncation.
+# Each order-1 kernel is a base series with constant term 1 raised to +1 or
+# -1: (base, sign) by kind.  The bases' coefficients are closed forms, and
+# every coefficient on this side is a reduced integer pair (p, q) for p/q.
+_KERNELS = {
+    FamilyKind.DAEHEE: ("log(1+t)/t", 1),
+    FamilyKind.CAUCHY: ("log(1+t)/t", -1),
+    FamilyKind.BERNOULLI: ("(e^t-1)/t", -1),
+    FamilyKind.CHANGHEE: ("1+t/2", -1),
+    FamilyKind.EULER: ("(e^t+1)/2", -1),
+}
+_BASES = {
+    "log(1+t)/t": lambda n: ((-1) ** n, n + 1),
+    "(e^t-1)/t": lambda n: (1, factorial(n + 1)),
+    "1+t/2": lambda n: (1, 2**n) if n < 2 else (0, 1),
+    "(e^t+1)/2": lambda n: (1, 2 * factorial(n)) if n else (1, 1),
+}
 
-    The kernels involving a bare t (Daehee, Cauchy, Bernoulli) are built by
-    an index shift of a series constructed one order higher, never by
-    dividing by t inside the ring, where t is not a unit.
+
+def _convolution(weights, a, b, n: int, scale: int = 1) -> tuple[int, int]:
+    """(1/scale) sum of w a_j b_(n-j) over (j, w) in ``weights``, as a reduced pair."""
+    terms = []
+    for j, w in weights:
+        (p, q), (r, s) = a[j], b[n - j]
+        if w and p and r:
+            terms.append((w * p * r, q * s))
+    den = lcm(*(q for _, q in terms))
+    num = sum(p * (den // q) for p, q in terms)
+    den *= scale
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+@lru_cache(maxsize=None)
+def _base_stream(base: str) -> _Stream:
+    """Coefficients of a kernel base, from its closed form, each computed once."""
+    return _Stream(_BASES[base])
+
+
+@lru_cache(maxsize=None)
+def _kernel_power(kind: FamilyKind, order: int) -> _Stream:
+    """Coefficients of kernel^order: base^k for k = +-order, by J.C.P. Miller's recurrence.
+
+    With a_0 = 1, b = a^k has b_0 = 1 and
+    b_n = (1/n) sum_{j=1..n} ((k+1) j - n) a_j b_(n-j)   (Knuth, TAOCP 2, 4.7),
+    O(n) terms each for any integer k, negative and zero included, so no
+    series quotient and no division by t is needed.
     """
-    if kind is FamilyKind.DAEHEE:
-        return log1p(trunc + 1).shift_down()
-    if kind is FamilyKind.CAUCHY:
-        return TSeries.constant(1, trunc) / log1p(trunc + 1).shift_down()
-    if kind is FamilyKind.CHANGHEE:
-        return geom2(trunc)
-    if kind is FamilyKind.BERNOULLI:
-        return TSeries.constant(1, trunc) / expm1(trunc + 1).shift_down()
-    if kind is FamilyKind.EULER:
-        return TSeries.constant(2, trunc) / (expm1(trunc) + 2)
-    raise ValueError(f"unknown family kind {kind!r}")
+    base, sign = _KERNELS[kind]
+    a, k = _base_stream(base), sign * order
+    b = _Stream(lambda n: _convolution(((j, (k + 1) * j - n) for j in range(1, n + 1)), a, b, n, n))
+    b[0] = (1, 1)
+    return b
+
+
+@lru_cache(maxsize=None)
+def _row_stream(factors) -> _Stream:
+    """P_0(x), P_1(x), ... of the generating function of ``factors``, each computed once.
+
+    With K the product of the kernel powers, P_n = n! sum_m K_(n-m) c_m(x)
+    for the carrier's coefficients c_m: x^m / m! for e^(x t), read directly
+    as [x^m] P_n = (n!/m!) K_(n-m), and (x)_m / m! for (1+t)^x, summed over
+    one common denominator before the single factor n!.
+    """
+    (kind, power), *mixed = factors
+    kernel = _kernel_power(kind, power)
+    if mixed:  # the product of the two kernel powers
+        a, b = kernel, _kernel_power(*mixed[0])
+        kernel = _Stream(lambda n: _convolution(((j, 1) for j in range(n + 1)), a, b, n))
+    if kind in _EXP_CARRIER:
+        def rule(n):
+            ks = [kernel[n - m] for m in range(n + 1)]
+            den = lcm(*(q for _, q in ks))
+            num, weight = [], factorial(n)  # weight = n!/m!
+            for m, (p, q) in enumerate(ks):
+                num.append(weight * p * (den // q))
+                weight //= m + 1
+            return XPoly._normalized(num, den)
+    else:
+        falling = _falling_stream()
+
+        def rule(n):
+            terms = []
+            for m in range(n + 1):
+                p, q = kernel[n - m]
+                if p:
+                    fact, coeffs = falling[m]
+                    terms.append((p, q * fact, coeffs))
+            den = lcm(*(q for _, q, _ in terms))
+            num = [0] * (n + 1)
+            for p, q, coeffs in terms:
+                num[: len(coeffs)] = map(add, num, map((p * (den // q)).__mul__, coeffs))
+            scale = factorial(n)
+            return XPoly._normalized([c * scale for c in num], den)
+    return _Stream(rule)
+
+
+@lru_cache(maxsize=None)
+def _falling_stream() -> _Stream:
+    """(m!, integer coefficients of (x)_m), stepped as (x)_m = (x)_(m-1) (x - m + 1)."""
+    def rule(m):
+        fact, prev = steps[m - 1]
+        return fact * m, tuple(map(sub, (0,) + prev, map((m - 1).__mul__, prev + (0,))))
+
+    steps = _Stream(rule)
+    steps[0] = (1, (1,))
+    return steps
+
+
+def family_kernel(kind: FamilyKind, trunc: int) -> TSeries:
+    """Order-1 generating kernel of a family, exact at the given truncation."""
+    kernel = _kernel_power(kind, 1)
+    return TSeries(trunc, [Fraction(*kernel[n]) for n in range(trunc + 1)])
 
 
 def family_carrier(kind: FamilyKind, trunc: int) -> TSeries:
@@ -158,22 +252,19 @@ def family_carrier(kind: FamilyKind, trunc: int) -> TSeries:
     return exp_xt(trunc) if kind in _EXP_CARRIER else binomial_x(trunc)
 
 
-def _gf(factors, trunc: int) -> TSeries:
-    """The kernel powers multiplied in order, then the first kernel's carrier once."""
-    kernels = reduce(mul, (family_kernel(kind, trunc) ** power for kind, power in factors))
-    return kernels * family_carrier(factors[0][0], trunc)
-
-
 def family_gf(spec, trunc: int) -> TSeries:
     """Exact truncated generating function of a ``FamilySpec`` or ``MixedSpec``."""
-    return _gf(spec.factors, trunc)
+    rows = _row_stream(spec.factors)
+    return TSeries(trunc, [rows[n] * Fraction(1, factorial(n)) for n in range(trunc + 1)])
 
 
 @lru_cache(maxsize=None)
 def gf_rows(factors, n_max: int) -> tuple[XPoly, ...]:
-    """P_0(x)..P_{n_max}(x) extracted from the generating function of ``factors``."""
-    gf = _gf(factors, n_max)
-    return tuple(gf.poly(n) for n in range(n_max + 1))
+    """P_0(x)..P_{n_max}(x) of the generating function of ``factors``, read from its row stream."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    rows = _row_stream(factors)
+    return tuple(map(rows.__getitem__, range(n_max + 1)))
 
 
 def family_poly(spec, n: int, trunc: int | None = None) -> XPoly:

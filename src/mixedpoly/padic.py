@@ -60,10 +60,39 @@ class IntegralKind(Enum):
     FERMIONIC = "fermionic"
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# for every p below _MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 @lru_cache
 def is_odd_prime(p: int) -> bool:
-    """Trial division, memoized: a trace asks about its one p at every level and row."""
-    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+    """Memoized, since a trace asks about its one p at every level and row.
+
+    Deterministic Miller-Rabin over ``_MR_BASES`` below ``_MR_BOUND``;
+    trial division at and above it.
+    """
+    if p < 3 or p % 2 == 0:
+        return False
+    if p <= _MR_BASES[-1]:  # a base equal to p would count as a witness against it
+        return p in _MR_BASES
+    if p >= _MR_BOUND:
+        return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # a witnesses that p is composite
+    return True
 
 
 def check_level(p: int, N: int, budget: int, k: int = 1) -> None:
@@ -88,7 +117,7 @@ class PAdicContext:
     """Summation level: p odd prime, sums run over 0 .. p^N - 1.
 
     The level is checked against the budget before p is tested for
-    primality, so the trial division never runs on a p above the budget.
+    primality, so no primality test runs on a p above the budget.
     """
 
     p: int

@@ -342,6 +342,21 @@ def test_padic_deep_fold_count_needs_no_recursion(capsys):
     )
 
 
+def test_padic_nineteen_digit_prime_under_raised_budget(capsys):
+    # p = 10^18 + 3 is prime; trial division up to sqrt(p) ran past 30 s.
+    start = time.perf_counter()
+    code, out, err = run_main(
+        capsys,
+        "padic", "--kind", "bosonic", "--binom", "1", "--p", "1000000000000000003", "--N", "1",
+        "--budget", "10000000000000000000",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "N=1: approx=500000000000000001 residual=1000000000000000003/2 vp=1"
+    )
+    assert time.perf_counter() - start < 5
+
+
 # Requests whose validation once ran for seconds or without bound: a trial
 # division of a large p, 3^N for a huge N, a 10^8-level range expanded before
 # any level was checked, and an order-k target folded before the budget check.

@@ -1,8 +1,9 @@
 """Family generators, Stirling tables, and oracle equivalence."""
 
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from mixedpoly.families import (
     stirling1,
     stirling2,
 )
-from mixedpoly.series import XPoly, binomial_x, exp_xt
+from mixedpoly.mixed import MixedKind, MixedSpec
+from mixedpoly.series import TSeries, XPoly, binomial_x, exp_xt, expm1, geom2, log1p
 
 ALL_KINDS = list(FamilyKind)
 
@@ -320,3 +322,67 @@ def test_poly_table_rows():
     table = poly_table(FamilySpec(FamilyKind.DAEHEE, 1), 3)
     assert [n for n, _ in table.rows] == [0, 1, 2, 3]
     assert table.rows[2][1] == XPoly((F(2, 3), -2, 1))
+
+
+def _quotient_kernel(kind, trunc):
+    # Reference: the order-1 kernel as a truncated series quotient.  The
+    # kernels with a bare t are built one order higher and shifted down,
+    # never divided by t, which is not a unit of the ring.
+    if kind is FamilyKind.DAEHEE:
+        return log1p(trunc + 1).shift_down()
+    if kind is FamilyKind.CAUCHY:
+        return TSeries.constant(1, trunc) / log1p(trunc + 1).shift_down()
+    if kind is FamilyKind.CHANGHEE:
+        return geom2(trunc)
+    if kind is FamilyKind.BERNOULLI:
+        return TSeries.constant(1, trunc) / expm1(trunc + 1).shift_down()
+    return TSeries.constant(2, trunc) / (expm1(trunc) + 2)
+
+
+@lru_cache(maxsize=None)
+def _gf_from_truncated_series(factors, trunc):
+    # Reference: the quotient kernels raised by TSeries powering, multiplied
+    # in order, then the first kernel's carrier once; with its rows.
+    kernels = reduce(mul, (_quotient_kernel(kind, trunc) ** power for kind, power in factors))
+    exp_carrier = factors[0][0] in (FamilyKind.BERNOULLI, FamilyKind.EULER)
+    gf = kernels * (exp_xt if exp_carrier else binomial_x)(trunc)
+    return gf, tuple(gf.poly(n) for n in range(trunc + 1))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_kernel_matches_quotient_reference(kind):
+    for trunc in (0, 1, 7, 30):
+        assert family_kernel(kind, trunc) == _quotient_kernel(kind, trunc), (kind, trunc)
+
+
+_GF_SPECS = [FamilySpec(kind, order) for kind in ALL_KINDS for order in range(5)] + [
+    MixedSpec(kind, r, s) for kind in MixedKind for r in range(1, 4) for s in range(1, 4)
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    calls=st.lists(
+        st.tuples(st.sampled_from(_GF_SPECS), st.integers(0, 30)), min_size=1, max_size=6
+    ),
+    arrangement=st.sampled_from(["ascending", "descending", "random"]),
+)
+def test_gf_streams_match_truncated_series_reference_in_any_call_order(calls, arrangement):
+    # Cold memos, then rows and series of base and mixed specs read at
+    # truncations in the drawn order: each equals the reference at T = 30,
+    # cut to the truncation read.
+    if arrangement != "random":
+        calls = sorted(calls, key=lambda call: call[1], reverse=arrangement == "descending")
+    _clear_family_memos()
+    for spec, trunc in calls:
+        gf, rows = _gf_from_truncated_series(spec.factors, 30)
+        assert gf_rows(spec.factors, trunc) == rows[: trunc + 1], (spec, trunc)
+        assert family_gf(spec, trunc) == TSeries(trunc, gf.coeffs[: trunc + 1]), (spec, trunc)
+
+
+def test_deep_order_rows_need_no_recursion():
+    # Miller's recurrence takes the order as an exponent: order 3000 costs
+    # no more than order 1 and recurses through no order below it.
+    _clear_family_memos()
+    spec = FamilySpec(FamilyKind.DAEHEE, 3000)
+    assert gf_rows(spec.factors, 3) == tuple(family_oracle(spec, n) for n in range(4))

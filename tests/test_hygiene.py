@@ -4,7 +4,9 @@ Every ``__all__`` entry must name something the module binds, every
 module-level private name must be used somewhere besides its own
 definition, and every module-level import must be read by its module or
 listed in its ``__all__``, so a helper or an import that a refactor leaves
-behind is caught.
+behind is caught.  The two routes to a family polynomial in ``families`` --
+the generating-function streams and the GF-free oracle -- must not read
+each other's names, so every identity stays a check between two routes.
 """
 
 import ast
@@ -103,3 +105,38 @@ def test_module_imports_are_read(module):
         and name not in read
     ]
     assert not unread, (module, unread)
+
+
+# The generating-function side of ``families`` and the oracle side, each by
+# its entry points and by the names only it may read.
+GF_ROUTE = ("_base_stream", "_kernel_power", "_row_stream", "gf_rows", "family_gf", "family_kernel")
+GF_NAMES = GF_ROUTE + ("_BASES", "_KERNELS", "_convolution", "_falling_stream")
+ORACLE_ROUTE = ("_order1_stream", "_numbers_stream", "_conv", "family_numbers", "family_oracle")
+ORACLE_NAMES = ORACLE_ROUTE + ("_monomial", "falling_factorial", "_stirling_row")
+
+
+def _reachable(roots) -> set[str]:
+    """Names read by ``roots``, followed through the top-level bindings of ``families``."""
+    bound = _bindings(MODULES["families"])
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        stmt = bound.get(name)
+        if name in seen or stmt is None or isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        seen.add(name)
+        todo.extend(_uses(stmt))
+    return {use for name in seen for use in _uses(bound[name])}
+
+
+@pytest.mark.parametrize(
+    "roots, forbidden",
+    [(GF_ROUTE, ORACLE_NAMES), (ORACLE_ROUTE, GF_NAMES)],
+    ids=["gf-reads-no-oracle", "oracle-reads-no-gf"],
+)
+def test_family_routes_read_disjoint_names(roots, forbidden):
+    # Every name must still be bound there, or a rename would empty the check.
+    bound = _bindings(MODULES["families"])
+    assert not [name for name in GF_NAMES + ORACLE_NAMES if name not in bound]
+    shared = sorted(_reachable(roots) & set(forbidden))
+    assert not shared, shared

@@ -258,7 +258,7 @@ def _catalog_sides(n_max, corrected):
 
 @pytest.mark.parametrize("corrected", [True, False])
 def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
-    # Scaling the kernels moves every GF row; scaling the order-1 numbers
+    # Scaling the kernel powers moves every GF row; scaling the order-1 numbers
     # moves every oracle value.  Each must move exactly one side of each
     # claim: a claim with the same route on both sides would move twice.
     # Scaling the falling factorial moves the oracle basis of the (1+t)^x
@@ -267,11 +267,12 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
     n_max = 5
     _clear_memos()
     base = _catalog_sides(n_max, corrected)
-    kernel, numbers = families.family_kernel, families._order1_stream
+    kernel, numbers = families._kernel_power, families._order1_stream
     falling = series.falling_factorial
 
-    def doubled_kernel(kind, trunc):
-        return kernel(kind, trunc) * 2
+    def doubled_kernel(kind, order):
+        power = kernel(kind, order)  # terms are integer pairs (p, q) for p/q
+        return series._Stream(lambda n: (2 * power[n][0], power[n][1]))
 
     def tripled_numbers(kind):
         nums = numbers(kind)
@@ -282,7 +283,7 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
 
     # route -> (patches, ids each of whose claims must move; None for all)
     perturbations = {
-        "gf": ([(families, "family_kernel", doubled_kernel)], None),
+        "gf": ([(families, "_kernel_power", doubled_kernel)], None),
         "oracle": ([(families, "_order1_stream", tripled_numbers)], None),
         "falling": (
             [(module, "falling_factorial", quintupled_falling) for module in (series, families, mixed)],

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedpoly import padic
 from mixedpoly.families import FamilyKind, FamilySpec, family_oracle
 from mixedpoly.padic import (
     BinomialBasis,
@@ -177,9 +178,40 @@ def test_is_odd_prime_matches_divisor_count():
         assert is_odd_prime(p) == (divisors == 2 and p != 2), p
 
 
+def _trial_division(p):
+    # The test-side oracle: odd divisors up to sqrt(p).
+    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
+def test_is_odd_prime_matches_trial_division():
+    # The memo is bypassed, so the sweep leaves no 2*10^5 entries behind.
+    test = is_odd_prime.__wrapped__
+    assert [p for p in range(-3, 200_000) if test(p)] == [
+        p for p in range(-3, 200_000) if _trial_division(p)
+    ]
+
+
+def test_is_odd_prime_rejects_strong_pseudoprimes():
+    # Strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine
+    # primes: Miller-Rabin over fewer bases would call them prime.
+    assert 151 * 751 * 28351 == 3215031751
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not is_odd_prime.__wrapped__(3215031751)
+    assert not is_odd_prime.__wrapped__(3825123056546413051)
+
+
+def test_is_odd_prime_large_and_at_the_bound():
+    test = is_odd_prime.__wrapped__
+    assert test(1000000000000000003) and test(10**12 + 39)
+    assert not test(1000000000000000003 * 1000003)
+    # At and above the bound the answer comes from trial division; this
+    # one has the factor 101.
+    assert not test(padic._MR_BOUND + 6)
+
+
 def test_each_p_is_tested_for_primality_once():
     # A trace builds a context for every level and takes a valuation for
-    # every row, all for the same p: one trial division serves them all.
+    # every row, all for the same p: one primality test serves them all.
     is_odd_prime.cache_clear()
     trace = convergence_trace(BOS, BinomialBasis(2), F(-1, 6), 5, range(1, 4))
     assert len(trace.rows) == 3
