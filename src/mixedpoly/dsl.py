@@ -5,7 +5,10 @@ this package are written in: rational constants, the indeterminate ``t``,
 ``+ - * /``, integer powers, ``log(...)``, ``exp(...)``, and ``base^x``
 (``x`` may appear only as an exponent).  ``eval_series`` turns an
 expression into an exact :class:`~mixedpoly.series.TSeries` at a requested
-truncation.
+truncation.  Each syntax node is a stream of t-coefficients on one of two
+lanes, fixed by the syntax: a node with no ``^x`` under it holds reduced
+integer pairs (p, q), and x enters only at ``base^x``, from which up the
+coefficients are ``XPoly`` values.  Both lanes run the same recurrences.
 
 Grammar (see docs/grammar.ebnf):
 
@@ -26,9 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
-from .series import TSeries, XPoly, _power, _product, _quotient, _Stream, _sum_of_products
+from .series import (
+    TSeries,
+    _lift,
+    _pair_sum,
+    _power,
+    _product,
+    _quotient,
+    _Stream,
+    _sum_of_products,
+    _times_x,
+)
 
 __all__ = [
     "Add",
@@ -483,97 +496,112 @@ def render(node: Ast) -> str:
 # --------------------------------------------------------------------------
 
 
-_ZERO, _ONE, _X = XPoly(), XPoly.one(), XPoly.x()
+# The two lanes' terms: x-free nodes hold reduced pairs (p, q) for p/q and
+# sum them with ``_pair_sum``; a node with ``^x`` under it sums ``XPoly``
+# terms, and pairs read from x-free operands, with ``_sum_of_products``.
+_ZERO, _ONE = (0, 1), (1, 1)
 
 
 def _monomial(k: int) -> _Stream:
     return _Stream(lambda n: _ONE if n == k else _ZERO, k)
 
 
-def _exp(g: _Stream, c=1) -> _Stream:
-    """exp(c g) for g_0 = 0, online: n e_n = sum_(k=1..n) k c g_k e_(n-k)."""
+def _exp(g: _Stream, total, times_x: bool = False) -> _Stream:
+    """exp(g), or exp(x g), for g_0 = 0, online: n e_n = sum_(k=1..n) k g_k e_(n-k), times x."""
 
     def rule(n):
-        terms = [(Fraction(k, n), c, g[k], e[n - k]) for k in range(1, n + 1)]
-        return _sum_of_products(terms) if n else _ONE
+        term = total([(k, g[k], e[n - k]) for k in range(1, n + 1)], n)
+        return _times_x(term) if times_x else term
 
     e = _Stream(rule)
+    e[0] = _ONE
     return e
 
 
-def _log(g: _Stream) -> _Stream:
+def _log(g: _Stream, total) -> _Stream:
     """log g for g_0 = 1, online: n l_n = n g_n - sum_(k=1..n-1) k l_k g_(n-k)."""
 
     def rule(n):
-        rest = ((Fraction(-k, n), lg[k], g[n - k]) for k in range(1, n))
-        return _sum_of_products([(g[n],), *rest]) if n else _ZERO
+        terms = [(-k, lg[k], g[n - k]) for k in range(1, n)]
+        terms.append((n, g[n], _ONE))
+        return total(terms, n)
 
     lg = _Stream(rule)
+    lg[0] = _ZERO
     return lg
 
 
-# Per function node: the constant term its argument needs, the error otherwise, its stream.
+# Per function node: the constant term its argument needs, and the error otherwise.
 _FUNCTIONS = {
-    Log: (_ONE, SemanticReason.LOG_ARG_NOT_ONE, "log argument", _log),
-    Exp: (_ZERO, SemanticReason.EXP_ARG_NOT_ZERO, "exp argument", _exp),
-    PowX: (_ONE, SemanticReason.POWX_BASE_NOT_ONE, "base of ^x", lambda b: _exp(_log(b), _X)),
+    Log: (1, SemanticReason.LOG_ARG_NOT_ONE, "log argument"),
+    Exp: (0, SemanticReason.EXP_ARG_NOT_ZERO, "exp argument"),
+    PowX: (1, SemanticReason.POWX_BASE_NOT_ONE, "base of ^x"),
 }
 
 
-def _stream(node: Ast, cap: int) -> _Stream:
-    """The stream of ``node``, after its semantic checks, children first.
+def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
+    """The stream of ``node`` and its lane's term sum, after its semantic checks, children first.
 
-    A divisor is checked before its numerator, and its valuation is searched
-    up to ``cap``: T plus the valuations shifted out by enclosing quotients.
+    The lane follows from the syntax: ``_sum_of_products`` from a ``^x``
+    up, ``_pair_sum`` below any.  A divisor is checked before its
+    numerator, and its valuation is searched up to ``cap``: T plus the
+    valuations shifted out by enclosing quotients.
     """
     if isinstance(node, Const):
-        value = XPoly.const(node.value)
-        return _Stream(lambda n: value if n == 0 else _ZERO)
+        value = (node.value.numerator, node.value.denominator)
+        return _Stream(lambda n: value if n == 0 else _ZERO), _pair_sum
     if isinstance(node, VarT):
-        return _monomial(1)
-    if isinstance(node, (Add, Sub)):
-        a, b = _stream(node.left, cap), _stream(node.right, cap)
+        return _monomial(1), _pair_sum
+    if isinstance(node, (Add, Sub, Mul)):
+        (a, left), (b, right) = _stream(node.left, cap), _stream(node.right, cap)
+        total = left if left is right else _sum_of_products
+        if isinstance(node, Mul):
+            return _product(a, b, total), total
         sign = 1 if isinstance(node, Add) else -1
-        return _Stream(lambda n: _sum_of_products(((a[n],), (b[n], sign))))
-    if isinstance(node, Mul):
-        return _product(_stream(node.left, cap), _stream(node.right, cap))
+        return _Stream(lambda n: total([(1, a[n], _ONE), (sign, b[n], _ONE)])), total
     if isinstance(node, Neg):
-        a = _stream(node.operand, cap)
-        return _Stream(lambda n: -a[n])
+        a, total = _stream(node.operand, cap)
+        return _Stream(lambda n: total([(-1, a[n], _ONE)])), total
     if isinstance(node, Div):
-        den = _stream(node.right, cap)
+        den, right = _stream(node.right, cap)
         v = den.valuation
         if v is None:
-            v = next((i for i in range(cap + 1) if den[i]), None)
+            v = next((i for i in range(cap + 1) if _lift(den[i])), None)
             if v is None:
                 detail = f"divisor vanishes to order {cap}"
                 raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
-        if not den[v].is_scalar:
+        if not _lift(den[v]).is_scalar:
             detail = "leading divisor coefficient depends on x"
             raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
-        num = _stream(node.left, cap + v)
-        low = next((i for i in range(v) if num[i]), None)
+        num, left = _stream(node.left, cap + v)
+        low = next((i for i in range(v) if _lift(num[i])), None)
         if low is not None:
             detail = f"numerator coefficient of t^{low} is nonzero"
             raise SemanticError(node.span[0], SemanticReason.T_DIVISION_IMPOSSIBLE, detail)
-        return _quotient(num, den, v)
+        total = left if left is right else _sum_of_products
+        return _quotient(num, den, v, total), total
     if isinstance(node, PowInt):
-        base, k = _stream(node.base, cap), node.exponent
+        (base, total), k = _stream(node.base, cap), node.exponent
         if k == 0 or (k > 0 and isinstance(node.base, VarT)):
-            return _monomial(k)
+            return _monomial(k), _pair_sum
         if k < 0:
-            b0 = base[0]
+            b0 = _lift(base[0])
             if b0.is_zero or not b0.is_scalar:
                 detail = f"divisor has {'zero' if b0.is_zero else 'x-dependent'} constant term"
                 raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
-            base, k = _quotient(_monomial(0), base, 0), -k
-        return _power(base, k)
+            base, k = _quotient(_monomial(0), base, 0, total), -k
+        return _power(base, k, total), total
     if type(node) in _FUNCTIONS:
-        want, reason, what, function = _FUNCTIONS[type(node)]
-        arg = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
-        if arg[0] != want:
+        want, reason, what = _FUNCTIONS[type(node)]
+        arg, total = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
+        if _lift(arg[0]) != want:
             raise SemanticError(node.span[0], reason, f"{what} must have constant term {want}")
-        return function(arg)
+        if isinstance(node, Log):
+            return _log(arg, total), total
+        if isinstance(node, Exp):
+            return _exp(arg, total), total
+        # base^x = exp(x log base): the x lane starts here.
+        return _exp(_log(arg, total), _sum_of_products, times_x=True), _sum_of_products
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -581,18 +609,24 @@ def eval_series(node: Ast, trunc: int) -> TSeries:
     """Evaluate an AST to an exact truncated series in one pass.
 
     Every node is one memoized stream of t-coefficients, computed on demand
-    from its children's streams, so no subtree is evaluated twice.  A
-    quotient by a divisor of t-valuation v > 0 (``t`` in ``log(1+t)/t``,
+    from its children's streams, so no subtree is evaluated twice.  A node
+    with no ``^x`` under it holds its coefficients as reduced integer pairs
+    and sums them over one common denominator with integer weights; from
+    ``base^x`` up they are ``XPoly`` values, and an x-free operand's pairs
+    enter those sums as scalars.  Product, quotient, power, ``exp`` and
+    ``log`` are each one recurrence, given the lane's term sum.  A quotient
+    by a divisor of t-valuation v > 0 (``t`` in ``log(1+t)/t``,
     ``exp(t)-1`` in ``t/(exp(t)-1)``) reads its numerator v coefficients
     further, so the result stays exact.  ``exp``, ``log`` and ``base^x =
-    exp(x log base)`` are first-order recurrences; ``log`` and ``base^x``
+    exp(x log base)`` are first-order recurrences, and the step of
+    ``base^x`` multiplies by x as a one-degree shift; ``log`` and ``base^x``
     need a constant term of exactly 1 and ``exp`` of exactly 0, and
     violations raise positioned :class:`SemanticError` values.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
-    stream = _stream(node, trunc)
-    return TSeries(trunc, [stream[n] for n in range(trunc + 1)])
+    stream, _ = _stream(node, trunc)
+    return TSeries(trunc, [_lift(stream[n]) for n in range(trunc + 1)])
 
 
 def eval_text(src: str, trunc: int) -> TSeries:

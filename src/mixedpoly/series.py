@@ -13,7 +13,10 @@ Two nested commutative rings:
 ``coeff``, evaluation, hashing of constants and the printers.  Inside, every
 sum of products -- a coefficient of a series product or quotient, and the
 convolutions of the families and the identity catalog -- is one integer sum
-over a common denominator, normalized once (``_sum_of_products``).
+over a common denominator, normalized once (``_sum_of_products``).  The
+stream rules (product, quotient, power) take that term sum as a parameter,
+so the expression language runs the same rules on x-free coefficients held
+as reduced integer pairs, summed by ``_pair_sum``.
 
 Every generating function handled by this package lives in ``TSeries``; all
 arithmetic is exact, and a series never pretends to know coefficients beyond
@@ -235,59 +238,91 @@ class XPoly:
         return f"XPoly({self})"
 
 
-def _mac(out: list[int], a, b) -> list[int]:
-    """out += a * b for integer coefficient sequences; ``out`` grows as needed."""
-    lb = len(b)
-    out.extend([0] * (len(a) + lb - 1 - len(out)))
-    for i, ai in enumerate(a):
-        if ai:
-            out[i : i + lb] = map(add, out[i : i + lb], map(ai.__mul__, b))
-    return out
+def _sum_of_products(terms, scale: int = 1) -> XPoly:
+    """The sum over ``terms`` of the product of each term's factors, over ``scale``, exactly.
 
-
-def _sum_of_products(terms) -> XPoly:
-    """The sum over ``terms`` of the product of each term's factors, exactly.
-
-    A factor is an ``XPoly`` or a rational.  Each term is reduced to a scalar
-    numerator, the product of its factors' denominators and the numerator
-    tuples of its nonconstant factors; all terms are then scaled to the lcm
-    of those denominators, summed as integers and normalized once, so no
-    intermediate ``Fraction`` or ``XPoly`` is built.
+    A factor is an ``XPoly``, a rational or a reduced pair (p, q) for p/q.
+    Each term is reduced to a scalar numerator, the product of its factors'
+    denominators and the product of the numerator tuples of its nonconstant
+    factors; all terms are then scaled to the lcm of those denominators,
+    summed as integers and normalized once, so no intermediate ``Fraction``
+    or ``XPoly`` is built.
     """
     rows = []
     for term in terms:
-        scalar, den, polys = 1, 1, []
+        scalar, den, poly = 1, 1, _UNIT
         for f in term:
-            if type(f) is XPoly:
+            if type(f) is int:
+                if not f:
+                    break
+                scalar *= f
+            elif type(f) is XPoly:
                 num = f._num
                 if len(num) > 1:
-                    polys.append(num)
+                    poly = _convolve(poly, num) if len(poly) > 1 else num
                 elif num:
                     scalar *= num[0]
                 else:
                     break
                 den *= f._den
+            elif type(f) is tuple:
+                if not f[0]:
+                    break
+                scalar *= f[0]
+                den *= f[1]
             elif f:
                 scalar *= f.numerator
                 den *= f.denominator
             else:
                 break
         else:
-            rows.append((scalar, den, polys))
+            rows.append((scalar, den, poly))
     if not rows:
         return _ZERO_POLY
-    common = lcm(*(den for _, den, _ in rows))
-    out = [0]
-    for scalar, den, polys in rows:
-        acc = (scalar * (common // den),)
-        if not polys:
-            out[0] += acc[0]
-            continue
-        polys.sort(key=len)
-        for p in polys[:-1]:
-            acc = _mac([], acc, p)
-        _mac(out, acc, polys[-1])
-    return XPoly._normalized(out, common)
+    common = lcm(*[den for _, den, _ in rows])
+    out = [0] * max(len(poly) for _, _, poly in rows)
+    for scalar, den, poly in rows:
+        scalar *= common // den
+        if poly is _UNIT:
+            out[0] += scalar
+        else:
+            out[: len(poly)] = map(add, out, map(scalar.__mul__, poly))
+    return XPoly._normalized(out, common * scale)
+
+
+def _convolve(a, b) -> list[int]:
+    """The product of two integer coefficient sequences."""
+    if len(a) > len(b):
+        a, b = b, a
+    lb, out = len(b), [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i : i + lb] = map(add, out[i : i + lb], map(ai.__mul__, b))
+    return out
+
+
+def _pair_sum(terms, scale: int = 1) -> tuple[int, int]:
+    """``_sum_of_products`` for x-free terms (w, a, b): an integer weight and two pairs.
+
+    A pair (p, q) is the reduced rational p/q with q > 0; the products are
+    summed over the lcm of their denominators and reduced once, to a pair.
+    """
+    rows = [(w * p * r, q * s) for w, (p, q), (r, s) in terms if p and r]
+    den = lcm(*{q for _, q in rows})
+    num = sum([p * (den // q) for p, q in rows])
+    den *= scale
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _lift(c) -> XPoly:
+    """A term of either lane as an ``XPoly``: the pair (p, q) is p/q."""
+    return XPoly._normalized([c[0]], c[1]) if type(c) is tuple else c
+
+
+def _times_x(p: XPoly) -> XPoly:
+    """x p, by a shift of one degree."""
+    return XPoly._normalized([0, *p._num], p._den)
 
 
 class _Stream(dict):
@@ -308,30 +343,45 @@ class _Stream(dict):
         return term
 
 
-def _product(a, b) -> _Stream:
-    """The product of two coefficient sequences (streams or tuples)."""
-    return _Stream(lambda n: _sum_of_products([(a[k], b[n - k]) for k in range(n + 1)]))
+def _product(a, b, total=_sum_of_products) -> _Stream:
+    """The product of two coefficient sequences (streams or tuples).
+
+    ``total`` is the term sum of the lane the terms live in: ``_sum_of_products``
+    for ``XPoly`` terms, or ``_pair_sum`` when both sequences hold pairs.  A
+    square sums each cross term a_k a_(n-k), k < n - k, once, with weight 2.
+    """
+    if a is b:
+        return _Stream(lambda n: total([(1 if 2 * k == n else 2, a[k], a[n - k]) for k in range(n // 2 + 1)]))
+    return _Stream(lambda n: total([(1, a[k], b[n - k]) for k in range(n + 1)]))
 
 
-def _quotient(f, g, v: int) -> _Stream:
-    """f / g for g of valuation v, scalar g_v, f_0 .. f_(v-1) zero: forward substitution."""
-    inv = 1 / g[v].coeff(0)
+def _quotient(f, g, v: int, total=_sum_of_products) -> _Stream:
+    """f / g for g of valuation v, scalar g_v, f_0 .. f_(v-1) zero: forward substitution.
+
+    With g_v = a/b, term n is (b f_(n+v) - b sum_(k=1..n) g_(v+k) q_(n-k)) / a,
+    so every weight is an integer.
+    """
+    lead = _lift(g[v])
+    w, scale = lead._den, lead._num[0]
+    if scale < 0:
+        w, scale = -w, -scale
 
     def rule(n):
-        rest = ((g[v + k], q[n - k], -inv) for k in range(1, n + 1))
-        return _sum_of_products([(f[n + v], inv), *rest])
+        terms = [(-w, g[v + k], q[n - k]) for k in range(1, n + 1)]
+        terms.append((w, f[n + v], _ONE_PAIR))
+        return total(terms, scale)
 
     q = _Stream(rule)
     return q
 
 
-def _power(base, k: int) -> _Stream:
+def _power(base, k: int, total=_sum_of_products) -> _Stream:
     """base^k for k >= 1 by binary powering; a new stream even for k = 1, so no valuation leaks."""
     result = _Stream(base.__getitem__)
     for bit in bin(k)[3:]:
-        result = _product(result, result)
+        result = _product(result, result, total)
         if bit == "1":
-            result = _product(result, base)
+            result = _product(result, base, total)
     return result
 
 
@@ -351,6 +401,8 @@ def _as_xpoly(value) -> "XPoly":
 
 _ZERO_POLY = XPoly()
 _ONE_POLY = XPoly((1,))
+_ONE_PAIR = (1, 1)
+_UNIT = (1,)
 
 
 class TSeries:

@@ -319,6 +319,30 @@ def test_dsl_builtin_equivalence(src, descr):
     assert eval_text(src, 16) == _builtin_gf(descr, 16)
 
 
+@pytest.mark.parametrize("src,descr", NINE_GF_STRINGS)
+def test_dsl_builtin_equivalence_at_top_truncation(src, descr):
+    # T = 28 is the top of the benchmark's T ladder.
+    assert eval_text(src, 28) == _builtin_gf(descr, 28)
+
+
+# Negative powers of the Changhee kernel 2/(t+2), alone and as the second
+# factor of the DC and CC texts: the divisor of the reciprocal is itself a
+# quotient.  The builtins take orders >= 0 only, so the reference is _eager.
+NEGATIVE_CHANGHEE = [
+    *(f"(2/(t+2))^(-{s})*(1+t)^x" for s in range(1, 5)),
+    *(f"(log(1+t)/t)^{r}*(2/(t+2))^(-{s})*(1+t)^x" for r, s in ((1, 1), (2, 3), (4, 4))),
+    *(f"(t/log(1+t))^{r}*(2/(t+2))^(-{s})*(1+t)^x" for r, s in ((1, 2), (3, 1), (4, 4))),
+]
+
+
+@pytest.mark.parametrize("trunc", [0, 3, 8])
+@pytest.mark.parametrize("src", NEGATIVE_CHANGHEE)
+def test_negative_changhee_texts_match_eager_reference(src, trunc):
+    # At T = 0 the Cauchy divisor log(1+t) vanishes to the searched order, on both sides.
+    node = parse_text(src)
+    assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
+
+
 # -- single-pass streams against the eager reference --------------------------------
 
 
@@ -463,6 +487,22 @@ _LEAVES = st.one_of(
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(tree=st.recursive(_LEAVES, _grow, max_leaves=8), trunc=st.integers(0, 6))
 def test_streams_match_eager_reference(tree, trunc):
+    node = parse_text(render(tree))
+    assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
+
+
+# x enters at these leaves, so sums, products, quotients, log and exp draw one
+# operand from each lane: x-free pairs against XPoly terms.
+_X_LEAVES = st.one_of(
+    _LEAVES,
+    st.just(PowX(Add(_ONE_NODE, _T_NODE, _NOWHERE), _NOWHERE)),
+    st.just(PowX(Exp(_T_NODE, _NOWHERE), _NOWHERE)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tree=st.recursive(_X_LEAVES, _grow, max_leaves=6), trunc=st.integers(0, 5))
+def test_streams_match_eager_reference_across_lanes(tree, trunc):
     node = parse_text(render(tree))
     assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
 

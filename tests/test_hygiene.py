@@ -7,6 +7,8 @@ listed in its ``__all__``, so a helper or an import that a refactor leaves
 behind is caught.  The two routes to a family polynomial in ``families`` --
 the generating-function streams and the GF-free oracle -- must not read
 each other's names, so every identity stays a check between two routes.
+The expression language reads nothing of ``families`` or ``mixed``, so its
+evaluation of a generating-function text stays a third route.
 """
 
 import ast
@@ -140,3 +142,30 @@ def test_family_routes_read_disjoint_names(roots, forbidden):
     assert not [name for name in GF_NAMES + ORACLE_NAMES if name not in bound]
     shared = sorted(_reachable(roots) & set(forbidden))
     assert not shared, shared
+
+
+# The generating-function side's builders, which the expression language
+# must not read: its output is compared with the GF rows.
+GF_SIDE = ("_convolution", "_kernel_power", "_base_stream", "_row_stream", "_falling_stream", "_KERNELS")
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Every dotted part of every module a tree imports, and names imported from a package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            out.update((node.module or "").split("."))
+            if node.module is None:  # from . import families
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_dsl_reads_nothing_of_the_gf_side():
+    # Every name must still be bound there, or a rename would empty the check.
+    bound = _bindings(MODULES["families"])
+    assert not [name for name in GF_SIDE if name not in bound]
+    tree = MODULES["dsl"]
+    assert not _imported_modules(tree) & {"families", "mixed"}
+    assert not sorted(set(_uses(tree)) & set(GF_SIDE))
