@@ -507,7 +507,10 @@ def _monomial(k: int) -> _Stream:
 
 
 def _exp(g: _Stream, total, times_x: bool = False) -> _Stream:
-    """exp(g), or exp(x g), for g_0 = 0, online: n e_n = sum_(k=1..n) k g_k e_(n-k), times x."""
+    """exp(g) for g_0 = 0, online: n e_n = sum_(k=1..n) k g_k e_(n-k).
+
+    With ``times_x`` it is exp(x g): each sum is multiplied by x, a one-degree shift.
+    """
 
     def rule(n):
         term = total([(k, g[k], e[n - k]) for k in range(1, n + 1)], n)

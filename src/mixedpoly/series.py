@@ -280,12 +280,13 @@ def _sum_of_products(terms, scale: int = 1) -> XPoly:
     if not rows:
         return _ZERO_POLY
     common = lcm(*[den for _, den, _ in rows])
-    out = [0] * max(len(poly) for _, _, poly in rows)
+    out = [0]
     for scalar, den, poly in rows:
         scalar *= common // den
         if poly is _UNIT:
             out[0] += scalar
         else:
+            out += [0] * (len(poly) - len(out))
             out[: len(poly)] = map(add, out, map(scalar.__mul__, poly))
     return XPoly._normalized(out, common * scale)
 
@@ -308,6 +309,7 @@ def _pair_sum(terms, scale: int = 1) -> tuple[int, int]:
     summed over the lcm of their denominators and reduced once, to a pair.
     """
     rows = [(w * p * r, q * s) for w, (p, q), (r, s) in terms if p and r]
+    # Denominators repeat across terms; the set drops repeats before the lcm.
     den = lcm(*{q for _, q in rows})
     num = sum([p * (den // q) for p, q in rows])
     den *= scale
@@ -351,7 +353,9 @@ def _product(a, b, total=_sum_of_products) -> _Stream:
     square sums each cross term a_k a_(n-k), k < n - k, once, with weight 2.
     """
     if a is b:
-        return _Stream(lambda n: total([(1 if 2 * k == n else 2, a[k], a[n - k]) for k in range(n // 2 + 1)]))
+        return _Stream(
+            lambda n: total([(1 if 2 * k == n else 2, a[k], a[n - k]) for k in range(n // 2 + 1)])
+        )
     return _Stream(lambda n: total([(1, a[k], b[n - k]) for k in range(n + 1)]))
 
 

@@ -327,7 +327,7 @@ def test_dsl_builtin_equivalence_at_top_truncation(src, descr):
 
 # Negative powers of the Changhee kernel 2/(t+2), alone and as the second
 # factor of the DC and CC texts: the divisor of the reciprocal is itself a
-# quotient.  The builtins take orders >= 0 only, so the reference is _eager.
+# quotient.  The builtins take no negative order, so the reference is _eager.
 NEGATIVE_CHANGHEE = [
     *(f"(2/(t+2))^(-{s})*(1+t)^x" for s in range(1, 5)),
     *(f"(log(1+t)/t)^{r}*(2/(t+2))^(-{s})*(1+t)^x" for r, s in ((1, 1), (2, 3), (4, 4))),
