@@ -25,12 +25,13 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import partial
-from math import factorial, inf
+from math import inf
 
 from . import __version__
 from .dsl import DslError, eval_text, line_col
-from .families import FamilyKind, FamilySpec, family_oracle, poly_table
+from .families import FamilyKind, FamilySpec, _oracle_value, poly_table
 from .mixed import IDENTITY_IDS, MixedKind, MixedSpec, Variant, verify_identity
 from .padic import (
     DEFAULT_BUDGET,
@@ -315,8 +316,7 @@ def cmd_padic(args) -> int:
     kind = IntegralKind(args.kind)
     target_name = args.target or ("daehee" if kind is IntegralKind.BOSONIC else "changhee")
     family = FamilyKind.DAEHEE if target_name == "daehee" else FamilyKind.CHANGHEE
-    target_poly = family_oracle(FamilySpec(family, args.k), args.binom)
-    target = target_poly(args.x0) / factorial(args.binom)
+    target = Fraction(*_oracle_value(FamilySpec(family, args.k), args.binom, args.x0))
     trace = convergence_trace(
         kind,
         BinomialBasis(args.binom),

@@ -22,9 +22,10 @@ series quotient and no division by t.  The rows P_n(x) are read from the
 kernel powers and the carrier's coefficients, one growing stream per spec,
 so a longer table extends the rows already computed.  ``gf_rows`` and
 ``family_gf`` read those streams; ``family_oracle`` recomputes the base
-polynomials through a completely different route (number recurrences plus
-binomial convolution), so agreement between the two is a genuine
-cross-check rather than a tautology.
+polynomials through a completely different route (number recurrences, their
+terms reduced integer pairs, plus binomial convolution), so agreement between
+the two is a genuine cross-check rather than a tautology.  The p-adic target
+P_n(x0)/n! is summed from the numbers, with no polynomial in x.
 
 Stirling numbers of both kinds are exported here too (their rows, and the
 falling factorial read from them, live in ``series``); they are the
@@ -40,8 +41,10 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import add, sub
 from .series import (
+    _ONE_PAIR,
     TSeries,
     XPoly,
+    _pair_sum,
     _Stream,
     _stirling_row,
     _sum_of_products,
@@ -278,7 +281,7 @@ def family_poly(spec, n: int, trunc: int | None = None) -> XPoly:
 
 @lru_cache(maxsize=None)
 def _order1_stream(kind: FamilyKind) -> _Stream:
-    """Order-1 numbers P_0, P_1, ... at x = 0, GF-free, each computed once on demand.
+    """Order-1 numbers P_0, P_1, ... at x = 0, GF-free, as reduced pairs (p, q), each computed once.
 
     Bernoulli and Euler come from their classical linear recurrences over
     the terms so far (``nums.items()`` is P_0..P_(n-1) while term n is
@@ -288,77 +291,79 @@ def _order1_stream(kind: FamilyKind) -> _Stream:
     """
     if kind is FamilyKind.BERNOULLI:
         def rule(n):  # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1
-            acc = _sum_of_products((comb(n + 1, k), b) for k, b in nums.items())
-            return -acc.coeff(0) / (n + 1)
+            return _pair_sum([(-comb(n + 1, k), b, _ONE_PAIR) for k, b in nums.items()], n + 1)
     elif kind is FamilyKind.EULER:
         def rule(n):  # E_n + sum_{k<=n} C(n, k) E_k = 0 for n >= 1
-            acc = _sum_of_products((comb(n, k), e) for k, e in nums.items())
-            return -acc.coeff(0) / 2
-    elif kind is FamilyKind.DAEHEE:
-        def rule(n):
-            return Fraction((-1) ** n * factorial(n), n + 1)
-    elif kind is FamilyKind.CHANGHEE:
-        def rule(n):
-            return Fraction((-1) ** n * factorial(n), 2**n)
+            return _pair_sum([(-comb(n, k), e, _ONE_PAIR) for k, e in nums.items()], 2)
+    elif kind in (FamilyKind.DAEHEE, FamilyKind.CHANGHEE):
+        def rule(n):  # (-1)^n n! / (n + 1) and (-1)^n n! / 2^n, reduced
+            num, den = (-1) ** n * factorial(n), n + 1 if kind is FamilyKind.DAEHEE else 2**n
+            g = gcd(num, den)
+            return num // g, den // g
     elif kind is FamilyKind.CAUCHY:
-        recip = []  # the weights 1/(m+1); the stream asks for terms in order
-
         def rule(n):
-            recip.append(Fraction(1, n + 1))
-            return _sum_of_products(zip(_stirling_row(True, n), recip)).coeff(0)
+            row = enumerate(_stirling_row(True, n))
+            return _pair_sum([(s, (1, m + 1), _ONE_PAIR) for m, s in row])
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     nums = _Stream(rule)
     if kind in _EXP_CARRIER:
-        nums[0] = Fraction(1)
+        nums[0] = _ONE_PAIR
     return nums
 
 
+def _binomial_pairs(n: int, a, b, scale: int = 1) -> tuple[int, int]:
+    """(1/scale) sum_m C(n,m) a_m b_(n-m) over m = 0..n, for pair sequences, as a reduced pair."""
+    return _pair_sum([(comb(n, m), a[m], b[n - m]) for m in range(n + 1)], scale)
+
+
 def _conv(n: int, poly_at, nums) -> XPoly:
-    """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n."""
-    return _sum_of_products(
-        (poly_at(m), comb(n, m), c) for m in range(n + 1) if (c := nums[n - m])
-    )
+    """Binomial convolution sum_m C(n,m) poly_at(m) nums[n-m] over m = 0..n, for pairs nums."""
+    terms = ((poly_at(m), comb(n, m), c) for m in range(n + 1) if (c := nums[n - m])[0])
+    return _sum_of_products(terms)
 
 
 @lru_cache(maxsize=None)
 def _numbers_stream(spec: FamilySpec) -> _Stream:
     """Order-r numbers: 1, 0, 0, ... at order 0, then order r-1 convolved with order 1."""
     if spec.order == 0:
-        return _Stream(lambda n: Fraction(int(n == 0)))
+        return _Stream(lambda n: (int(n == 0), 1))
     base = _order1_stream(spec.kind)
     if spec.order == 1:
         return base
     # Order r-1 is looked up per term, so building a stream never recurses.
     lower = FamilySpec(spec.kind, spec.order - 1)
-    return _Stream(lambda n: _conv(n, _numbers_stream(lower).__getitem__, base).coeff(0))
+    return _Stream(lambda n: _binomial_pairs(n, _numbers_stream(lower), base))
+
+
+def _numbers(spec: FamilySpec, n: int) -> _Stream:
+    """The pair stream of ``spec``'s numbers, filled to n: orders 1..r in turn, lowest first."""
+    nums = _numbers_stream(spec)
+    if n not in nums:
+        for order in range(1, spec.order + 1):
+            _numbers_stream(FamilySpec(spec.kind, order))[n]
+    return nums
 
 
 def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
-    """Order-r numbers P_0^(r)..P_{n_max}^(r), by (r-1)-fold binomial convolution.
-
-    Orders 1..r are filled to n_max in turn, lowest first, so no read recurses through them.
-    """
+    """Order-r numbers P_0^(r)..P_{n_max}^(r), by (r-1)-fold binomial convolution."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    nums = _numbers_stream(spec)
-    if n_max not in nums:
-        for order in range(1, spec.order + 1):
-            _numbers_stream(FamilySpec(spec.kind, order))[n_max]
-    return tuple(map(nums.__getitem__, range(n_max + 1)))
+    nums = _numbers(spec, n_max)
+    return tuple(Fraction(*nums[n]) for n in range(n_max + 1))
 
 
 @lru_cache(maxsize=None)
 def _monomial(m: int) -> XPoly:
-    return XPoly((0,) * m + (1,))
+    return XPoly._normalized([0] * m + [1], 1)
 
 
 @lru_cache(maxsize=None)
 def family_oracle(spec: FamilySpec, n: int) -> XPoly:
     """P_n^(r)(x) through the GF-free route.
 
-    Numbers come from ``family_numbers``; the polynomial is rebuilt from
-    them in the basis matching the carrier:
+    The numbers are read as pairs from their streams; the polynomial is
+    rebuilt from them in the basis matching the carrier:
 
         e^(x t) carrier:   P_n(x) = sum_m C(n, m) x^m P_(n-m)
         (1+t)^x carrier:   P_n(x) = sum_m C(n, m) (x)_m P_(n-m)
@@ -368,7 +373,23 @@ def family_oracle(spec: FamilySpec, n: int) -> XPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     basis = _monomial if spec.kind in _EXP_CARRIER else falling_factorial
-    return _conv(n, basis, family_numbers(spec, n))
+    return _conv(n, basis, _numbers(spec, n))
+
+
+def _oracle_value(spec: FamilySpec, n: int, x0) -> tuple[int, int]:
+    """P_n^(r)(x0) / n! as a pair, from the numbers alone: no polynomial in x is built.
+
+    The sum is that of ``family_oracle`` at x0 = a/b (an integer or a
+    ``Fraction``), over n!: x0^m is the pair (a^m, b^m) and the falling
+    factorial (x0)_m is (a (a - b) ... (a - (m-1) b), b^m).
+    """
+    a, b = x0.numerator, x0.denominator
+    step = 0 if spec.kind in _EXP_CARRIER else b
+    powers, top = [], 1
+    for m in range(n + 1):
+        powers.append((top, b**m))
+        top *= a - m * step
+    return _binomial_pairs(n, powers, _numbers(spec, n), factorial(n))
 
 
 def poly_table(spec, n_max: int) -> PolyTable:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import partial
 from math import comb
 
@@ -32,15 +31,15 @@ from .families import (
     FamilyKind,
     FamilySpec,
     _conv,
+    _numbers,
     falling_factorial,
     family_gf,
-    family_numbers,
     family_oracle,
     gf_rows,
     stirling1,
     stirling2,
 )
-from .series import XPoly, _sum_of_products
+from .series import _ZERO_POLY, XPoly, _sum_of_products
 
 __all__ = [
     "IDENTITY_IDS",
@@ -123,7 +122,7 @@ mixed_gf = family_gf
 
 
 def _weighted(n: int, poly_at, weight) -> XPoly:
-    """Weighted sum sum_m weight(m) poly_at(m) over m = 0..n."""
+    """Weighted sum sum_m weight(m) poly_at(m) over m = 0..n; a weight is an integer or a pair."""
     return _sum_of_products((poly_at(m), w) for m in range(n + 1) if (w := weight(m)))
 
 
@@ -149,7 +148,7 @@ def mixed_poly(spec: MixedSpec, n: int) -> XPoly:
         if r < s:
             return family_oracle(FamilySpec(FamilyKind.DAEHEE, s - r), n)
         return falling_factorial(n)
-    return _conv(n, _oracle(kr, r), family_numbers(FamilySpec(ks, s), n))
+    return _conv(n, _oracle(kr, r), _numbers(FamilySpec(ks, s), n))
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def _mixed_row(kind: MixedKind):
 # Each identity maps one instance (n, r, s, corrected, n_max) to its claims:
 # (lhs, rhs) pairs that must agree exactly.  One side of every claim reads
 # generating-function rows (gf_rows), the other oracle values
-# (family_oracle, family_numbers) or the falling factorial, so no claim
+# (family_oracle, the number streams) or the falling factorial, so no claim
 # compares a code path with itself.  ``corrected`` selects the reading
 # of the typo-suspect identities E28, E34 and E40.
 _CATALOG = {
@@ -191,12 +190,12 @@ _CATALOG = {
         (falling_factorial(n), _conv(
             n,
             gf_rows(FamilySpec(FamilyKind.CAUCHY, r).factors, n_max).__getitem__,
-            family_numbers(FamilySpec(FamilyKind.DAEHEE, r), n),
+            _numbers(FamilySpec(FamilyKind.DAEHEE, r), n),
         )),
         (falling_factorial(n), _conv(
             n,
             gf_rows(FamilySpec(FamilyKind.DAEHEE, r).factors, n_max).__getitem__,
-            family_numbers(FamilySpec(FamilyKind.CAUCHY, r), n),
+            _numbers(FamilySpec(FamilyKind.CAUCHY, r), n),
         )),
     ],
     # BE_n^(r,s)(x) = sum_m C(n,m) B_m^(r)(x) E_{n-m}^(s)
@@ -217,7 +216,7 @@ _CATALOG = {
         _conv(
             n,
             _oracle(FamilyKind.DAEHEE, r),
-            family_numbers(FamilySpec(FamilyKind.CHANGHEE, s if corrected else r), n),
+            _numbers(FamilySpec(FamilyKind.CHANGHEE, s if corrected else r), n),
         ),
     )],
     # CD_n^(r,s)(x) collapses by order comparison.
@@ -233,7 +232,7 @@ _CATALOG = {
         _conv(
             n,
             _oracle(FamilyKind.BERNOULLI, r),
-            family_numbers(FamilySpec(FamilyKind.EULER, s if corrected else 1), n),
+            _numbers(FamilySpec(FamilyKind.EULER, s if corrected else 1), n),
         ),
     )],
     # CC_n^(r,s)(x) = sum_m C(n,m) C_m^(r)(x) Ch_{n-m}^(s)
@@ -251,9 +250,7 @@ _CATALOG = {
         _weighted(
             n,
             lambda l: family_oracle(FamilySpec(FamilyKind.EULER, s), n - l),
-            lambda l: Fraction(
-                comb(n, l) * stirling2(l + r, r if corrected else l), comb(l + r, l)
-            ),
+            lambda l: (comb(n, l) * stirling2(l + r, r if corrected else l), comb(l + r, l)),
         ),
     )],
 }
@@ -287,21 +284,17 @@ def verify_identity(
     for r in orders:
         for s in s_values:
             for n in range(n_max + 1):
+                # A failing instance reports its first failing claim.
                 claims = claims_of(n, r, s, corrected, n_max)
-                lhs, rhs = claims[0]
-                passed = True
-                for cl, cr in claims:
-                    if cl != cr:
-                        passed = False
-                        lhs, rhs = cl, cr
-                        break
+                failed = [claim for claim in claims if claim[0] != claim[1]]
+                lhs, rhs = (failed or claims)[0]
                 reports.append(
                     IdentityReport(
                         instance=IdentityInstance(identity_id, n, r, s),
-                        passed=passed,
+                        passed=not failed,
                         lhs=lhs,
                         rhs=rhs,
-                        diff=rhs - lhs,
+                        diff=rhs - lhs if failed else _ZERO_POLY,
                         variant=variant,
                     )
                 )

@@ -651,7 +651,7 @@ def falling_factorial(n: int) -> XPoly:
     """(x)_n = x (x-1) ... (x-n+1) = sum_m S1(n, m) x^m, with (x)_0 = 1."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    return XPoly(_stirling_row(True, n))
+    return XPoly._normalized(list(_stirling_row(True, n)), 1)
 
 
 def log1p(trunc: int) -> TSeries:

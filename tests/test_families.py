@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 from functools import lru_cache, reduce
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import mul
 
 import pytest
@@ -234,6 +234,7 @@ def test_numbers_match_from_scratch_reference_in_any_call_order(kind, calls, arr
     results = [(order, family_numbers(FamilySpec(kind, order), n)) for order, n in calls]
     for (order, n), (_, got) in zip(calls, results):
         assert got == _numbers_from_scratch(kind, order, 30)[: n + 1], (kind, order, n)
+        assert all(type(value) is F for value in got)  # pairs convert at the boundary
     for order, short in results:
         for other, long in results:
             if other == order and len(short) <= len(long):
@@ -253,6 +254,35 @@ def test_deep_order_numbers_need_no_recursion():
     _clear_family_memos()
     spec = FamilySpec(FamilyKind.DAEHEE, 3000)
     assert family_numbers(spec, 3) == _numbers_from_scratch(FamilyKind.DAEHEE, 3000, 3)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_number_streams_hold_reduced_pairs(kind):
+    # Every oracle number is an integer pair (p, q) in lowest terms with
+    # q > 0, so pairs compare and combine without a Fraction; zero is (0, 1).
+    _clear_family_memos()
+    for order in range(5):
+        nums = families._numbers(FamilySpec(kind, order), 30)
+        for n in range(31):
+            p, q = nums[n]
+            assert type(p) is int and type(q) is int, (kind, order, n)
+            assert q > 0 and gcd(p, q) == 1, (kind, order, n, p, q)
+    base = families._order1_stream(kind)
+    assert all(gcd(*base[n]) == 1 and base[n][1] > 0 for n in range(31))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("x0", [0, 1, 5, F(-2, 3)])
+def test_oracle_value_matches_the_oracle_polynomial(kind, x0):
+    # The p-adic target P_n(x0)/n!, summed from the numbers, equals the
+    # oracle polynomial evaluated at x0 and divided by n!.
+    for order in range(1, 5):
+        spec = FamilySpec(kind, order)
+        for n in range(31):
+            want = family_oracle(spec, n)(x0) / factorial(n)
+            p, q = families._oracle_value(spec, n, x0)
+            assert q > 0 and gcd(p, q) == 1
+            assert F(p, q) == want, (kind, order, n, x0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -6,7 +6,9 @@ definition, and every module-level import must be read by its module or
 listed in its ``__all__``, so a helper or an import that a refactor leaves
 behind is caught.  The two routes to a family polynomial in ``families`` --
 the generating-function streams and the GF-free oracle -- must not read
-each other's names, so every identity stays a check between two routes.
+each other's names, so every identity stays a check between two routes,
+and the oracle, which holds its numbers as integer pairs, builds no
+``Fraction`` outside the public ``family_numbers``.
 The expression language reads nothing of ``families`` or ``mixed``, so its
 evaluation of a generating-function text stays a third route.
 """
@@ -113,12 +115,21 @@ def test_module_imports_are_read(module):
 # its entry points and by the names only it may read.
 GF_ROUTE = ("_base_stream", "_kernel_power", "_row_stream", "gf_rows", "family_gf", "family_kernel")
 GF_NAMES = GF_ROUTE + ("_BASES", "_KERNELS", "_convolution", "_falling_stream")
-ORACLE_ROUTE = ("_order1_stream", "_numbers_stream", "_conv", "family_numbers", "family_oracle")
+ORACLE_ROUTE = (
+    "_order1_stream",
+    "_numbers_stream",
+    "_binomial_pairs",
+    "_numbers",
+    "_conv",
+    "family_numbers",
+    "family_oracle",
+    "_oracle_value",
+)
 ORACLE_NAMES = ORACLE_ROUTE + ("_monomial", "falling_factorial", "_stirling_row")
 
 
-def _reachable(roots) -> set[str]:
-    """Names read by ``roots``, followed through the top-level bindings of ``families``."""
+def _closure(roots) -> set[str]:
+    """``roots`` and the top-level definitions of ``families`` they read, transitively."""
     bound = _bindings(MODULES["families"])
     seen, todo = set(), list(roots)
     while todo:
@@ -128,7 +139,13 @@ def _reachable(roots) -> set[str]:
             continue
         seen.add(name)
         todo.extend(_uses(stmt))
-    return {use for name in seen for use in _uses(bound[name])}
+    return seen
+
+
+def _reachable(roots) -> set[str]:
+    """Names read by ``roots``, followed through the top-level bindings of ``families``."""
+    bound = _bindings(MODULES["families"])
+    return {use for name in _closure(roots) for use in _uses(bound[name])}
 
 
 @pytest.mark.parametrize(
@@ -142,6 +159,22 @@ def test_family_routes_read_disjoint_names(roots, forbidden):
     assert not [name for name in GF_NAMES + ORACLE_NAMES if name not in bound]
     shared = sorted(_reachable(roots) & set(forbidden))
     assert not shared, shared
+
+
+def test_oracle_numbers_build_no_fraction():
+    # The oracle holds its numbers as integer pairs; only the public
+    # ``family_numbers`` converts them, at the boundary.  The catalog reads
+    # the pairs in place and builds no ``Fraction`` either.
+    bound = _bindings(MODULES["families"])
+    assert not [name for name in ORACLE_ROUTE if name not in bound]
+    roots = [name for name in ORACLE_ROUTE if name != "family_numbers"]
+    readers = sorted(
+        name
+        for name in _closure(roots) - {"family_numbers"}
+        if "Fraction" in _uses(bound[name])
+    )
+    assert not readers, readers
+    assert "Fraction" not in _uses(MODULES["mixed"])
 
 
 # The generating-function side's builders, which the expression language

@@ -223,6 +223,31 @@ def test_single_order_ids_report_zero_s():
         assert {rep.instance.s for rep in reports} == {0}
 
 
+@pytest.mark.parametrize(
+    "ident, orders, variant",
+    [
+        ("E34", (1, 2), Variant.AS_PRINTED),
+        ("E28", (1, 2), Variant.AS_PRINTED),  # fails where r != s
+        ("E40", (1, 2), Variant.CORRECTED),
+    ],
+)
+def test_report_diff_is_rhs_minus_lhs(ident, orders, variant):
+    # A passing instance carries the zero polynomial, a failing one the
+    # difference of its first failing claim's sides.
+    reports = verify_identity(ident, 6, orders, variant)
+    assert any(rep.passed for rep in reports)
+    if variant is Variant.AS_PRINTED:
+        assert not all(rep.passed for rep in reports)
+    for rep in reports:
+        assert rep.diff == rep.rhs - rep.lhs
+        assert rep.passed == rep.diff.is_zero
+        if rep.passed:
+            assert rep.diff == XPoly.zero() and rep.lhs == rep.rhs
+    if ident == "E28":
+        failed = {(rep.instance.r, rep.instance.s) for rep in reports if not rep.passed}
+        assert failed and all(r != s for r, s in failed)
+
+
 def test_unknown_identity_id():
     with pytest.raises(KeyError):
         verify_identity("E99", 2)
@@ -275,8 +300,8 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
         return series._Stream(lambda n: (2 * power[n][0], power[n][1]))
 
     def tripled_numbers(kind):
-        nums = numbers(kind)
-        return series._Stream(lambda n: 3 * nums[n])
+        nums = numbers(kind)  # terms are integer pairs (p, q) for p/q
+        return series._Stream(lambda n: (3 * nums[n][0], nums[n][1]))
 
     def quintupled_falling(n):
         return falling(n) * 5
