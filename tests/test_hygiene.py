@@ -167,10 +167,9 @@ def test_oracle_numbers_build_no_fraction():
     # the pairs in place and builds no ``Fraction`` either.
     bound = _bindings(MODULES["families"])
     assert not [name for name in ORACLE_ROUTE if name not in bound]
-    roots = [name for name in ORACLE_ROUTE if name != "family_numbers"]
     readers = sorted(
         name
-        for name in _closure(roots) - {"family_numbers"}
+        for name in _closure(ORACLE_ROUTE) - {"family_numbers"}
         if "Fraction" in _uses(bound[name])
     )
     assert not readers, readers

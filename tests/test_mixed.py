@@ -241,8 +241,6 @@ def test_report_diff_is_rhs_minus_lhs(ident, orders, variant):
     for rep in reports:
         assert rep.diff == rep.rhs - rep.lhs
         assert rep.passed == rep.diff.is_zero
-        if rep.passed:
-            assert rep.diff == XPoly.zero() and rep.lhs == rep.rhs
     if ident == "E28":
         failed = {(rep.instance.r, rep.instance.s) for rep in reports if not rep.passed}
         assert failed and all(r != s for r, s in failed)
