@@ -13,6 +13,13 @@ Integrands are either ``XPoly`` values or first-class binomial-basis
 integrands C(x, n).  Every sum, of any fold count, is evaluated in closed
 form in the binomial basis (``multifold_integral``), so its cost grows with
 the degree of the integrand, not with p^N.
+
+Inside, every quantity on that path -- the binomial coordinates of the
+integrand, the C(x0, j) row, the level values, their fold power and the
+final dot product -- is a reduced integer pair (p, q) summed by
+``series._pair_sum``.  ``Fraction`` is built only at the public boundary:
+the inputs and the return values of ``multifold_integral``,
+``finite_integral``, ``shift_residual``, ``convergence_trace`` and ``vp``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .series import XPoly, _power, _product, _sum_of_products
+from .series import _ONE_PAIR, XPoly, _pair_sum, _power
 
 __all__ = [
     "BinomialBasis",
@@ -152,10 +159,17 @@ def vp(q: Union[Fraction, int], p: int) -> Union[int, float]:
     """Normalized p-adic valuation of a rational; +infinity for 0."""
     if not is_odd_prime(p) and p != 2:
         raise ValueError("p must be prime")
-    q = Fraction(q)
-    if q == 0:
-        return math.inf
-    return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
+    return _vp_pair(_pair(Fraction(q)), p)
+
+
+def _pair(q) -> tuple[int, int]:
+    """An int or a ``Fraction`` as its reduced pair (numerator, denominator)."""
+    return q.numerator, q.denominator
+
+
+def _vp_pair(q: tuple[int, int], p: int) -> Union[int, float]:
+    """The valuation of the reduced pair q; +infinity for 0."""
+    return _vp_int(q[0], p) - _vp_int(q[1], p) if q[0] else math.inf
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -165,6 +179,12 @@ def _vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """The pair p/q for q > 0, with the gcd removed."""
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def finite_integral(kind: IntegralKind, f: Integrand, ctx: PAdicContext) -> Fraction:
@@ -189,43 +209,61 @@ def multifold_integral(
     ``kind``.  The value is computed in closed form for every k >= 1: write
     f as sum_j a_j C(x, j), expand C(x0 + y_1 + ... + y_k, n) by Vandermonde
     into products of C(x0, j_0) and the 1-fold level values of C(y, j_i),
-    so the k folds are the k-th power of the level-value series times the
-    series of C(x0, j), and take the dot product with the a_j.  The result
-    is an exact rational.  p^(kN) must stay within the context budget.
+    so term n of the folds is term n of the k-th power of the level-value
+    series times the series of C(x0, j), and take the dot product with the
+    a_j.  Only the terms with a_j != 0 are summed, so C(x, n) at k = 1
+    costs one sum of n + 1 products.  Every quantity is a reduced integer
+    pair; the result is an exact rational.  p^(kN) must stay within the
+    context budget.
     """
     check_level(ctx.p, ctx.N, ctx.budget, k)
-    coords = _binomial_coords(f)
-    d = len(coords) - 1
-    level = _level_values(kind, ctx.modulus, d)
-    folded = _product(_binomials(Fraction(x0), d), _power(level, k))
-    return _sum_of_products((a, folded[n]) for n, a in enumerate(coords)).coeff(0)
+    coords, den = _binomial_coords(f)
+    row = _binomials(_pair(Fraction(x0)), len(coords) - 1)
+    return Fraction(*_fold(kind, coords, den, row, ctx.modulus, k))
 
 
-def _binomial_coords(f: Integrand) -> list[Fraction]:
-    """The a_j with f(x) = sum_j a_j C(x, j), for j = 0 .. degree of f."""
+def _fold(
+    kind: IntegralKind, coords: list[int], den: int, row: list[tuple[int, int]], M: int, k: int
+) -> tuple[int, int]:
+    """sum_n coords[n] sum_j row[j] L^k_(n-j) / den for the level values L at M, as a pair.
+
+    Only the n with coords[n] != 0 are read: one sum of their products.
+    """
+    folds = _power(_level_values(kind, M, len(coords) - 1), k, _pair_sum)
+    return _pair_sum(
+        [(a, row[j], folds[n - j]) for n, a in enumerate(coords) if a for j in range(n + 1)], den
+    )
+
+
+def _binomial_coords(f: Integrand) -> tuple[list[int], int]:
+    """Integers a_j and den > 0 with f(x) = sum_j a_j C(x, j) / den, j = 0 .. degree of f."""
     if isinstance(f, BinomialBasis):
-        return [Fraction(0)] * f.n + [Fraction(1)]
+        return [0] * f.n + [1], 1
     if not isinstance(f, XPoly):
         raise TypeError(f"integrand must be XPoly or BinomialBasis, got {type(f).__name__}")
-    # Newton forward differences of f at 0 .. deg.
-    values = [f(x) for x in range(f.degree + 1)]
+    # Newton forward differences of den f, whose coefficients are the
+    # integer numerators, at 0 .. deg.
+    num = f._num
+    values = [sum(c * x**i for i, c in enumerate(num)) for x in range(len(num))]
     coords = []
     while values:
         coords.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    return coords
+    return coords, f._den
 
 
-def _binomials(z: Fraction, d: int) -> list[Fraction]:
-    """C(z, j) for j = 0 .. d, for any rational z."""
-    out = [Fraction(1)]
+def _binomials(z: tuple[int, int], d: int) -> list[tuple[int, int]]:
+    """C(z, j) for j = 0 .. d as reduced pairs, for any rational z given as its pair."""
+    p, q = z
+    out = [_ONE_PAIR]
     for j in range(d):
-        out.append(out[-1] * (z - j) / (j + 1))
+        num, den = out[-1]
+        out.append(_reduced(num * (p - j * q), den * (j + 1) * q))
     return out
 
 
-def _level_values(kind: IntegralKind, M: int, d: int) -> list[Fraction]:
-    """The 1-fold level-N values of C(y, j), j = 0 .. d, over y in 0 .. M - 1.
+def _level_values(kind: IntegralKind, M: int, d: int) -> list[tuple[int, int]]:
+    """The 1-fold level-N values of C(y, j), j = 0 .. d, over y in 0 .. M - 1, as pairs.
 
     Bosonic: C(M, j + 1)/M, by the hockey-stick identity.  Fermionic:
     A_0 = 1 and A_{j+1} = (C(M, j + 1) - A_j)/2, which follows from
@@ -233,13 +271,19 @@ def _level_values(kind: IntegralKind, M: int, d: int) -> list[Fraction]:
     (``PAdicContext`` admits only odd primes).
     """
     if kind is IntegralKind.BOSONIC:
-        return [c / M for c in _binomials(Fraction(M), d + 1)[1:]]
+        return [_reduced(c, M) for c, _ in _binomials((M, 1), d + 1)[1:]]
     if kind is IntegralKind.FERMIONIC:
-        values = [Fraction(1)]
-        for c in _binomials(Fraction(M), d)[1:]:
-            values.append((c - values[-1]) / 2)
+        values = [_ONE_PAIR]
+        for c, _ in _binomials((M, 1), d)[1:]:
+            a, b = values[-1]
+            values.append(_reduced(c * b - a, 2 * b))
         return values
     raise ValueError(f"unknown integral kind {kind!r}")
+
+
+def _difference(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - b for two pairs, as a pair."""
+    return _pair_sum([(1, a, _ONE_PAIR), (-1, b, _ONE_PAIR)])
 
 
 def shift_residual(kind: IntegralKind, f: XPoly, ctx: PAdicContext) -> Fraction:
@@ -248,14 +292,21 @@ def shift_residual(kind: IntegralKind, f: XPoly, ctx: PAdicContext) -> Fraction:
     With f1(x) = f(x+1), the p-adic limits satisfy
     I_0(f1) - I_0(f) = f'(0) and I_{-1}(f1) = -I_{-1}(f) + 2 f(0); at a
     finite level the corresponding combination leaves a rational residual
-    whose valuation grows with N.
+    whose valuation grows with N.  With f = sum_j a_j C(x, j), f1 - f has
+    the coordinates a_(j+1) and f1 + f the coordinates 2 a_j + a_(j+1), so
+    no shifted polynomial is built.
     """
     if not isinstance(f, XPoly):
         raise TypeError("shift_residual expects an XPoly integrand")
-    f1 = f.shifted(1)
+    coords, den = _binomial_coords(f)
+    num = f._num
     if kind is IntegralKind.BOSONIC:
-        return finite_integral(kind, f1 - f, ctx) - f.derivative()(0)
-    return finite_integral(kind, f1 + f, ctx) - 2 * f(0)
+        coords, limit = coords[1:], num[1] if len(num) > 1 else 0  # den f'(0)
+    else:
+        coords = [2 * a + b for a, b in zip(coords, coords[1:] + [0])]
+        limit = 2 * num[0] if num else 0  # den 2 f(0)
+    value = _fold(kind, coords, den, _binomials((0, 1), len(coords) - 1), ctx.modulus, 1)
+    return Fraction(*_difference(value, _reduced(limit, den)))
 
 
 @dataclass(frozen=True)
@@ -291,10 +342,14 @@ def convergence_trace(
     valuations is asserted by the caller, not here.
     """
     target = Fraction(target)
+    goal = _pair(target)
+    coords, den = _binomial_coords(f)
+    row = _binomials(_pair(Fraction(x0)), len(coords) - 1)
     rows = []
     for N in sorted(set(N_range)):
         ctx = PAdicContext(p, N, budget)
-        approx = multifold_integral(kind, f, k, x0, ctx)
-        residual = approx - target
-        rows.append(TraceRow(N, approx, residual, vp(residual, p)))
+        check_level(p, N, budget, k)
+        approx = _fold(kind, coords, den, row, ctx.modulus, k)
+        residual = _difference(approx, goal)
+        rows.append(TraceRow(N, Fraction(*approx), Fraction(*residual), _vp_pair(residual, p)))
     return ValuationTrace(target=target, rows=tuple(rows))

@@ -10,7 +10,10 @@ each other's names, so every identity stays a check between two routes,
 and the oracle, which holds its numbers as integer pairs, builds no
 ``Fraction`` outside the public ``family_numbers``.
 The expression language reads nothing of ``families`` or ``mixed``, so its
-evaluation of a generating-function text stays a third route.
+evaluation of a generating-function text stays a third route.  The p-adic
+folds hold their quantities as integer pairs and build no ``Fraction``
+outside the public entry points, and ``padic`` reads nothing of
+``families`` or ``mixed`` either.
 """
 
 import ast
@@ -201,3 +204,27 @@ def test_dsl_reads_nothing_of_the_gf_side():
     tree = MODULES["dsl"]
     assert not _imported_modules(tree) & {"families", "mixed"}
     assert not sorted(set(_uses(tree)) & set(GF_SIDE))
+
+
+# The p-adic fold path, which holds every quantity as an integer pair.
+PADIC_FOLDS = ("_fold", "_binomial_coords", "_binomials", "_level_values", "_difference")
+
+
+def test_padic_folds_build_no_fraction():
+    # Only the public entry points convert their inputs and return values;
+    # no private name of ``padic`` reads ``Fraction``.  The trace's target
+    # comes from ``families``, so ``padic`` imports nothing of it or of
+    # ``mixed`` and the two routes stay independent.
+    tree = MODULES["padic"]
+    bound = _bindings(tree)
+    assert not [name for name in PADIC_FOLDS if name not in bound]
+    readers = sorted(
+        name
+        for name, stmt in bound.items()
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and "Fraction" in _uses(stmt)
+    )
+    assert not readers, readers
+    assert not _imported_modules(tree) & {"families", "mixed"}

@@ -246,6 +246,20 @@ def test_report_diff_is_rhs_minus_lhs(ident, orders, variant):
         assert failed and all(r != s for r, s in failed)
 
 
+@pytest.mark.parametrize("first_fails", [False, True], ids=["second-fails", "both-fail"])
+def test_failing_instance_reports_its_first_failing_claim(monkeypatch, first_fails):
+    # E17 has two claims; a failing instance reports the sides and the
+    # difference of the first claim that fails, whichever others fail too.
+    one, two, three_x = XPoly((1,)), XPoly((2,)), XPoly((0, 3))
+    first = (one, two) if first_fails else (one, one)
+    second = (two, three_x)
+    monkeypatch.setitem(mixed._CATALOG, "E17", lambda n, r, s, corrected, n_max: [first, second])
+    (rep,) = verify_identity("E17", 0, (1,))
+    lhs, rhs = first if first_fails else second
+    assert not rep.passed
+    assert (rep.lhs, rep.rhs, rep.diff) == (lhs, rhs, rhs - lhs)
+
+
 def test_unknown_identity_id():
     with pytest.raises(KeyError):
         verify_identity("E99", 2)

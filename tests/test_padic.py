@@ -159,6 +159,29 @@ def test_multifold_fold_count_and_budget():
     assert time.perf_counter() - start < 0.5
 
 
+def test_binomial_integrand_sums_one_folded_term(monkeypatch):
+    # C(x, n) has one nonzero binomial coordinate, so at k = 1 its value is
+    # one sum of n + 1 products.  Filling every folded term below n to read
+    # term n would sum about n^2/2 of them.
+    n = 200
+    sizes = []
+
+    def counted(terms, scale=1):
+        terms = list(terms)
+        sizes.append(len(terms))
+        return pair_sum(terms, scale)
+
+    pair_sum = padic._pair_sum
+    monkeypatch.setattr(padic, "_pair_sum", counted)
+    ctx = PAdicContext(3, 2)
+    for kind in (BOS, FER):
+        for x0 in (0, 5, F(1, 2)):
+            sizes.clear()
+            got = multifold_integral(kind, BinomialBasis(n), 1, x0, ctx)
+            assert 0 < len(sizes) <= 2 and sum(sizes) <= 2 * (n + 1), (kind, x0, sizes)
+            assert got == brute_integral(kind, BinomialBasis(n), 1, x0, ctx)
+
+
 @pytest.mark.parametrize(
     "p,N",
     [(3, 10**7), (3, 10**8), (10000000000000061, 1), (1000000000000000003, 1), (4, 10**8)],
