@@ -296,10 +296,15 @@ def _order1_stream(kind: FamilyKind) -> _Stream:
         def rule(n):  # E_n + sum_{k<=n} C(n, k) E_k = 0 for n >= 1
             return _pair_sum([(-comb(n, k), e, _ONE_PAIR) for k, e in nums.items()], 2)
     elif kind in (FamilyKind.DAEHEE, FamilyKind.CHANGHEE):
+        signed = 1  # (-1)^n n!, carried up from the term below
+
         def rule(n):  # (-1)^n n! / (n + 1) and (-1)^n n! / 2^n, reduced
-            num, den = (-1) ** n * factorial(n), n + 1 if kind is FamilyKind.DAEHEE else 2**n
-            g = gcd(num, den)
-            return num // g, den // g
+            nonlocal signed
+            if n:
+                signed *= -n
+            den = n + 1 if kind is FamilyKind.DAEHEE else 2**n
+            g = gcd(signed, den)
+            return signed // g, den // g
     elif kind is FamilyKind.CAUCHY:
         def rule(n):
             row = enumerate(_stirling_row(True, n))
@@ -313,8 +318,15 @@ def _order1_stream(kind: FamilyKind) -> _Stream:
 
 
 def _binomial_pairs(n: int, a, b, scale: int = 1) -> tuple[int, int]:
-    """(1/scale) sum_m C(n,m) a_m b_(n-m) over m = 0..n, for pair sequences, as a reduced pair."""
-    return _pair_sum([(comb(n, m), a[m], b[n - m]) for m in range(n + 1)], scale)
+    """(1/scale) sum_m C(n,m) a_m b_(n-m) over m = 0..n, for pair sequences, as a reduced pair.
+
+    C(n, m) is stepped along the row, one multiply and one exact division a term.
+    """
+    terms, c = [], 1
+    for m in range(n + 1):
+        terms.append((c, a[m], b[n - m]))
+        c = c * (n - m) // (m + 1)
+    return _pair_sum(terms, scale)
 
 
 def _conv(n: int, poly_at, nums) -> XPoly:
@@ -381,15 +393,22 @@ def _oracle_value(spec: FamilySpec, n: int, x0) -> tuple[int, int]:
 
     The sum is that of ``family_oracle`` at x0 = a/b (an integer or a
     ``Fraction``), over n!: x0^m is the pair (a^m, b^m) and the falling
-    factorial (x0)_m is (a (a - b) ... (a - (m-1) b), b^m).
+    factorial (x0)_m is (a (a - b) ... (a - (m-1) b), b^m).  C(n, m) is
+    stepped along the row, and the sum stops at the first zero factor,
+    which every later one holds too: at x0 = 0 only m = 0 is read.
     """
     a, b = x0.numerator, x0.denominator
     step = 0 if spec.kind in _EXP_CARRIER else b
-    powers, top = [], 1
+    nums = _numbers(spec, n)
+    terms, c, top, den = [], 1, 1, 1  # c = C(n, m); top/den is x0^m or (x0)_m
     for m in range(n + 1):
-        powers.append((top, b**m))
+        terms.append((c, (top, den), nums[n - m]))
         top *= a - m * step
-    return _binomial_pairs(n, powers, _numbers(spec, n), factorial(n))
+        if not top:
+            break
+        den *= b
+        c = c * (n - m) // (m + 1)
+    return _pair_sum(terms, factorial(n))
 
 
 def poly_table(spec, n_max: int) -> PolyTable:

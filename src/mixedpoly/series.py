@@ -10,7 +10,8 @@ Two nested commutative rings:
   coefficients are ``XPoly`` values.
 
 ``fractions.Fraction`` appears only at the boundary: ``XPoly.coeffs``,
-``coeff``, evaluation, hashing of constants and the printers.  Inside, every
+``coeff``, evaluation and hashing of constants.  The printers reduce each
+coefficient with one gcd (``_rat_text``).  Inside, every
 sum of products -- a coefficient of a series product or quotient, and the
 convolutions of the families and the identity catalog -- is one integer sum
 over a common denominator, normalized once (``_sum_of_products``).  The
@@ -203,24 +204,27 @@ class XPoly:
             acc = acc * lin + coeffs[i]
         return acc
 
-    def _render(self, rat, power, times: str) -> str:
+    def _render(self, frac: str, power: str, times: str) -> str:
         """Signed terms, highest degree first; one walk for every notation.
 
-        ``rat`` prints a positive rational, ``power`` the exponent k >= 2 of
-        x^k, and ``times`` joins a coefficient other than 1 to its power of x.
+        ``frac`` and ``power`` are format strings for a reduced fraction p/q
+        with q > 1 and for x^k with k >= 2; ``times`` joins a coefficient
+        other than 1 to its power of x.
         """
-        if not self._num:
+        num, den = self._num, self._den
+        if not num:
             return "0"
         parts: list[str] = []
-        for k, c in reversed(list(enumerate(self.coeffs))):
-            if c == 0:
+        for k in range(len(num) - 1, -1, -1):
+            c = num[k]
+            if not c:
                 continue
             mag = abs(c)
             if k == 0:
-                term = rat(mag)
+                term = _rat_text(mag, den, frac)
             else:
-                xs = "x" if k == 1 else f"x^{power(k)}"
-                term = xs if mag == 1 else f"{rat(mag)}{times}{xs}"
+                xs = "x" if k == 1 else power.format(k)
+                term = xs if mag == den else f"{_rat_text(mag, den, frac)}{times}{xs}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -228,11 +232,11 @@ class XPoly:
         return " ".join(parts)
 
     def __str__(self) -> str:
-        return self._render(str, str, "*")
+        return self._render("{}/{}", "x^{}", "*")
 
     def latex(self) -> str:
         """LaTeX form: braced exponents x^{k} and \\frac{p}{q} coefficients."""
-        return self._render(_latex_rat, lambda k: f"{{{k}}}", " ")
+        return self._render(r"\frac{{{}}}{{{}}}", "x^{{{}}}", " ")
 
     def __repr__(self) -> str:
         return f"XPoly({self})"
@@ -389,10 +393,14 @@ def _power(base, k: int, total=_sum_of_products) -> _Stream:
     return result
 
 
-def _latex_rat(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
+def _rat_text(c: int, den: int, frac: str = "{}/{}") -> str:
+    """The rational c/den (den > 0) in lowest terms as text: p, or ``frac`` filled with p, q.
+
+    One gcd reduces it, so the printers build no ``Fraction``; the text is
+    that of ``str(Fraction(c, den))`` for the default ``frac``.
+    """
+    g = gcd(c, den)
+    return str(c // g) if g == den else frac.format(c // g, den // g)
 
 
 def _as_xpoly(value) -> "XPoly":

@@ -587,6 +587,101 @@ def test_results_to_stdout_diagnostics_to_stderr():
     assert proc.stdout.startswith(b"n=0")
 
 
+# -- one parser per process --------------------------------------------------------
+
+_PADIC_L3 = ["padic", "--kind", "bosonic", "--binom", "2", "--p", "3", "--N", "1..3"]
+_TABLE_D2 = ["table", "--family", "D", "--order", "2", "--n", "3"]
+
+# (environment, argv) in the order one process serves them.  The
+# environment is read on every call: the same argv must answer differently.
+_REUSE_STEPS = [
+    ({}, ["table", "--family", "Z", "--order", "1", "--n", "1"]),
+    ({}, ["--help"]),
+    ({}, ["--version"]),
+    ({}, ["padic", "--kind", "bosonic", "--binom", "1", "--p", "3", "--N", "3..1"]),
+    ({"MIXEDPOLY_WIDTH": "12"}, _TABLE_D2),
+    ({}, _TABLE_D2),
+    ({"MIXEDPOLY_WIDTH": "x"}, _TABLE_D2),
+    ({}, ["table", "--help"]),
+    ({}, ["verify", "--id", "E17", "--n-max", "4", "--orders", "1..2", "--format", "csv"]),
+    ({"MIXEDPOLY_BUDGET": "20"}, _PADIC_L3),
+    ({"MIXEDPOLY_BUDGET": "27"}, _PADIC_L3 + ["--format", "json"]),
+    ({}, ["eval", "(t/(exp(t)-1))^2*exp(t)^x", "--T", "4", "--format", "latex"]),
+    ({}, ["eval", "log(t)", "--T", "2"]),
+    ({}, ["eval"]),
+]
+
+
+def _served(monkeypatch, env, argv):
+    """Exit code (or SystemExit code), stdout and stderr of one in-process call."""
+    for name in ("MIXEDPOLY_BUDGET", "MIXEDPOLY_WIDTH"):
+        if name in env:
+            monkeypatch.setenv(name, env[name])
+        else:
+            monkeypatch.delenv(name, raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_reused_parser_answers_as_a_fresh_one(monkeypatch, fresh_parser):
+    fresh = []
+    for env, argv in _REUSE_STEPS:
+        cli._parser.cache_clear()
+        fresh.append(_served(monkeypatch, env, argv))
+    cli._parser.cache_clear()
+    reused = [_served(monkeypatch, env, argv) for env, argv in _REUSE_STEPS]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes == [2, ("SystemExit", 0), ("SystemExit", 0), 2, 0, 0, 2,
+                     ("SystemExit", 0), 0, 2, 0, 0, 1, 2]
+    # The environment is read per call: width pads the labels, and the
+    # budget admits level 3 (p^N = 27) only when raised to 27.
+    assert reused[4][1].startswith("n=0:        ") and reused[5][1].startswith("n=0: ")
+    assert reused[4][1] != reused[5][1]
+    assert "MIXEDPOLY_WIDTH" in reused[6][2]
+    assert "budget" in reused[9][2] and reused[10][2] == ""
+
+
+def test_parser_is_built_once_over_many_calls(monkeypatch, capsys, fresh_parser):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for i in range(50):
+        argv = ["eval", "exp(t)^x", "--T", str(i % 3)] if i % 2 else ["verify", "--id", "NONE"]
+        assert main(argv) == (0 if i % 2 else 2)
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_full_collection_every_collect_every_calls(monkeypatch, capsys):
+    # The counter runs across the process, so any 2 * _COLLECT_EVERY
+    # consecutive calls hold exactly two collections.
+    collections = []
+    monkeypatch.setattr(cli.gc, "collect", lambda: collections.append(1))
+    for _ in range(2 * cli._COLLECT_EVERY):
+        main(["--bogus"])
+    capsys.readouterr()
+    assert len(collections) == 2
+
+
 # -- argv fuzz ---------------------------------------------------------------------
 #
 # Mostly well-formed argv with small sizes (n, T <= 6, p^N <= 125), so that

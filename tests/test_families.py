@@ -270,7 +270,7 @@ def test_number_streams_hold_reduced_pairs(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("x0", [0, 1, 5, F(-2, 3)])
+@pytest.mark.parametrize("x0", [0, 1, 5, -2, F(1, 2), F(-2, 3)])
 def test_oracle_value_matches_the_oracle_polynomial(kind, x0):
     # The p-adic target P_n(x0)/n!, summed from the numbers, equals the
     # oracle polynomial evaluated at x0 and divided by n!.

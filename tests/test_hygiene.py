@@ -13,7 +13,9 @@ The expression language reads nothing of ``families`` or ``mixed``, so its
 evaluation of a generating-function text stays a third route.  The p-adic
 folds hold their quantities as integer pairs and build no ``Fraction``
 outside the public entry points, and ``padic`` reads nothing of
-``families`` or ``mixed`` either.
+``families`` or ``mixed`` either.  The printers of polynomial coefficients
+in ``series`` and ``cli`` read the integer numerators and build no
+``Fraction``.
 """
 
 import ast
@@ -228,3 +230,41 @@ def test_padic_folds_build_no_fraction():
     )
     assert not readers, readers
     assert not _imported_modules(tree) & {"families", "mixed"}
+
+
+# The printers of polynomial coefficients, by module: dotted names reach
+# methods.  ``coeffs``, ``coeff`` and ``_rat`` are ``XPoly``'s own
+# ``Fraction`` builders, so reading one builds a ``Fraction`` too.
+PRINTERS = {
+    "series": ("XPoly._render", "XPoly.__str__", "XPoly.latex", "_rat_text"),
+    "cli": ("_poly_coeff_strings", "_coeff_rows"),
+}
+FRACTION_BUILDERS = {"Fraction", "coeffs", "coeff", "_rat"}
+
+
+def _definition(tree: ast.Module, dotted: str) -> ast.AST | None:
+    """The top-level definition, or class member, that ``dotted`` names."""
+    node = tree
+    for part in dotted.split("."):
+        node = next(
+            (
+                stmt
+                for stmt in node.body
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name == part
+            ),
+            None,
+        )
+        if node is None:
+            return None
+    return node
+
+
+@pytest.mark.parametrize("module", sorted(PRINTERS))
+def test_coefficient_printers_build_no_fraction(module):
+    tree = MODULES[module]
+    defs = {name: _definition(tree, name) for name in PRINTERS[module]}
+    assert not [name for name, node in defs.items() if node is None]
+    readers = sorted(
+        name for name, node in defs.items() if FRACTION_BUILDERS & set(_uses(node))
+    )
+    assert not readers, readers

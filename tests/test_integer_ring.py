@@ -13,9 +13,10 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixedpoly import cli
 from mixedpoly.series import DivisionError, TSeries, XPoly
 
 
@@ -218,3 +219,35 @@ def test_tseries_matches_fraction_oracle(case, e):
     if c0.is_zero or not c0.is_scalar:
         with pytest.raises(DivisionError):
             sg / sf
+
+
+# Numerators over one denominator, each coefficient on its own often not in
+# lowest terms: zero, +-1 (the numerator equal to +-den), small multiples of
+# den and its divisors, and numbers far larger than den.
+@st.composite
+def _integer_polys(draw):
+    den = draw(st.sampled_from([1, 2, 6, 12, 35, 2**70]) | st.integers(1, 10**6))
+    nums = st.one_of(
+        st.sampled_from([0, den, -den, 2 * den, -3 * den]),
+        st.integers(-12, 12).map(lambda k: k * (den // 2 or 1)),
+        st.integers(-4 * den, 4 * den),
+        st.integers(-(10**30), 10**30),
+    )
+    return XPoly._normalized(draw(st.lists(nums, max_size=7)), den)
+
+
+@given(_integer_polys())
+@example(XPoly())
+@example(XPoly._normalized([0, 0, 0], 5))
+@example(XPoly._normalized([-6, 3, 0, -3], 3))
+@example(XPoly._normalized([4, -2, 6], 8))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_printers_match_the_fraction_printers(p):
+    # ``FracPoly.render`` is the ``Fraction`` walk ``XPoly._render`` used to
+    # be, and ``[str(c) for c in p.coeffs]`` the csv/json coefficients the
+    # CLI used to print; the integer printers must give the same text.
+    old = FracPoly(p.coeffs)
+    assert str(p) == str(old)
+    assert p.latex() == old.latex()
+    assert cli._poly_coeff_strings(p) == ([str(c) for c in p.coeffs] or ["0"])
+    assert [row[1:] for row in cli._coeff_rows([(0, p)])] == [cli._poly_coeff_strings(p)]
