@@ -14,7 +14,7 @@ SystemExit.  Identical invocations produce byte-identical output.
 
 ``main`` builds its parser on its first call and reuses it, and runs a full
 garbage collection once every ``_COLLECT_EVERY`` calls, so a process that
-serves many calls pays for each command and a bounded heap only.
+serves many calls pays for its commands and keeps a bounded heap.
 
 The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
 default; whichever is in force must be an integer >= 1, or the command
