@@ -12,19 +12,13 @@ from .series import (
     TSeries,
     TruncationError,
     XPoly,
-    binomial_x,
-    exp_xt,
-    expm1,
     falling_factorial,
-    geom2,
-    log1p,
 )
 from .families import (
     FamilyKind,
     FamilySpec,
     PolyTable,
     family_gf,
-    family_kernel,
     family_numbers,
     family_oracle,
     family_poly,
@@ -80,18 +74,12 @@ __all__ = [
     "TSeries",
     "TruncationError",
     "XPoly",
-    "binomial_x",
-    "exp_xt",
-    "expm1",
     "falling_factorial",
-    "geom2",
-    "log1p",
     # families
     "FamilyKind",
     "FamilySpec",
     "PolyTable",
     "family_gf",
-    "family_kernel",
     "family_numbers",
     "family_oracle",
     "family_poly",

@@ -20,11 +20,12 @@ so each kernel power is a base series with constant term 1, read from its
 closed form, raised to an integer power by J.C.P. Miller's recurrence: no
 series quotient and no division by t.  The rows P_n(x) are read from the
 kernel powers and the carrier's coefficients, one growing stream per spec,
-so a longer table extends the rows already computed.  ``gf_rows`` and
-``family_gf`` read those streams; ``family_oracle`` recomputes the base
-polynomials through a completely different route (number recurrences, their
-terms reduced integer pairs, plus binomial convolution), so agreement between
-the two is a genuine cross-check rather than a tautology.  The p-adic target
+so a longer table extends the rows already computed; the streams have no
+public view.  ``gf_rows`` and ``family_gf`` read those streams;
+``family_oracle`` recomputes the base polynomials through a completely
+different route (number recurrences, their terms reduced integer pairs, plus
+binomial convolution), so agreement between the two is a genuine cross-check
+rather than a tautology.  The p-adic target
 P_n(x0)/n! is summed from the numbers, with no polynomial in x.
 
 Stirling numbers of both kinds are exported here too (their rows, and the
@@ -48,8 +49,6 @@ from .series import (
     _Stream,
     _stirling_row,
     _sum_of_products,
-    binomial_x,
-    exp_xt,
     falling_factorial,
 )
 
@@ -58,9 +57,7 @@ __all__ = [
     "FamilySpec",
     "PolyTable",
     "falling_factorial",
-    "family_carrier",
     "family_gf",
-    "family_kernel",
     "family_numbers",
     "family_oracle",
     "family_poly",
@@ -242,17 +239,6 @@ def _falling_stream() -> _Stream:
     steps = _Stream(rule)
     steps[0] = (1, (1,))
     return steps
-
-
-def family_kernel(kind: FamilyKind, trunc: int) -> TSeries:
-    """Order-1 generating kernel of a family, exact at the given truncation."""
-    kernel = _kernel_power(kind, 1)
-    return TSeries(trunc, [Fraction(*kernel[n]) for n in range(trunc + 1)])
-
-
-def family_carrier(kind: FamilyKind, trunc: int) -> TSeries:
-    """The x-carrying factor: e^(x t) or (1+t)^x depending on the family."""
-    return exp_xt(trunc) if kind in _EXP_CARRIER else binomial_x(trunc)
 
 
 def family_gf(spec, trunc: int) -> TSeries:

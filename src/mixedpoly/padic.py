@@ -77,15 +77,15 @@ _MR_BOUND = 3317044064679887385961981
 def is_odd_prime(p: int) -> bool:
     """Memoized, since a trace asks about its one p at every level and row.
 
-    Deterministic Miller-Rabin over ``_MR_BASES`` below ``_MR_BOUND``;
-    trial division at and above it.
+    Deterministic Miller-Rabin over ``_MR_BASES``; an odd p at or above
+    ``_MR_BOUND``, where those bases no longer decide, is a ``ValueError``.
     """
     if p < 3 or p % 2 == 0:
         return False
     if p <= _MR_BASES[-1]:  # a base equal to p would count as a witness against it
         return p in _MR_BASES
     if p >= _MR_BOUND:
-        return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+        raise ValueError(f"p must be below {_MR_BOUND}, where the primality test is exact")
     d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -265,19 +265,18 @@ def _binomials(z: tuple[int, int], d: int) -> list[tuple[int, int]]:
 def _level_values(kind: IntegralKind, M: int, d: int) -> list[tuple[int, int]]:
     """The 1-fold level-N values of C(y, j), j = 0 .. d, over y in 0 .. M - 1, as pairs.
 
-    Bosonic: C(M, j + 1)/M, by the hockey-stick identity.  Fermionic:
-    A_0 = 1 and A_{j+1} = (C(M, j + 1) - A_j)/2, which follows from
-    C(y + 1, j + 1) = C(y, j + 1) + C(y, j) because M = p^N is odd
+    Bosonic: C(M, j + 1)/M, by the hockey-stick identity.  Fermionic: the
+    integers A_j = sum_y (-1)^y C(y, j): A_0 = 1 and A_{j+1} = (C(M, j + 1) - A_j)/2
+    exactly, by C(y + 1, j + 1) = C(y, j + 1) + C(y, j), as M = p^N is odd
     (``PAdicContext`` admits only odd primes).
     """
     if kind is IntegralKind.BOSONIC:
         return [_reduced(c, M) for c, _ in _binomials((M, 1), d + 1)[1:]]
     if kind is IntegralKind.FERMIONIC:
-        values = [_ONE_PAIR]
+        values = [1]
         for c, _ in _binomials((M, 1), d)[1:]:
-            a, b = values[-1]
-            values.append(_reduced(c * b - a, 2 * b))
-        return values
+            values.append((c - values[-1]) // 2)
+        return [(a, 1) for a in values]
     raise ValueError(f"unknown integral kind {kind!r}")
 
 

@@ -21,9 +21,11 @@ as reduced integer pairs, summed by ``_pair_sum``.
 
 Every generating function handled by this package lives in ``TSeries``; all
 arithmetic is exact, and a series never pretends to know coefficients beyond
-its truncation order.  Mixing two series with different truncations is a hard
-error rather than a silent re-truncation, so that an equality asserted at
-order ``T`` is provably exact at that order.
+its truncation order.  Mixing two series with different truncations is a
+hard error rather than a silent re-truncation, so that an equality asserted
+at order ``T`` is provably exact at that order.  The package's own series
+come from the stream rules; the operators and ``compose`` are the ring the
+tests' reference series are written in.
 
 Both classes are immutable value types; every operation returns a new object.
 """
@@ -188,21 +190,6 @@ class XPoly:
         for c in reversed(self._num):
             acc = acc * v + c
         return acc / self._den
-
-    def derivative(self) -> "XPoly":
-        """Formal derivative."""
-        return XPoly._normalized([c * i for i, c in enumerate(self._num)][1:], self._den)
-
-    def shifted(self, c: Scalar) -> "XPoly":
-        """The polynomial p(x + c), computed by Horner in the polynomial ring."""
-        if self.is_zero:
-            return XPoly()
-        lin = XPoly((_rat(c), 1))
-        coeffs = self.coeffs
-        acc = XPoly.const(coeffs[-1])
-        for i in range(len(coeffs) - 2, -1, -1):
-            acc = acc * lin + coeffs[i]
-        return acc
 
     def _render(self, frac: str, power: str, times: str) -> str:
         """Signed terms, highest degree first; one walk for every notation.
@@ -661,44 +648,3 @@ def falling_factorial(n: int) -> XPoly:
         raise ValueError("falling factorial needs n >= 0")
     return XPoly._normalized(list(_stirling_row(True, n)), 1)
 
-
-def log1p(trunc: int) -> TSeries:
-    """log(1+t) = sum_{n>=1} (-1)^(n+1) t^n / n."""
-    coeffs = [_ZERO_POLY]
-    for n in range(1, trunc + 1):
-        coeffs.append(XPoly.const(Fraction((-1) ** (n + 1), n)))
-    return TSeries(trunc, coeffs[: trunc + 1])
-
-
-def expm1(trunc: int) -> TSeries:
-    """e^t - 1 = sum_{n>=1} t^n / n!."""
-    coeffs = [_ZERO_POLY]
-    for n in range(1, trunc + 1):
-        coeffs.append(XPoly.const(Fraction(1, factorial(n))))
-    return TSeries(trunc, coeffs[: trunc + 1])
-
-
-def exp_xt(trunc: int) -> TSeries:
-    """e^(x t): the coefficient of t^n is x^n / n!."""
-    coeffs = []
-    for n in range(trunc + 1):
-        coeffs.append(XPoly([0] * n + [Fraction(1, factorial(n))]))
-    return TSeries(trunc, coeffs)
-
-
-def binomial_x(trunc: int) -> TSeries:
-    """(1+t)^x: the coefficient of t^n is C(x, n) = (x)_n / n!.
-
-    Built by its own step, c_n = c_(n-1) (x - n + 1) / n, so the carrier
-    reads no Stirling row and shares no code with ``falling_factorial``.
-    """
-    coeffs = [_ONE_POLY]
-    for n in range(1, trunc + 1):
-        coeffs.append(coeffs[-1] * XPoly((Fraction(1 - n, n), Fraction(1, n))))
-    return TSeries(trunc, coeffs)
-
-
-def geom2(trunc: int) -> TSeries:
-    """2/(2+t) = sum_n (-1/2)^n t^n."""
-    coeffs = [XPoly.const(Fraction(-1, 2) ** n) for n in range(trunc + 1)]
-    return TSeries(trunc, coeffs)

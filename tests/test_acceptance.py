@@ -41,7 +41,9 @@ from mixedpoly.padic import (
     shift_residual,
     vp,
 )
-from mixedpoly.series import TSeries, XPoly, binomial_x, exp_xt, expm1, log1p
+from mixedpoly.series import TSeries, XPoly
+
+from series_reference import binomial_x, exp_xt, expm1, log1p
 
 BOS = IntegralKind.BOSONIC
 FER = IntegralKind.FERMIONIC

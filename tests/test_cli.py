@@ -357,6 +357,20 @@ def test_padic_nineteen_digit_prime_under_raised_budget(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_padic_prime_at_or_above_the_primality_bound_is_usage_error(capsys):
+    # p = 4*10^24 + 27 is within the raised budget but above the bound of
+    # the deterministic primality test; trial division ran past 30 s.
+    start = time.perf_counter()
+    code, out, err = run_main(
+        capsys,
+        "padic", "--kind", "bosonic", "--binom", "1", "--p", "4000000000000000000000027",
+        "--N", "1", "--budget", "100000000000000000000000000000000",
+    )
+    assert time.perf_counter() - start < 0.5
+    assert_one_line_usage_error(code, out, err)
+    assert "p must be below 3317044064679887385961981" in err
+
+
 # Requests whose validation once ran for seconds or without bound: a trial
 # division of a large p, 3^N for a huge N, a 10^8-level range expanded before
 # any level was checked, and an order-k target folded before the budget check.

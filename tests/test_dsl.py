@@ -40,7 +40,9 @@ from mixedpoly.dsl import (
 )
 from mixedpoly.families import FamilyKind, FamilySpec, family_gf
 from mixedpoly.mixed import MixedKind, MixedSpec, mixed_gf
-from mixedpoly.series import DivisionError, TSeries, XPoly, binomial_x, exp_xt, expm1, log1p
+from mixedpoly.series import DivisionError, TSeries, XPoly
+
+from series_reference import binomial_x, exp_xt, expm1, log1p
 
 
 # -- lexer ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from mixedpoly.families import (
     FamilySpec,
     falling_factorial,
     family_gf,
-    family_kernel,
     family_numbers,
     family_oracle,
     family_poly,
@@ -25,7 +24,9 @@ from mixedpoly.families import (
     stirling2,
 )
 from mixedpoly.mixed import MixedKind, MixedSpec
-from mixedpoly.series import TSeries, XPoly, binomial_x, exp_xt, expm1, geom2, log1p
+from mixedpoly.series import TSeries, XPoly
+
+from series_reference import binomial_x, exp_xt, quotient_kernel
 
 ALL_KINDS = list(FamilyKind)
 
@@ -327,12 +328,18 @@ def test_degree_and_leading_coefficient(kind):
             assert p.coeff(n) == 1
 
 
+def _kernel_series(kind, trunc):
+    # The order-1 kernel stream of the GF route, as a truncated series.
+    kernel = families._kernel_power(kind, 1)
+    return TSeries(trunc, [F(*kernel[n]) for n in range(trunc + 1)])
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_kernel_powers_are_x_free(kind):
     # The number-level generating function (carrier evaluated at x = 0)
     # must have purely rational coefficients.
     for order in (1, 2, 3):
-        k = family_kernel(kind, 10) ** order
+        k = _kernel_series(kind, 10) ** order
         assert all(c.is_scalar for c in k.coeffs)
         gf = family_gf(FamilySpec(kind, order), 10)
         for n in range(11):
@@ -352,26 +359,11 @@ def test_poly_table_rows():
     assert table.rows[2][1] == XPoly((F(2, 3), -2, 1))
 
 
-def _quotient_kernel(kind, trunc):
-    # Reference: the order-1 kernel as a truncated series quotient.  The
-    # kernels with a bare t are built one order higher and shifted down,
-    # never divided by t, which is not a unit of the ring.
-    if kind is FamilyKind.DAEHEE:
-        return log1p(trunc + 1).shift_down()
-    if kind is FamilyKind.CAUCHY:
-        return TSeries.constant(1, trunc) / log1p(trunc + 1).shift_down()
-    if kind is FamilyKind.CHANGHEE:
-        return geom2(trunc)
-    if kind is FamilyKind.BERNOULLI:
-        return TSeries.constant(1, trunc) / expm1(trunc + 1).shift_down()
-    return TSeries.constant(2, trunc) / (expm1(trunc) + 2)
-
-
 @lru_cache(maxsize=None)
 def _gf_from_truncated_series(factors, trunc):
     # Reference: the quotient kernels raised by TSeries powering, multiplied
     # in order, then the first kernel's carrier once; with its rows.
-    kernels = reduce(mul, (_quotient_kernel(kind, trunc) ** power for kind, power in factors))
+    kernels = reduce(mul, (quotient_kernel(kind, trunc) ** power for kind, power in factors))
     exp_carrier = factors[0][0] in (FamilyKind.BERNOULLI, FamilyKind.EULER)
     gf = kernels * (exp_xt if exp_carrier else binomial_x)(trunc)
     return gf, tuple(gf.poly(n) for n in range(trunc + 1))
@@ -380,7 +372,7 @@ def _gf_from_truncated_series(factors, trunc):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_kernel_matches_quotient_reference(kind):
     for trunc in (0, 1, 7, 30):
-        assert family_kernel(kind, trunc) == _quotient_kernel(kind, trunc), (kind, trunc)
+        assert _kernel_series(kind, trunc) == quotient_kernel(kind, trunc), (kind, trunc)
 
 
 _GF_SPECS = [FamilySpec(kind, order) for kind in ALL_KINDS for order in range(5)] + [

@@ -2,13 +2,14 @@
 
 Every ``__all__`` entry must name something the module binds, every
 module-level private name must be used somewhere besides its own
-definition, and every module-level import must be read by its module or
-listed in its ``__all__``, so a helper or an import that a refactor leaves
-behind is caught.  The two routes to a family polynomial in ``families`` --
-the generating-function streams and the GF-free oracle -- must not read
-each other's names, so every identity stays a check between two routes,
-and the oracle, which holds its numbers as integer pairs, builds no
-``Fraction`` outside the public ``family_numbers``.
+definition, every public def or class must be read somewhere in the package
+or exported by it, and every module-level import must be read by its module
+or listed in its ``__all__``, so a helper or an import that a refactor
+leaves behind is caught.  The two routes to a family polynomial in
+``families`` -- the generating-function streams and the GF-free oracle --
+must not read each other's names, so every identity stays a check between
+two routes, and the oracle, which holds its numbers as integer pairs, builds
+no ``Fraction`` outside the public ``family_numbers``.
 The expression language reads nothing of ``families`` or ``mixed``, so its
 evaluation of a generating-function text stays a third route.  The p-adic
 folds hold their quantities as integer pairs and build no ``Fraction``
@@ -96,6 +97,28 @@ def test_private_names_are_used(module):
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
+def test_public_definitions_are_read_or_exported(module):
+    # A public def or class that no other top-level statement reads (imports
+    # aside) and that the package does not export has no caller.
+    exported = set(_dunder_all(MODULES["__init__"]))
+    reads = [
+        (top, set(_uses(top)))
+        for tree in MODULES.values()
+        for top in tree.body
+        if not isinstance(top, (ast.Import, ast.ImportFrom))
+    ]
+    unused = [
+        name
+        for name, stmt in _bindings(MODULES[module]).items()
+        if not name.startswith("_")
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and name not in exported
+        and not any(name in uses for top, uses in reads if top is not stmt)
+    ]
+    assert not unused, (module, unused)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_imports_are_read(module):
     tree = MODULES[module]
     exported = set(_dunder_all(tree))
@@ -118,7 +141,7 @@ def test_module_imports_are_read(module):
 
 # The generating-function side of ``families`` and the oracle side, each by
 # its entry points and by the names only it may read.
-GF_ROUTE = ("_base_stream", "_kernel_power", "_row_stream", "gf_rows", "family_gf", "family_kernel")
+GF_ROUTE = ("_base_stream", "_kernel_power", "_row_stream", "gf_rows", "family_gf")
 GF_NAMES = GF_ROUTE + ("_BASES", "_KERNELS", "_convolution", "_falling_stream")
 ORACLE_ROUTE = (
     "_order1_stream",

@@ -53,6 +53,13 @@ def test_vp_requires_prime():
         vp(F(1, 2), 6)
 
 
+def test_vp_rejects_p_above_the_primality_bound_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="p must be below 3317044064679887385961981"):
+        vp(5, 4000000000000000000000027)
+    assert time.perf_counter() - start < 0.5
+
+
 # -- context validation ----------------------------------------------------------
 
 
@@ -227,9 +234,21 @@ def test_is_odd_prime_large_and_at_the_bound():
     test = is_odd_prime.__wrapped__
     assert test(1000000000000000003) and test(10**12 + 39)
     assert not test(1000000000000000003 * 1000003)
-    # At and above the bound the answer comes from trial division; this
-    # one has the factor 101.
-    assert not test(padic._MR_BOUND + 6)
+    # At and above the bound the bases no longer decide, so an odd p there
+    # is rejected rather than tested by unbounded trial division.
+    for p in (padic._MR_BOUND, padic._MR_BOUND + 6):
+        with pytest.raises(ValueError, match="p must be below"):
+            test(p)
+    assert not test(padic._MR_BOUND + 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_fermionic_level_values_are_the_alternating_sums(p):
+    # A_j = sum_(y<M) (-1)^y C(y, j) is an integer: each level value is (A_j, 1).
+    for N in (1, 2, 3):
+        M = p**N
+        want = [(sum((-1) ** y * comb(y, j) for y in range(M)), 1) for j in range(40)]
+        assert padic._level_values(FER, M, 39) == want, (p, N)
 
 
 def test_each_p_is_tested_for_primality_once():
@@ -374,7 +393,7 @@ def brute_integral(kind, f, k, x0, ctx):
 def brute_shift_residual(kind, f, ctx):
     shifted, plain = (brute_integral(kind, f, 1, x0, ctx) for x0 in (1, 0))
     if kind is BOS:
-        return shifted - plain - f.derivative()(0)
+        return shifted - plain - f.coeff(1)  # f'(0)
     return shifted + plain - 2 * f(0)
 
 
