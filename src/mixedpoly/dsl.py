@@ -503,7 +503,7 @@ _ZERO, _ONE = (0, 1), (1, 1)
 
 
 def _monomial(k: int) -> _Stream:
-    return _Stream(lambda n: _ONE if n == k else _ZERO, k)
+    return _Stream(lambda n: _ONE if n == k else _ZERO)
 
 
 def _exp(g: _Stream, total, times_x: bool = False) -> _Stream:
@@ -542,13 +542,23 @@ _FUNCTIONS = {
 }
 
 
+def _literal_t_power(node: Ast) -> int | None:
+    """k when ``node`` is a literal ``t`` (k = 1) or ``t^k`` with k > 0, else None."""
+    if isinstance(node, VarT):
+        return 1
+    if isinstance(node, PowInt) and isinstance(node.base, VarT) and node.exponent > 0:
+        return node.exponent
+    return None
+
+
 def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
     """The stream of ``node`` and its lane's term sum, after its semantic checks, children first.
 
     The lane follows from the syntax: ``_sum_of_products`` from a ``^x``
     up, ``_pair_sum`` below any.  A divisor is checked before its
-    numerator, and its valuation is searched up to ``cap``: T plus the
-    valuations shifted out by enclosing quotients.
+    numerator.  The valuation of a literal ``t`` or ``t^k`` divisor (k > 0)
+    is read from the syntax; any other divisor's is searched up to ``cap``:
+    T plus the valuations shifted out by enclosing quotients.
     """
     if isinstance(node, Const):
         value = (node.value.numerator, node.value.denominator)
@@ -567,7 +577,7 @@ def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
         return _Stream(lambda n: total([(-1, a[n], _ONE)])), total
     if isinstance(node, Div):
         den, right = _stream(node.right, cap)
-        v = den.valuation
+        v = _literal_t_power(node.right)
         if v is None:
             v = next((i for i in range(cap + 1) if _lift(den[i])), None)
             if v is None:
@@ -585,7 +595,7 @@ def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
         return _quotient(num, den, v, total), total
     if isinstance(node, PowInt):
         (base, total), k = _stream(node.base, cap), node.exponent
-        if k == 0 or (k > 0 and isinstance(node.base, VarT)):
+        if k == 0 or _literal_t_power(node):
             return _monomial(k), _pair_sum
         if k < 0:
             b0 = _lift(base[0])

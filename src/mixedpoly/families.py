@@ -19,9 +19,10 @@ kernel and a mixed family two; a spec lists them as its ``factors``, pairs
 so each kernel power is a base series with constant term 1, read from its
 closed form, raised to an integer power by J.C.P. Miller's recurrence: no
 series quotient and no division by t.  The rows P_n(x) are read from the
-kernel powers and the carrier's coefficients, one growing stream per spec,
-so a longer table extends the rows already computed; the streams have no
-public view.  ``gf_rows`` and ``family_gf`` read those streams;
+kernel powers and the carrier's coefficients, one growing stream per
+``factors`` (``_row_stream``, the only memo of the rows), so a longer table
+extends the rows already computed.  ``gf_rows``, ``family_poly``,
+``family_gf`` and the identity catalog read those streams;
 ``family_oracle`` recomputes the base polynomials through a completely
 different route (number recurrences, their terms reduced integer pairs, plus
 binomial convolution), so agreement between the two is a genuine cross-check
@@ -46,6 +47,7 @@ from .series import (
     TSeries,
     XPoly,
     _pair_sum,
+    _product,
     _Stream,
     _stirling_row,
     _sum_of_products,
@@ -151,20 +153,6 @@ _BASES = {
 }
 
 
-def _convolution(weights, a, b, n: int, scale: int = 1) -> tuple[int, int]:
-    """(1/scale) sum of w a_j b_(n-j) over (j, w) in ``weights``, as a reduced pair."""
-    terms = []
-    for j, w in weights:
-        (p, q), (r, s) = a[j], b[n - j]
-        if w and p and r:
-            terms.append((w * p * r, q * s))
-    den = lcm(*(q for _, q in terms))
-    num = sum(p * (den // q) for p, q in terms)
-    den *= scale
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 @lru_cache(maxsize=None)
 def _base_stream(base: str) -> _Stream:
     """Coefficients of a kernel base, from its closed form, each computed once."""
@@ -182,7 +170,9 @@ def _kernel_power(kind: FamilyKind, order: int) -> _Stream:
     """
     base, sign = _KERNELS[kind]
     a, k = _base_stream(base), sign * order
-    b = _Stream(lambda n: _convolution(((j, (k + 1) * j - n) for j in range(1, n + 1)), a, b, n, n))
+    b = _Stream(
+        lambda n: _pair_sum([((k + 1) * j - n, a[j], b[n - j]) for j in range(1, n + 1)], n)
+    )
     b[0] = (1, 1)
     return b
 
@@ -199,8 +189,7 @@ def _row_stream(factors) -> _Stream:
     (kind, power), *mixed = factors
     kernel = _kernel_power(kind, power)
     if mixed:  # the product of the two kernel powers
-        a, b = kernel, _kernel_power(*mixed[0])
-        kernel = _Stream(lambda n: _convolution(((j, 1) for j in range(n + 1)), a, b, n))
+        kernel = _product(kernel, _kernel_power(*mixed[0]), _pair_sum)
     if kind in _EXP_CARRIER:
         def rule(n):
             ks = [kernel[n - m] for m in range(n + 1)]
@@ -247,7 +236,6 @@ def family_gf(spec, trunc: int) -> TSeries:
     return TSeries(trunc, [rows[n] * Fraction(1, factorial(n)) for n in range(trunc + 1)])
 
 
-@lru_cache(maxsize=None)
 def gf_rows(factors, n_max: int) -> tuple[XPoly, ...]:
     """P_0(x)..P_{n_max}(x) of the generating function of ``factors``, read from its row stream."""
     if n_max < 0:
@@ -256,13 +244,11 @@ def gf_rows(factors, n_max: int) -> tuple[XPoly, ...]:
     return tuple(map(rows.__getitem__, range(n_max + 1)))
 
 
-def family_poly(spec, n: int, trunc: int | None = None) -> XPoly:
-    """P_n(x) extracted from the generating function (n! times [t^n])."""
-    if trunc is None:
-        trunc = n
-    if not 0 <= n <= trunc:
-        raise ValueError(f"cannot extract degree {n} from truncation {trunc}")
-    return gf_rows(spec.factors, trunc)[n]
+def family_poly(spec, n: int) -> XPoly:
+    """P_n(x) of the generating function (n! times [t^n]), read from its row stream."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _row_stream(spec.factors)[n]
 
 
 @lru_cache(maxsize=None)

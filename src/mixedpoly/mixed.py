@@ -32,10 +32,10 @@ from .families import (
     FamilySpec,
     _conv,
     _numbers,
+    _row_stream,
     falling_factorial,
     family_gf,
     family_oracle,
-    gf_rows,
     stirling1,
     stirling2,
 )
@@ -161,58 +161,59 @@ SINGLE_ORDER_IDS = frozenset({"E11", "E14", "E17"})
 
 def _mixed_row(kind: MixedKind):
     # E21, E31, E37: the mixed GF row equals the closed form of mixed_poly.
-    return lambda n, r, s, corrected, n_max: [(
-        gf_rows(MixedSpec(kind, r, s).factors, n_max)[n],
+    return lambda n, r, s, corrected: [(
+        _row_stream(MixedSpec(kind, r, s).factors)[n],
         mixed_poly(MixedSpec(kind, r, s), n),
     )]
 
 
-# Each identity maps one instance (n, r, s, corrected, n_max) to its claims:
+# Each identity maps one instance (n, r, s, corrected) to its claims:
 # (lhs, rhs) pairs that must agree exactly.  One side of every claim reads
-# generating-function rows (gf_rows), the other oracle values
+# generating-function rows (``_row_stream`` of a spec's factors, memoized
+# once per factors and read to row n), the other oracle values
 # (family_oracle, the number streams) or the falling factorial, so no claim
 # compares a code path with itself.  ``corrected`` selects the reading
 # of the typo-suspect identities E28, E34 and E40.
 _CATALOG = {
     # D_n^(r)(x) = sum_m B_m^(r)(x) S1(n, m)
-    "E11": lambda n, r, s, corrected, n_max: [(
-        gf_rows(FamilySpec(FamilyKind.DAEHEE, r).factors, n_max)[n],
+    "E11": lambda n, r, s, corrected: [(
+        _row_stream(FamilySpec(FamilyKind.DAEHEE, r).factors)[n],
         _weighted(n, _oracle(FamilyKind.BERNOULLI, r), partial(stirling1, n)),
     )],
     # Ch_n^(r)(x) = sum_m E_m^(r)(x) S1(n, m)
-    "E14": lambda n, r, s, corrected, n_max: [(
-        gf_rows(FamilySpec(FamilyKind.CHANGHEE, r).factors, n_max)[n],
+    "E14": lambda n, r, s, corrected: [(
+        _row_stream(FamilySpec(FamilyKind.CHANGHEE, r).factors)[n],
         _weighted(n, _oracle(FamilyKind.EULER, r), partial(stirling1, n)),
     )],
     # (x)_n = sum_m C(n,m) C_m^(r)(x) D_{n-m}^(r)
     #       = sum_m C(n,m) D_m^(r)(x) C_{n-m}^(r)
-    "E17": lambda n, r, s, corrected, n_max: [
+    "E17": lambda n, r, s, corrected: [
         (falling_factorial(n), _conv(
             n,
-            gf_rows(FamilySpec(FamilyKind.CAUCHY, r).factors, n_max).__getitem__,
+            _row_stream(FamilySpec(FamilyKind.CAUCHY, r).factors).__getitem__,
             _numbers(FamilySpec(FamilyKind.DAEHEE, r), n),
         )),
         (falling_factorial(n), _conv(
             n,
-            gf_rows(FamilySpec(FamilyKind.DAEHEE, r).factors, n_max).__getitem__,
+            _row_stream(FamilySpec(FamilyKind.DAEHEE, r).factors).__getitem__,
             _numbers(FamilySpec(FamilyKind.CAUCHY, r), n),
         )),
     ],
     # BE_n^(r,s)(x) = sum_m C(n,m) B_m^(r)(x) E_{n-m}^(s)
     "E21": _mixed_row(MixedKind.BE),
     # sum_m C(n,m) D_m^(r)(x) Ch_{n-m}^(s) = sum_m BE_m^(r,s)(x) S1(n, m)
-    "E24": lambda n, r, s, corrected, n_max: [(
+    "E24": lambda n, r, s, corrected: [(
         mixed_poly(MixedSpec(MixedKind.DC, r, s), n),
         _weighted(
             n,
-            gf_rows(MixedSpec(MixedKind.BE, r, s).factors, n_max).__getitem__,
+            _row_stream(MixedSpec(MixedKind.BE, r, s).factors).__getitem__,
             partial(stirling1, n),
         ),
     )],
     # DC_n^(r,s)(x) = sum_m C(n,m) D_m^(r)(x) Ch_{n-m}^(order)
     # where order is s in the corrected reading, r as printed.
-    "E28": lambda n, r, s, corrected, n_max: [(
-        gf_rows(MixedSpec(MixedKind.DC, r, s).factors, n_max)[n],
+    "E28": lambda n, r, s, corrected: [(
+        _row_stream(MixedSpec(MixedKind.DC, r, s).factors)[n],
         _conv(
             n,
             _oracle(FamilyKind.DAEHEE, r),
@@ -223,10 +224,10 @@ _CATALOG = {
     "E31": _mixed_row(MixedKind.CD),
     # corrected:  sum_m DC_m^(r,s)(x) S2(n, m) = sum_m C(n,m) B_m^(r)(x) E_{n-m}^(s)
     # as printed: sum_m DC_m^(r,s)(x) S2(m, n) = sum_m C(n,m) B_m^(r)(x) E_{n-m}
-    "E34": lambda n, r, s, corrected, n_max: [(
+    "E34": lambda n, r, s, corrected: [(
         _weighted(
             n,
-            gf_rows(MixedSpec(MixedKind.DC, r, s).factors, n_max).__getitem__,
+            _row_stream(MixedSpec(MixedKind.DC, r, s).factors).__getitem__,
             partial(stirling2, n) if corrected else lambda m: stirling2(m, n),
         ),
         _conv(
@@ -241,10 +242,10 @@ _CATALOG = {
     #   = sum_l [C(n,l) / C(l+r,l)] S2(l+r, r) E_{n-l}^(s)(x)   (corrected)
     # The printed form has S2(l+r, l) in the numerator, which does not match
     # the exact expansion of ((e^t - 1)/t)^r; both readings are kept.
-    "E40": lambda n, r, s, corrected, n_max: [(
+    "E40": lambda n, r, s, corrected: [(
         _weighted(
             n,
-            gf_rows(MixedSpec(MixedKind.CC, r, s).factors, n_max).__getitem__,
+            _row_stream(MixedSpec(MixedKind.CC, r, s).factors).__getitem__,
             partial(stirling2, n),
         ),
         _weighted(
@@ -285,7 +286,7 @@ def verify_identity(
         for s in s_values:
             for n in range(n_max + 1):
                 # A failing instance reports its first failing claim.
-                claims = claims_of(n, r, s, corrected, n_max)
+                claims = claims_of(n, r, s, corrected)
                 failed = [claim for claim in claims if claim[0] != claim[1]]
                 lhs, rhs = (failed or claims)[0]
                 reports.append(

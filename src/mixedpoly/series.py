@@ -99,31 +99,10 @@ class XPoly:
         p._den = den // g
         return p
 
-    @classmethod
-    def const(cls, value: Scalar) -> "XPoly":
-        return cls((value,))
-
-    @classmethod
-    def zero(cls) -> "XPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "XPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "XPoly":
-        return cls((0, 1))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as ``Fraction`` values, ascending in degree."""
         return tuple(Fraction(c, self._den) for c in self._num)
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -322,13 +301,12 @@ class _Stream(dict):
     """Terms of a sequence, each computed once, on demand, lowest index first.
 
     ``rule(n)`` computes term n from other sequences and from the terms below
-    n.  ``valuation`` is a series' t-valuation when known without reading it.
+    n.  A stream holds its terms and nothing else about them.
     """
 
-    def __init__(self, rule, valuation: int | None = None):
+    def __init__(self, rule):
         super().__init__()
         self.rule = rule
-        self.valuation = valuation
 
     def __missing__(self, n: int):
         for i in range(len(self), n + 1):
@@ -370,9 +348,9 @@ def _quotient(f, g, v: int, total=_sum_of_products) -> _Stream:
     return q
 
 
-def _power(base, k: int, total=_sum_of_products) -> _Stream:
-    """base^k for k >= 1 by binary powering; a new stream even for k = 1, so no valuation leaks."""
-    result = _Stream(base.__getitem__)
+def _power(base, k: int, total=_sum_of_products):
+    """base^k for k >= 1 by binary powering; base itself for k = 1."""
+    result = base
     for bit in bin(k)[3:]:
         result = _product(result, result, total)
         if bit == "1":
@@ -427,17 +405,6 @@ class TSeries:
     @classmethod
     def constant(cls, value: Union[Scalar, XPoly], trunc: int) -> "TSeries":
         return cls(trunc, (value,))
-
-    @classmethod
-    def zero(cls, trunc: int) -> "TSeries":
-        return cls(trunc, ())
-
-    @classmethod
-    def var(cls, trunc: int) -> "TSeries":
-        """The series t itself."""
-        if trunc == 0:
-            return cls(0, ())
-        return cls(trunc, (_ZERO_POLY, _ONE_POLY))
 
     def coeff(self, n: int) -> XPoly:
         """Raw coefficient of t**n."""

@@ -3,7 +3,8 @@
 Each is built from its closed-form coefficients as a ``TSeries``, and the
 order-1 kernels as truncated series quotients of them, so they share no
 code with the kernel-power and row streams of ``families`` or with the
-expression language's stream rules.
+expression language's stream rules.  The small ``XPoly`` and ``TSeries``
+constructors that only the tests use live here too.
 """
 
 from fractions import Fraction
@@ -11,6 +12,36 @@ from math import factorial
 
 from mixedpoly.families import FamilyKind
 from mixedpoly.series import TSeries, XPoly
+
+
+def poly_const(value) -> XPoly:
+    return XPoly((value,))
+
+
+def poly_zero() -> XPoly:
+    return XPoly()
+
+
+def poly_one() -> XPoly:
+    return XPoly((1,))
+
+
+def poly_x() -> XPoly:
+    return XPoly((0, 1))
+
+
+def degree(p: XPoly) -> int:
+    """Degree of a polynomial; -1 for the zero polynomial."""
+    return len(p.coeffs) - 1
+
+
+def series_zero(trunc: int) -> TSeries:
+    return TSeries(trunc, ())
+
+
+def series_t(trunc: int) -> TSeries:
+    """The series t itself (zero at truncation 0)."""
+    return TSeries(trunc, (0, 1) if trunc else ())
 
 
 def log1p(trunc: int) -> TSeries:
@@ -33,7 +64,7 @@ def binomial_x(trunc: int) -> TSeries:
 
     The step reads no Stirling row and no falling-factorial stream.
     """
-    coeffs = [XPoly.one()]
+    coeffs = [poly_one()]
     for n in range(1, trunc + 1):
         coeffs.append(coeffs[-1] * XPoly((Fraction(1 - n, n), Fraction(1, n))))
     return TSeries(trunc, coeffs)

@@ -3,13 +3,15 @@
 Every ``__all__`` entry must name something the module binds, every
 module-level private name must be used somewhere besides its own
 definition, every public def or class must be read somewhere in the package
-or exported by it, and every module-level import must be read by its module
-or listed in its ``__all__``, so a helper or an import that a refactor
-leaves behind is caught.  The two routes to a family polynomial in
-``families`` -- the generating-function streams and the GF-free oracle --
-must not read each other's names, so every identity stays a check between
-two routes, and the oracle, which holds its numbers as integer pairs, builds
-no ``Fraction`` outside the public ``family_numbers``.
+or exported by it, every public method or property of a public class must be
+read by the package or traced by perfbench, and every module-level import
+must be read by its module or listed in its ``__all__``, so a helper, a
+method or an import that a refactor leaves behind is caught.  The two
+routes to a family polynomial in ``families`` -- the generating-function
+streams and the GF-free oracle -- must not read each other's names, so
+every identity stays a check between two routes, and the oracle, which
+holds its numbers as integer pairs, builds no ``Fraction`` outside the
+public ``family_numbers``.
 The expression language reads nothing of ``families`` or ``mixed``, so its
 evaluation of a generating-function text stays a third route.  The p-adic
 folds hold their quantities as integer pairs and build no ``Fraction``
@@ -20,9 +22,12 @@ in ``series`` and ``cli`` read the integer numerators and build no
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from test_boundary import _perfbench_literal
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixedpoly"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
@@ -118,6 +123,31 @@ def test_public_definitions_are_read_or_exported(module):
     assert not unused, (module, unused)
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_public_methods_are_read_or_traced():
+    # A public method or property is read as an attribute.  One that no
+    # other part of the package reads, and that perfbench's tracer does not
+    # wrap by name, has no caller there; test-only constructors belong to
+    # the tests.  Dunders are the language's.
+    traced = set(_perfbench_literal("tracing", "_TSERIES_METHODS"))
+    reads = sum((_attribute_reads(tree) for tree in MODULES.values()), Counter())
+    unread = [
+        f"{module}.{cls.name}.{method.name}"
+        for module, tree in MODULES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and method.name not in traced
+        and reads[method.name] <= _attribute_reads(method)[method.name]
+    ]
+    assert not unread, unread
+
+
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_imports_are_read(module):
     tree = MODULES[module]
@@ -142,7 +172,7 @@ def test_module_imports_are_read(module):
 # The generating-function side of ``families`` and the oracle side, each by
 # its entry points and by the names only it may read.
 GF_ROUTE = ("_base_stream", "_kernel_power", "_row_stream", "gf_rows", "family_gf")
-GF_NAMES = GF_ROUTE + ("_BASES", "_KERNELS", "_convolution", "_falling_stream")
+GF_NAMES = GF_ROUTE + ("_BASES", "_KERNELS", "_falling_stream")
 ORACLE_ROUTE = (
     "_order1_stream",
     "_numbers_stream",
@@ -206,7 +236,7 @@ def test_oracle_numbers_build_no_fraction():
 
 # The generating-function side's builders, which the expression language
 # must not read: its output is compared with the GF rows.
-GF_SIDE = ("_convolution", "_kernel_power", "_base_stream", "_row_stream", "_falling_stream", "_KERNELS")
+GF_SIDE = ("_kernel_power", "_base_stream", "_row_stream", "_falling_stream", "_KERNELS")
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

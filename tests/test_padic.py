@@ -30,10 +30,12 @@ from mixedpoly.padic import (
 )
 from mixedpoly.series import XPoly
 
+from series_reference import poly_const, poly_one, poly_x
+
 BOS = IntegralKind.BOSONIC
 FER = IntegralKind.FERMIONIC
 
-X = XPoly.x()
+X = poly_x()
 X2 = XPoly((0, 0, 1))
 
 
@@ -88,7 +90,7 @@ def test_bosonic_binomial_example():
 def test_bosonic_constant_is_identity():
     for N in (1, 2, 3):
         ctx = PAdicContext(5, N)
-        assert finite_integral(BOS, XPoly.const(F(7, 3)), ctx) == F(7, 3)
+        assert finite_integral(BOS, poly_const(F(7, 3)), ctx) == F(7, 3)
 
 
 def test_fermionic_alternating_example():
@@ -278,7 +280,7 @@ def test_shift_residual_valuations_low_degree(N):
     # shifts the residual valuation down by the same amount, so the
     # p-integrality restriction is essential; frozen from an oracle run.)
     ctx = PAdicContext(3, N)
-    for f in (XPoly.one(), X, X2, XPoly((2, -3, 1)), XPoly((F(1, 2), F(5, 7), F(-2, 5)))):
+    for f in (poly_one(), X, X2, XPoly((2, -3, 1)), XPoly((F(1, 2), F(5, 7), F(-2, 5)))):
         for kind in (BOS, FER):
             assert vp(shift_residual(kind, f, ctx), 3) >= N
 

@@ -15,7 +15,20 @@ from mixedpoly.series import (
     falling_factorial,
 )
 
-from series_reference import binomial_x, exp_xt, expm1, geom2, log1p
+from series_reference import (
+    binomial_x,
+    degree,
+    exp_xt,
+    expm1,
+    geom2,
+    log1p,
+    poly_const,
+    poly_one,
+    poly_x,
+    poly_zero,
+    series_t,
+    series_zero,
+)
 
 
 def series(trunc, *coeffs):
@@ -32,7 +45,7 @@ def scalar_coeffs(f):
 
 def test_linear_cancellation():
     f = series(1, 1, 1)  # 1 + t
-    assert (1 * f + (-1) * f) == TSeries.zero(1)
+    assert (1 * f + (-1) * f) == series_zero(1)
 
 
 def test_linear_scaling_identity():
@@ -63,14 +76,14 @@ def test_mul_difference_of_squares():
 
 def test_mul_hand_convolution():
     f = series(2, 1, F(-1, 2), F(1, 3))
-    g = series(2, XPoly.one(), XPoly.x(), falling_factorial(2) * F(1, 2))
+    g = series(2, poly_one(), poly_x(), falling_factorial(2) * F(1, 2))
     prod = f * g
-    want = falling_factorial(2) * F(1, 2) - XPoly.x() * F(1, 2) + XPoly.const(F(1, 3))
+    want = falling_factorial(2) * F(1, 2) - poly_x() * F(1, 2) + poly_const(F(1, 3))
     assert prod.coeff(2) == want
 
 
 def test_mul_identity_element():
-    f = series(3, F(2, 7), XPoly.x(), 0, falling_factorial(3))
+    f = series(3, F(2, 7), poly_x(), 0, falling_factorial(3))
     assert f * TSeries.constant(1, 3) == f
 
 
@@ -88,7 +101,7 @@ def test_div_two_over_two_plus_t():
 
 
 def test_div_self_is_one():
-    f = series(3, 1, XPoly.x(), F(5, 3), XPoly.x())
+    f = series(3, 1, poly_x(), F(5, 3), poly_x())
     assert f / f == TSeries.constant(1, 3)
 
 
@@ -99,7 +112,7 @@ def test_div_geometric():
 
 def test_div_rejects_zero_constant_term():
     with pytest.raises(DivisionError):
-        TSeries.constant(1, 2) / TSeries.var(2)
+        TSeries.constant(1, 2) / series_t(2)
 
 
 def test_div_rejects_x_dependent_unit():
@@ -114,21 +127,21 @@ def test_div_rejects_x_dependent_unit():
 def test_pow_square_of_daehee_kernel():
     k = log1p(3).shift_down()  # log(1+t)/t at T=2
     sq = k**2
-    assert sq.coeff(1) == XPoly.const(-1)
+    assert sq.coeff(1) == poly_const(-1)
 
 
 def test_pow_zero_is_one():
-    f = series(4, 7, XPoly.x(), 1)
+    f = series(4, 7, poly_x(), 1)
     assert f**0 == TSeries.constant(1, 4)
 
 
 def test_pow_group_law():
-    f = series(3, F(2, 3), XPoly.x(), F(-1, 5), 4)
+    f = series(3, F(2, 3), poly_x(), F(-1, 5), 4)
     assert (f**2) * (f**-2) == TSeries.constant(1, 3)
 
 
 def test_pow_matches_naive_products():
-    f = series(4, F(1, 2), XPoly.x(), -3, F(2, 7), XPoly((0, 0, 1)))
+    f = series(4, F(1, 2), poly_x(), -3, F(2, 7), XPoly((0, 0, 1)))
     acc = TSeries.constant(1, 4)
     for r in range(6):
         assert f**r == acc
@@ -137,7 +150,7 @@ def test_pow_matches_naive_products():
 
 def test_negative_pow_requires_unit():
     with pytest.raises(DivisionError):
-        TSeries.var(3) ** -1
+        series_t(3) ** -1
 
 
 # -- composition ------------------------------------------------------------
@@ -149,13 +162,13 @@ def test_compose_exp_xt_with_log1p_is_binomial():
 
 
 def test_compose_identity_substitution():
-    f = series(3, 1, XPoly.x(), F(1, 2), falling_factorial(2))
-    assert f.compose(TSeries.var(3)) == f
+    f = series(3, 1, poly_x(), F(1, 2), falling_factorial(2))
+    assert f.compose(series_t(3)) == f
 
 
 def test_compose_log_exp_roundtrip():
-    assert log1p(4).compose(expm1(4)) == TSeries.var(4)
-    assert expm1(16).compose(log1p(16)) == TSeries.var(16)
+    assert log1p(4).compose(expm1(4)) == series_t(4)
+    assert expm1(16).compose(log1p(16)) == series_t(16)
 
 
 def test_compose_rejects_nonzero_inner_constant():
@@ -165,7 +178,7 @@ def test_compose_rejects_nonzero_inner_constant():
 
 def test_compose_truncation_mismatch():
     with pytest.raises(TruncationError):
-        log1p(3).compose(TSeries.var(4))
+        log1p(3).compose(series_t(4))
 
 
 # -- reference primitives -------------------------------------------------------------
@@ -177,14 +190,14 @@ def test_log1p_coefficients():
 
 def test_exp_xt_coefficients():
     f = exp_xt(2)
-    assert f.coeff(0) == XPoly.one()
-    assert f.coeff(1) == XPoly.x()
+    assert f.coeff(0) == poly_one()
+    assert f.coeff(1) == poly_x()
     assert f.coeff(2) == XPoly((0, 0, F(1, 2)))
 
 
 def test_binomial_x_coefficients():
     f = binomial_x(2)
-    assert f.coeff(1) == XPoly.x()
+    assert f.coeff(1) == poly_x()
     assert f.poly(2) == falling_factorial(2)
 
 
@@ -202,7 +215,7 @@ def test_poly_extraction_daehee():
 
 def test_poly_constant_term():
     f = geom2(4) * binomial_x(4)
-    assert f.poly(0) == XPoly.one()
+    assert f.poly(0) == poly_one()
     assert f.poly(1) == XPoly((F(-1, 2), 1))
 
 
@@ -217,14 +230,14 @@ def test_poly_out_of_range():
 def test_eval_examples():
     p = XPoly((F(2, 3), -2, 1))
     assert p(0) == F(2, 3)
-    assert XPoly.x()(1) == 1
+    assert poly_x()(1) == 1
     assert XPoly((F(-1, 2), 1))(0) == F(-1, 2)
 
 
 def test_xpoly_normalization():
     assert XPoly((1, 0, 0)) == XPoly((1,))
     assert XPoly((0, 0)).is_zero
-    assert XPoly((0, 0)).degree == -1
+    assert degree(XPoly((0, 0))) == -1
 
 
 def test_shift_down_requires_zero_low_coeffs():
@@ -270,7 +283,7 @@ def test_extraction_satisfies_binomial_convolution(triple):
     f, g, _ = triple
     prod = f * g
     for n in range(f.trunc + 1):
-        want = XPoly.zero()
+        want = poly_zero()
         for k in range(n + 1):
             want = want + f.poly(k) * g.poly(n - k) * comb(n, k)
         assert prod.poly(n) == want
@@ -280,5 +293,5 @@ def test_extraction_satisfies_binomial_convolution(triple):
 @given(st.integers(min_value=1, max_value=16))
 def test_binomial_identity_all_truncations(trunc):
     assert exp_xt(trunc).compose(log1p(trunc)) == binomial_x(trunc)
-    assert log1p(trunc).compose(expm1(trunc)) == TSeries.var(trunc)
-    assert expm1(trunc).compose(log1p(trunc)) == TSeries.var(trunc)
+    assert log1p(trunc).compose(expm1(trunc)) == series_t(trunc)
+    assert expm1(trunc).compose(log1p(trunc)) == series_t(trunc)
