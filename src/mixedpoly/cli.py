@@ -14,7 +14,12 @@ SystemExit.  Identical invocations produce byte-identical output.
 
 ``main`` builds its parser on its first call and reuses it, and runs a full
 garbage collection once every ``_COLLECT_EVERY`` calls, so a process that
-serves many calls pays for its commands and keeps a bounded heap.
+serves many calls pays for its commands and keeps a bounded heap.  The
+library memoizes what ``verify`` and ``eval`` compute, in bounded memos:
+the report of each identity instance (``mixed._report``, the 1024 most
+recent) and the series of each expression text and truncation
+(``dsl.eval_text``, the 128 most recent).  A repeated request then only
+prints, and prints the same bytes.
 
 The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
 default; whichever is in force must be an integer >= 1, or the command
@@ -416,12 +421,15 @@ def _parser() -> argparse.ArgumentParser:
 # this many calls.  A parser rebuilt per call left enough garbage to force
 # a full collection about every 430 calls; reused, full collections grew
 # rare (2 in 10000 calls), and the interpreter's freelists kept the
-# coefficient tuples of dead polynomials.  Peak RSS of the perfbench
-# ``session`` child (30 s, seeds 1 and 2, 2 vCPUs, Python 3.11): 26.4-26.5 MB
-# with the parser built per call, 27.2-27.5 MB reused with no collection,
-# 25.3 MB reused with one every 256 calls, at 1230-1240 requests/s
-# against 445-460.
-_COLLECT_EVERY = 256
+# coefficient tuples of dead polynomials: peak RSS of the perfbench
+# ``session`` child (30 s) read 27.2-27.5 MB with no collection and 25.3 MB
+# with one every 256 calls.  With the report and ``eval_text`` memos a
+# repeated request leaves little garbage, while a full collection of the
+# warm heap takes ~4.7 ms.  Over five alternating runs of 28000 warm
+# ``session`` requests (seeds 11-15, 2 vCPUs, Python 3.11), peak RSS read
+# 25.22 MB (median) collecting every 256 calls and 25.16 MB every 1024,
+# and 1024 served 3328 requests/s against 3176, more in all five pairs.
+_COLLECT_EVERY = 1024
 _calls = count(1)
 
 

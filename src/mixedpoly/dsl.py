@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Union
 
 from .series import (
@@ -642,6 +643,12 @@ def eval_series(node: Ast, trunc: int) -> TSeries:
     return TSeries(trunc, [_lift(stream[n]) for n in range(trunc + 1)])
 
 
+@lru_cache(maxsize=128)
 def eval_text(src: str, trunc: int) -> TSeries:
-    """Tokenize, parse, and evaluate in one step."""
+    """Tokenize, parse, and evaluate in one step.
+
+    The series of the 128 texts and truncations evaluated most recently are
+    memoized and shared (a ``TSeries`` is an immutable value); a failing
+    text is never memoized, so it raises its positioned error every time.
+    """
     return eval_series(parse_text(src), trunc)

@@ -25,8 +25,9 @@ extends the rows already computed.  ``gf_rows``, ``family_poly``,
 ``family_gf`` and the identity catalog read those streams;
 ``family_oracle`` recomputes the base polynomials through a completely
 different route (number recurrences, their terms reduced integer pairs, plus
-binomial convolution), so agreement between the two is a genuine cross-check
-rather than a tautology.  The p-adic target
+binomial convolution), one growing stream per spec (``_oracle_stream``, the
+only memo of the oracle polynomials), so agreement between the two is a
+genuine cross-check rather than a tautology.  The p-adic target
 P_n(x0)/n! is summed from the numbers, with no polynomial in x.
 
 Stirling numbers of both kinds are exported here too (their rows, and the
@@ -343,21 +344,28 @@ def _monomial(m: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def family_oracle(spec: FamilySpec, n: int) -> XPoly:
-    """P_n^(r)(x) through the GF-free route.
+def _oracle_stream(spec: FamilySpec) -> _Stream:
+    """P_0^(r)(x), P_1^(r)(x), ... through the GF-free route, each computed once.
 
-    The numbers are read as pairs from their streams; the polynomial is
+    The numbers are read as pairs from their streams; each polynomial is
     rebuilt from them in the basis matching the carrier:
 
         e^(x t) carrier:   P_n(x) = sum_m C(n, m) x^m P_(n-m)
         (1+t)^x carrier:   P_n(x) = sum_m C(n, m) (x)_m P_(n-m)
 
-    x^m and (x)_m are memoized.
+    x^m and (x)_m are memoized.  This stream is the only memo of the oracle
+    polynomials, so a caller that binds it once reads each term by index,
+    with no spec hashed per term.
     """
+    basis = _monomial if spec.kind in _EXP_CARRIER else falling_factorial
+    return _Stream(lambda n: _conv(n, basis, _numbers(spec, n)))
+
+
+def family_oracle(spec: FamilySpec, n: int) -> XPoly:
+    """P_n^(r)(x) through the GF-free route, read from the oracle stream of ``spec``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    basis = _monomial if spec.kind in _EXP_CARRIER else falling_factorial
-    return _conv(n, basis, _numbers(spec, n))
+    return _oracle_stream(spec)[n]
 
 
 def _oracle_value(spec: FamilySpec, n: int, x0) -> tuple[int, int]:

@@ -18,13 +18,18 @@ polynomial discrepancy.
 Three identities (E28, E34, E40) carry an as-printed/corrected variant
 switch where the printed source statement is suspected of a typo; the
 verifier records which variant holds instead of silently fixing anything.
+
+Each instance's report is memoized, the 1024 most recent (``_report``),
+so a long-lived process checks an instance once however many requests
+repeat it.  The oracle side reads one stream of oracle polynomials per
+family spec (``families._oracle_stream``), bound once per claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 
 from .families import (
@@ -32,6 +37,7 @@ from .families import (
     FamilySpec,
     _conv,
     _numbers,
+    _oracle_stream,
     _row_stream,
     falling_factorial,
     family_gf,
@@ -96,7 +102,9 @@ class Variant(Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
+# ``_report``'s memo holds reports and their instances by the hundred, so
+# they carry no per-object ``__dict__``.
+@dataclass(frozen=True, slots=True)
 class IdentityInstance:
     identity_id: str
     n: int
@@ -104,7 +112,7 @@ class IdentityInstance:
     s: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityReport:
     """Verdict for one identity instance; exact pass iff diff is zero."""
 
@@ -127,8 +135,8 @@ def _weighted(n: int, poly_at, weight) -> XPoly:
 
 
 def _oracle(kind: FamilyKind, order: int):
-    """m -> P_m^(order)(x) through the GF-free route."""
-    return partial(family_oracle, FamilySpec(kind, order))
+    """m -> P_m^(order)(x) through the GF-free route: its oracle stream, bound once per claim."""
+    return _oracle_stream(FamilySpec(kind, order)).__getitem__
 
 
 def mixed_poly(spec: MixedSpec, n: int) -> XPoly:
@@ -241,7 +249,8 @@ _CATALOG = {
     # sum_l CC_l^(r,s)(x) S2(n, l)
     #   = sum_l [C(n,l) / C(l+r,l)] S2(l+r, r) E_{n-l}^(s)(x)   (corrected)
     # The printed form has S2(l+r, l) in the numerator, which does not match
-    # the exact expansion of ((e^t - 1)/t)^r; both readings are kept.
+    # the exact expansion of ((e^t - 1)/t)^r; both readings are kept.  The
+    # right side is summed over m = n - l, the index of E_m^(s)(x).
     "E40": lambda n, r, s, corrected: [(
         _weighted(
             n,
@@ -250,13 +259,40 @@ _CATALOG = {
         ),
         _weighted(
             n,
-            lambda l: family_oracle(FamilySpec(FamilyKind.EULER, s), n - l),
-            lambda l: (comb(n, l) * stirling2(l + r, r if corrected else l), comb(l + r, l)),
+            _oracle(FamilyKind.EULER, s),
+            lambda m: (
+                comb(n, m) * stirling2(n - m + r, r if corrected else n - m),
+                comb(n - m + r, r),
+            ),
         ),
     )],
 }
 
 IDENTITY_IDS = tuple(_CATALOG)
+
+
+@lru_cache(maxsize=1024)
+def _report(claims_of, identity_id: str, n: int, r: int, s: int, variant: Variant) -> IdentityReport:
+    """The report of one instance, built from the claims of ``claims_of``, each computed once.
+
+    Keyed on the claim function itself, so a replaced ``_CATALOG`` entry is
+    never answered from the reports of the one it replaced, and requests
+    with different ``n_max`` share their instances.  The bound holds the
+    648 instances of ``verify --id all`` at the default grid.  A failing
+    instance reports its first failing claim; a passing one keeps only
+    ``lhs``, which its ``rhs`` equals.
+    """
+    claims = claims_of(n, r, s, variant is Variant.CORRECTED)
+    failed = [claim for claim in claims if claim[0] != claim[1]]
+    lhs, rhs = (failed or claims)[0]
+    return IdentityReport(
+        instance=IdentityInstance(identity_id, n, r, s),
+        passed=not failed,
+        lhs=lhs,
+        rhs=rhs if failed else lhs,
+        diff=rhs - lhs if failed else _ZERO_POLY,
+        variant=variant,
+    )
 
 
 def verify_identity(
@@ -271,7 +307,8 @@ def verify_identity(
     order; failures are recorded as data, never raised.  Identities
     parameterized by a single order enumerate r only and report s = 0.
     An empty instance grid (n_max < 0 or no orders) raises ``ValueError``:
-    checking nothing is not a pass.
+    checking nothing is not a pass.  Each instance's report is memoized
+    (``_report``), so a warm process verifies it once.
     """
     if identity_id not in IDENTITY_IDS:
         raise KeyError(f"unknown identity id {identity_id!r}")
@@ -279,27 +316,13 @@ def verify_identity(
     if n_max < 0 or not orders:
         raise ValueError("a verification needs n_max >= 0 and at least one order")
     claims_of = _CATALOG[identity_id]
-    corrected = variant is Variant.CORRECTED
     s_values = (0,) if identity_id in SINGLE_ORDER_IDS else orders
-    reports: list[IdentityReport] = []
-    for r in orders:
-        for s in s_values:
-            for n in range(n_max + 1):
-                # A failing instance reports its first failing claim.
-                claims = claims_of(n, r, s, corrected)
-                failed = [claim for claim in claims if claim[0] != claim[1]]
-                lhs, rhs = (failed or claims)[0]
-                reports.append(
-                    IdentityReport(
-                        instance=IdentityInstance(identity_id, n, r, s),
-                        passed=not failed,
-                        lhs=lhs,
-                        rhs=rhs,
-                        diff=rhs - lhs if failed else _ZERO_POLY,
-                        variant=variant,
-                    )
-                )
-    return reports
+    return [
+        _report(claims_of, identity_id, n, r, s, variant)
+        for r in orders
+        for s in s_values
+        for n in range(n_max + 1)
+    ]
 
 
 def adjudicate_variant(identity_id: str, n_max: int = 8, orders=(1, 2)) -> Variant | None:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedpoly import cli, families
+from mixedpoly import cli, dsl, families, mixed, series
 from mixedpoly.cli import FORMATS, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -694,6 +694,37 @@ def test_full_collection_every_collect_every_calls(monkeypatch, capsys):
         main(["--bogus"])
     capsys.readouterr()
     assert len(collections) == 2
+
+
+# Verify and eval requests whose results the library memoizes: passing and
+# failing instances, a whole series, one extracted row and a failing text.
+_MEMOIZED_ARGV = [
+    ["verify", "--id", "E34,E40", "--n-max", "5", "--orders", "1..2", "--variant", "as-printed"],
+    ["verify", "--id", "all", "--n-max", "3", "--orders", "1..2"],
+    ["eval", "(log(1+t)/t)^2*(1+t)^x", "--T", "6"],
+    ["eval", "(t/(exp(t)-1))^2*exp(t)^x", "--T", "6", "--n", "4"],
+    ["eval", "log(t)", "--T", "4"],
+]
+
+
+def _clear_library_memos():
+    for module in (series, families, mixed, dsl):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_memoized_results_print_the_same_bytes_cold_and_warm(monkeypatch, fmt):
+    for argv in _MEMOIZED_ARGV:
+        memo = mixed._report if argv[0] == "verify" else dsl.eval_text
+        argv = [*argv, "--format", fmt]
+        _clear_library_memos()
+        cold = _served(monkeypatch, {}, argv)
+        warm = [_served(monkeypatch, {}, argv) for _ in range(2)]
+        assert warm == [cold, cold], argv
+        # The warm calls are answered from the memo, except the failing text's.
+        assert bool(memo.cache_info().hits) == (memo is mixed._report or cold[0] == 0), argv
 
 
 # -- argv fuzz ---------------------------------------------------------------------

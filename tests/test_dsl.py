@@ -183,6 +183,34 @@ def test_exponent_product_bound_reaches_through_nesting(src):
     assert info.value.position == src.rindex("^") + 1
 
 
+def test_repeated_eval_text_returns_an_equal_series():
+    src = "(t/(exp(t)-1))^2*exp(t)^x"
+    eval_text.cache_clear()
+    first = eval_text(src, 6)
+    again = eval_text(src, 6)
+    assert eval_text.cache_info().hits == 1
+    assert again == first == eval_series(parse_text(src), 6)
+    assert eval_text(src, 5) == eval_series(parse_text(src), 5)
+
+
+@pytest.mark.parametrize("src", ["2$t", "(1+t", "log(t)"])
+def test_failing_text_raises_the_same_positioned_error_every_time(src):
+    # A DslError is never memoized: every call evaluates and raises anew.
+    eval_text.cache_clear()
+    seen = []
+    for _ in range(3):
+        with pytest.raises(DslError) as info:
+            eval_text(src, 4)
+        seen.append((type(info.value), info.value.position, info.value.message))
+    assert seen[0] == seen[1] == seen[2]
+    assert eval_text.cache_info().misses == 3
+    assert eval_text.cache_info().currsize == 0
+
+
+def test_eval_text_memo_is_bounded():
+    assert 0 < eval_text.cache_info().maxsize < float("inf")
+
+
 # Each of these once escaped as RecursionError or ValueError instead of a
 # positioned DslError, in the parser or in eval_series.
 OVERSIZED = {

@@ -316,6 +316,19 @@ def test_oracle_matches_per_term_reference(kind):
             assert family_oracle(spec, n) == _per_term_oracle(spec, n), (kind, order, n)
 
 
+def test_oracle_reads_one_stream_per_spec():
+    # family_oracle reads the spec's oracle stream, the only memo of the
+    # oracle polynomials, so every reader shares one polynomial per (spec, n).
+    _clear_family_memos()
+    spec = FamilySpec(FamilyKind.EULER, 2)
+    first = family_oracle(spec, 5)
+    stream = families._oracle_stream(spec)
+    assert first is stream[5] and family_oracle(FamilySpec(FamilyKind.EULER, 2), 5) is first
+    assert sorted(stream) == list(range(6))
+    with pytest.raises(ValueError):
+        family_oracle(spec, -1)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_degree_and_leading_coefficient(kind):
     for order in (1, 2, 3):

@@ -180,6 +180,7 @@ ORACLE_ROUTE = (
     "_numbers",
     "_conv",
     "family_numbers",
+    "_oracle_stream",
     "family_oracle",
     "_oracle_value",
 )

@@ -261,6 +261,38 @@ def test_failing_instance_reports_its_first_failing_claim(monkeypatch, first_fai
     assert (rep.lhs, rep.rhs, rep.diff) == (lhs, rhs, rhs - lhs)
 
 
+def test_repeated_verification_calls_no_claim(monkeypatch):
+    # A repeated verification is answered from the report memo: equal
+    # reports, and no claim called again.  A shorter grid shares its
+    # instances, and a longer one computes only its new n.
+    calls = []
+    claims_of = mixed._CATALOG["E24"]
+
+    def counted(*args):
+        calls.append(args)
+        return claims_of(*args)
+
+    monkeypatch.setitem(mixed._CATALOG, "E24", counted)
+    first = verify_identity("E24", 4, (1, 2))
+    assert len(calls) == len(first) == 20
+    assert verify_identity("E24", 4, (1, 2)) == first
+    assert len(calls) == 20
+    assert verify_identity("E24", 2, (1, 2)) == [rep for rep in first if rep.instance.n <= 2]
+    assert len(calls) == 20
+    verify_identity("E24", 5, (1, 2))
+    assert sorted(calls[20:]) == [(5, r, s, True) for r in (1, 2) for s in (1, 2)]
+
+
+def test_report_memo_is_bounded():
+    assert 0 < mixed._report.cache_info().maxsize < float("inf")
+
+
+def test_passing_report_keeps_one_side():
+    # A passing report's rhs equals its lhs, so it holds lhs for both.
+    reports = verify_identity("E24", 3, (1, 2))
+    assert all(rep.passed and rep.rhs is rep.lhs for rep in reports)
+
+
 def test_unknown_identity_id():
     with pytest.raises(KeyError):
         verify_identity("E99", 2)
