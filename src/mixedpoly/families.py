@@ -25,9 +25,9 @@ extends the rows already computed.  ``gf_rows``, ``family_poly``,
 ``family_gf`` and the identity catalog read those streams;
 ``family_oracle`` recomputes the base polynomials through a completely
 different route (number recurrences, their terms reduced integer pairs, plus
-binomial convolution), one growing stream per spec (``_oracle_stream``, the
-only memo of the oracle polynomials), so agreement between the two is a
-genuine cross-check rather than a tautology.  The p-adic target
+binomial convolution), one memo per spec (``_oracle_memo``, the only memo
+of the oracle polynomials), so agreement between the two is a genuine
+cross-check rather than a tautology.  The p-adic target
 P_n(x0)/n! is summed from the numbers, with no polynomial in x.
 
 Stirling numbers of both kinds are exported here too (their rows, and the
@@ -344,8 +344,8 @@ def _monomial(m: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def _oracle_stream(spec: FamilySpec) -> _Stream:
-    """P_0^(r)(x), P_1^(r)(x), ... through the GF-free route, each computed once.
+def _oracle_memo(spec: FamilySpec):
+    """n -> P_n^(r)(x) through the GF-free route, each computed once: the only memo of the oracle polynomials.
 
     The numbers are read as pairs from their streams; each polynomial is
     rebuilt from them in the basis matching the carrier:
@@ -353,19 +353,19 @@ def _oracle_stream(spec: FamilySpec) -> _Stream:
         e^(x t) carrier:   P_n(x) = sum_m C(n, m) x^m P_(n-m)
         (1+t)^x carrier:   P_n(x) = sum_m C(n, m) (x)_m P_(n-m)
 
-    x^m and (x)_m are memoized.  This stream is the only memo of the oracle
-    polynomials, so a caller that binds it once reads each term by index,
-    with no spec hashed per term.
+    x^m and (x)_m are memoized.  A polynomial reads no polynomial below it,
+    so a read computes its own term only, and a caller that binds the memo
+    once reads each term by n, with no spec hashed per term.
     """
     basis = _monomial if spec.kind in _EXP_CARRIER else falling_factorial
-    return _Stream(lambda n: _conv(n, basis, _numbers(spec, n)))
+    return lru_cache(maxsize=None)(lambda n: _conv(n, basis, _numbers(spec, n)))
 
 
 def family_oracle(spec: FamilySpec, n: int) -> XPoly:
-    """P_n^(r)(x) through the GF-free route, read from the oracle stream of ``spec``."""
+    """P_n^(r)(x) through the GF-free route, read from the oracle memo of ``spec``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _oracle_stream(spec)[n]
+    return _oracle_memo(spec)(n)
 
 
 def _oracle_value(spec: FamilySpec, n: int, x0) -> tuple[int, int]:

@@ -21,8 +21,8 @@ verifier records which variant holds instead of silently fixing anything.
 
 Each instance's report is memoized, the 1024 most recent (``_report``),
 so a long-lived process checks an instance once however many requests
-repeat it.  The oracle side reads one stream of oracle polynomials per
-family spec (``families._oracle_stream``), bound once per claim.
+repeat it.  The oracle side reads one memo of oracle polynomials per
+family spec (``families._oracle_memo``), bound once per claim.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .families import (
     FamilySpec,
     _conv,
     _numbers,
-    _oracle_stream,
+    _oracle_memo,
     _row_stream,
     falling_factorial,
     family_gf,
@@ -135,8 +135,8 @@ def _weighted(n: int, poly_at, weight) -> XPoly:
 
 
 def _oracle(kind: FamilyKind, order: int):
-    """m -> P_m^(order)(x) through the GF-free route: its oracle stream, bound once per claim."""
-    return _oracle_stream(FamilySpec(kind, order)).__getitem__
+    """m -> P_m^(order)(x) through the GF-free route: its oracle memo, bound once per claim."""
+    return _oracle_memo(FamilySpec(kind, order))
 
 
 def mixed_poly(spec: MixedSpec, n: int) -> XPoly:

@@ -316,15 +316,16 @@ def test_oracle_matches_per_term_reference(kind):
             assert family_oracle(spec, n) == _per_term_oracle(spec, n), (kind, order, n)
 
 
-def test_oracle_reads_one_stream_per_spec():
-    # family_oracle reads the spec's oracle stream, the only memo of the
-    # oracle polynomials, so every reader shares one polynomial per (spec, n).
+def test_oracle_reads_one_memo_per_spec():
+    # family_oracle reads the spec's oracle memo, the only memo of the oracle
+    # polynomials: every reader shares one polynomial per (spec, n), and a
+    # read computes its own term only.
     _clear_family_memos()
     spec = FamilySpec(FamilyKind.EULER, 2)
     first = family_oracle(spec, 5)
-    stream = families._oracle_stream(spec)
-    assert first is stream[5] and family_oracle(FamilySpec(FamilyKind.EULER, 2), 5) is first
-    assert sorted(stream) == list(range(6))
+    memo = families._oracle_memo(spec)
+    assert first is memo(5) and family_oracle(FamilySpec(FamilyKind.EULER, 2), 5) is first
+    assert memo.cache_info().currsize == 1
     with pytest.raises(ValueError):
         family_oracle(spec, -1)
 

@@ -180,7 +180,7 @@ ORACLE_ROUTE = (
     "_numbers",
     "_conv",
     "family_numbers",
-    "_oracle_stream",
+    "_oracle_memo",
     "family_oracle",
     "_oracle_value",
 )
