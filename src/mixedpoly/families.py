@@ -345,7 +345,7 @@ def _monomial(m: int) -> XPoly:
 
 @lru_cache(maxsize=None)
 def _oracle_memo(spec: FamilySpec):
-    """n -> P_n^(r)(x) through the GF-free route, each computed once: the only memo of the oracle polynomials.
+    """n -> P_n^(r)(x) through the GF-free route, each computed once; the only oracle memo.
 
     The numbers are read as pairs from their streams; each polynomial is
     rebuilt from them in the basis matching the carrier:

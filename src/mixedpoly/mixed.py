@@ -272,7 +272,9 @@ IDENTITY_IDS = tuple(_CATALOG)
 
 
 @lru_cache(maxsize=1024)
-def _report(claims_of, identity_id: str, n: int, r: int, s: int, variant: Variant) -> IdentityReport:
+def _report(
+    claims_of, identity_id: str, n: int, r: int, s: int, variant: Variant
+) -> IdentityReport:
     """The report of one instance, built from the claims of ``claims_of``, each computed once.
 
     Keyed on the claim function itself, so a replaced ``_CATALOG`` entry is

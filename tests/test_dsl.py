@@ -191,6 +191,7 @@ def test_repeated_eval_text_returns_an_equal_series():
     assert eval_text.cache_info().hits == 1
     assert again == first == eval_series(parse_text(src), 6)
     assert eval_text(src, 5) == eval_series(parse_text(src), 5)
+    assert 0 < eval_text.cache_info().maxsize < float("inf")
 
 
 @pytest.mark.parametrize("src", ["2$t", "(1+t", "log(t)"])
@@ -205,10 +206,6 @@ def test_failing_text_raises_the_same_positioned_error_every_time(src):
     assert seen[0] == seen[1] == seen[2]
     assert eval_text.cache_info().misses == 3
     assert eval_text.cache_info().currsize == 0
-
-
-def test_eval_text_memo_is_bounded():
-    assert 0 < eval_text.cache_info().maxsize < float("inf")
 
 
 # Each of these once escaped as RecursionError or ValueError instead of a

@@ -281,9 +281,6 @@ def test_repeated_verification_calls_no_claim(monkeypatch):
     assert len(calls) == 20
     verify_identity("E24", 5, (1, 2))
     assert sorted(calls[20:]) == [(5, r, s, True) for r in (1, 2) for s in (1, 2)]
-
-
-def test_report_memo_is_bounded():
     assert 0 < mixed._report.cache_info().maxsize < float("inf")
 
 
