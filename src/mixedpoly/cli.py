@@ -429,6 +429,8 @@ def _parser() -> argparse.ArgumentParser:
 # ``session`` requests (seeds 11-15, 2 vCPUs, Python 3.11), peak RSS read
 # 25.22 MB (median) collecting every 256 calls and 25.16 MB every 1024,
 # and 1024 served 3328 requests/s against 3176, more in all five pairs.
+# In 30 s ``session`` runs, four alternating pairs each, 1024 read 0.3-0.8
+# MB less than 256 and 0.6-1.1 MB less than 4096.
 _COLLECT_EVERY = 1024
 _calls = count(1)
 
