@@ -9,6 +9,8 @@ truncation.  Each syntax node is a stream of t-coefficients on one of two
 lanes, fixed by the syntax: a node with no ``^x`` under it holds reduced
 integer pairs (p, q), and x enters only at ``base^x``, from which up the
 coefficients are ``XPoly`` values.  Both lanes run the same recurrences.
+``base^x`` steps by base F' = x base' F: d terms for a polynomial base of
+degree d, exp(x g) for ``exp(g)``, and exp(x log base) for any other base.
 
 Grammar (see docs/grammar.ebnf):
 
@@ -34,6 +36,7 @@ from typing import Callable, Union
 
 from .series import (
     TSeries,
+    XPoly,
     _lift,
     _pair_sum,
     _power,
@@ -501,10 +504,16 @@ def render(node: Ast) -> str:
 # sum them with ``_pair_sum``; a node with ``^x`` under it sums ``XPoly``
 # terms, and pairs read from x-free operands, with ``_sum_of_products``.
 _ZERO, _ONE = (0, 1), (1, 1)
+_X = XPoly((0, 1))
 
 
 def _monomial(k: int) -> _Stream:
     return _Stream(lambda n: _ONE if n == k else _ZERO)
+
+
+def _shifted(a: _Stream, k: int) -> _Stream:
+    """t^k a, on a's lane: term n is a_(n-k), so a negative k reads a ahead."""
+    return _Stream(lambda n: a[n - k] if n >= k else _ZERO)
 
 
 def _exp(g: _Stream, total, times_x: bool = False) -> _Stream:
@@ -535,12 +544,63 @@ def _log(g: _Stream, total) -> _Stream:
     return lg
 
 
+def _power_x(b: _Stream, d: int) -> _Stream:
+    """b^x for b_0 = 1 and b_k = 0 beyond k = d, online, from b F' = x b' F.
+
+    n F_n = sum_(k=1..min(n,d)) (x k - (n-k)) b_k F_(n-k): one sum of 2
+    min(n, d) terms, so (1+t)^x steps F_n = F_(n-1) (x - n + 1)/n.
+    """
+
+    def rule(n):
+        terms = []
+        for k in range(1, min(n, d) + 1):
+            terms.append((k, b[k], f[n - k], _X))
+            terms.append((k - n, b[k], f[n - k]))
+        return _sum_of_products(terms, n)
+
+    f = _Stream(rule)
+    f[0] = _ONE
+    return f
+
+
 # Per function node: the constant term its argument needs, and the error otherwise.
 _FUNCTIONS = {
     Log: (1, SemanticReason.LOG_ARG_NOT_ONE, "log argument"),
     Exp: (0, SemanticReason.EXP_ARG_NOT_ZERO, "exp argument"),
     PowX: (1, SemanticReason.POWX_BASE_NOT_ONE, "base of ^x"),
 }
+
+
+def _argument(node: Union[Log, Exp, PowX], cap: int) -> tuple[_Stream, Callable]:
+    """The stream and term sum of a function node's argument, after its constant-term check."""
+    want, reason, what = _FUNCTIONS[type(node)]
+    arg, total = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
+    if _lift(arg[0]) != want:
+        raise SemanticError(node.span[0], reason, f"{what} must have constant term {want}")
+    return arg, total
+
+
+def _degree(node: Ast) -> int | None:
+    """A bound on the t-degree of a polynomial's syntax, None for any other node.
+
+    A polynomial is built from constants and ``t`` by ``+``, ``-``, unary
+    minus, ``*`` and powers k >= 0.
+    """
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, VarT):
+        return 1
+    if isinstance(node, Neg):
+        return _degree(node.operand)
+    if isinstance(node, PowInt):
+        d = _degree(node.base)
+        return None if d is None or node.exponent < 0 else d * node.exponent
+    if isinstance(node, (Add, Sub, Mul)):
+        a, b = _degree(node.left), _degree(node.right)
+        if a is None or b is None:
+            return None
+        return a + b if isinstance(node, Mul) else max(a, b)
+    return None
 
 
 def _literal_t_power(node: Ast) -> int | None:
@@ -558,8 +618,10 @@ def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
     The lane follows from the syntax: ``_sum_of_products`` from a ``^x``
     up, ``_pair_sum`` below any.  A divisor is checked before its
     numerator.  The valuation of a literal ``t`` or ``t^k`` divisor (k > 0)
-    is read from the syntax; any other divisor's is searched up to ``cap``:
-    T plus the valuations shifted out by enclosing quotients.
+    is read from the syntax, and the quotient reads its numerator k ahead;
+    any other divisor's is searched up to ``cap``: T plus the valuations
+    shifted out by enclosing quotients.  A product with a literal ``t^k``
+    factor shifts the other operand by k.
     """
     if isinstance(node, Const):
         value = (node.value.numerator, node.value.denominator)
@@ -570,6 +632,11 @@ def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
         (a, left), (b, right) = _stream(node.left, cap), _stream(node.right, cap)
         total = left if left is right else _sum_of_products
         if isinstance(node, Mul):
+            # A literal t^k factor shifts the other operand, on its lane.
+            if k := _literal_t_power(node.right):
+                return _shifted(a, k), left
+            if k := _literal_t_power(node.left):
+                return _shifted(b, k), right
             return _product(a, b, total), total
         sign = 1 if isinstance(node, Add) else -1
         return _Stream(lambda n: total([(1, a[n], _ONE), (sign, b[n], _ONE)])), total
@@ -578,20 +645,22 @@ def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
         return _Stream(lambda n: total([(-1, a[n], _ONE)])), total
     if isinstance(node, Div):
         den, right = _stream(node.right, cap)
-        v = _literal_t_power(node.right)
+        v = literal = _literal_t_power(node.right)
         if v is None:
             v = next((i for i in range(cap + 1) if _lift(den[i])), None)
             if v is None:
                 detail = f"divisor vanishes to order {cap}"
                 raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
-        if not _lift(den[v]).is_scalar:
-            detail = "leading divisor coefficient depends on x"
-            raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
+            if not _lift(den[v]).is_scalar:
+                detail = "leading divisor coefficient depends on x"
+                raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
         num, left = _stream(node.left, cap + v)
         low = next((i for i in range(v) if _lift(num[i])), None)
         if low is not None:
             detail = f"numerator coefficient of t^{low} is nonzero"
             raise SemanticError(node.span[0], SemanticReason.T_DIVISION_IMPOSSIBLE, detail)
+        if literal:
+            return _shifted(num, -v), left
         total = left if left is right else _sum_of_products
         return _quotient(num, den, v, total), total
     if isinstance(node, PowInt):
@@ -606,15 +675,19 @@ def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
             base, k = _quotient(_monomial(0), base, 0, total), -k
         return _power(base, k, total), total
     if type(node) in _FUNCTIONS:
-        want, reason, what = _FUNCTIONS[type(node)]
-        arg, total = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
-        if _lift(arg[0]) != want:
-            raise SemanticError(node.span[0], reason, f"{what} must have constant term {want}")
+        # The x lane starts at base^x: exp(g)^x = exp(x g), a polynomial
+        # base of degree d takes a d-term step, any other is exp(x log base).
+        if isinstance(node, PowX) and isinstance(node.base, Exp):
+            g, _ = _argument(node.base, cap)
+            return _exp(g, _sum_of_products, times_x=True), _sum_of_products
+        arg, total = _argument(node, cap)
         if isinstance(node, Log):
             return _log(arg, total), total
         if isinstance(node, Exp):
             return _exp(arg, total), total
-        # base^x = exp(x log base): the x lane starts here.
+        d = _degree(node.base)
+        if d is not None:
+            return _power_x(arg, d), _sum_of_products
         return _exp(_log(arg, total), _sum_of_products, times_x=True), _sum_of_products
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -631,11 +704,15 @@ def eval_series(node: Ast, trunc: int) -> TSeries:
     ``log`` are each one recurrence, given the lane's term sum.  A quotient
     by a divisor of t-valuation v > 0 (``t`` in ``log(1+t)/t``,
     ``exp(t)-1`` in ``t/(exp(t)-1)``) reads its numerator v coefficients
-    further, so the result stays exact.  ``exp``, ``log`` and ``base^x =
-    exp(x log base)`` are first-order recurrences, and the step of
-    ``base^x`` multiplies by x as a one-degree shift; ``log`` and ``base^x``
-    need a constant term of exactly 1 and ``exp`` of exactly 0, and
-    violations raise positioned :class:`SemanticError` values.
+    further, so the result stays exact; by a literal ``t^k`` it only reads
+    k ahead, and a literal ``t^k`` factor only shifts.  ``exp``, ``log``
+    and ``base^x`` are first-order recurrences.  F = ``base^x`` solves
+    base F' = x base' F: a polynomial base of degree d, known from its
+    syntax, steps F_n from d earlier terms; ``exp(g)^x`` is exp(x g); any
+    other base is exp(x log base), whose step multiplies by x as a
+    one-degree shift.  ``log`` and ``base^x`` need a constant term of
+    exactly 1 and ``exp`` of exactly 0, and violations raise positioned
+    :class:`SemanticError` values.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")

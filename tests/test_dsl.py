@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedpoly import dsl
 from mixedpoly.dsl import (
     MAX_DEPTH,
     MAX_DIGITS,
@@ -612,6 +613,124 @@ DEEP_INPUTS = {
 def test_deepest_trees_evaluate(src):
     node = parse_text(src)
     assert eval_series(node, 8) == _eager(node, 8)
+
+
+# -- base^x and literal t^k against the slow oracle ----------------------------------
+
+
+# Each base^x route against _eager's exp_xt o log1p: the d-term step of a
+# polynomial base (degrees 0-3 and 6, rational and negative coefficients,
+# unary minus, powers, products), exp(x g) for an exp(g) base, and
+# exp(x log base) for any other base, x-free or on the x lane.
+POWX_ORACLE_CASES = [
+    ("(1+t)^x", 30),
+    ("(1-t)^x", 30),
+    ("(2-1)^x", 30),
+    ("(-(-1-t))^x", 30),
+    ("(1+2*t-t^2)^x", 30),
+    ("(1-1/2*t+3/4*t^2-2*t^3)^x", 30),
+    ("(1+t*t^2)^x", 30),
+    ("(1+t^2)^3^x", 30),
+    ("((1+t)*(1-3*t))^x", 30),
+    ("(1+t)^x*(1-t^2)^x", 30),
+    ("exp(t)^x", 30),
+    ("exp(2*t-t^2)^x", 30),
+    ("exp(log(1+t))^x", 30),
+    ("(t/(exp(t)-1))^x", 30),
+    ("(2/(t+2))^x", 30),
+    ("((1+t)^x)^x", 30),
+    ("exp((1+t)^x-1)^x", 20),
+    ("(1+t*(1+t)^x)^x", 20),
+]
+
+
+@pytest.mark.parametrize("src,trunc", POWX_ORACLE_CASES)
+def test_powx_matches_eager_reference(src, trunc):
+    node = parse_text(src)
+    assert eval_series(node, trunc) == _eager(node, trunc)
+
+
+# A literal t^k factor shifts the other operand, and a literal t^k divisor
+# reads its numerator k ahead; both keep the other operand's lane.
+LITERAL_SHIFT_CASES = [
+    "t^3*(1+t)^x",
+    "(1+t)^x*t",
+    "t*t^2/t^3",
+    "(t^2*exp(t)-t^2)/t^3",
+    "((1+t)^x-1)/t",
+    "t*(2/(t+2))^x/t^2",
+    "(t*log(1+t))/t^2",
+]
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 8])
+@pytest.mark.parametrize("src", LITERAL_SHIFT_CASES)
+def test_literal_t_power_shifts_match_eager_reference(src, trunc):
+    node = parse_text(src)
+    assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
+
+
+def _summed_terms(monkeypatch):
+    """The number of terms of every call to either lane's term sum, as it runs."""
+    calls = []
+    for name in ("_pair_sum", "_sum_of_products"):
+
+        def counted(terms, scale=1, real=getattr(dsl, name)):
+            calls.append(len(terms))
+            return real(terms, scale)
+
+        monkeypatch.setattr(dsl, name, counted)
+    return calls
+
+
+def test_binomial_carrier_sums_two_terms_per_coefficient(monkeypatch):
+    # exp(x log(1+t)) summed n terms twice for coefficient n.
+    calls = _summed_terms(monkeypatch)
+    got = eval_series(parse_text("(1+t)^x"), 200)
+    assert got == binomial_x(200)
+    assert max(calls) == 2
+    assert len(calls) == 2 + 200  # b_0 and b_1 of 1+t, then F_1 .. F_200
+
+
+@pytest.mark.parametrize("src,k", [("(t*t^9999)/t^10000", 10000), ("t^9999*(1+t)/t^9999", 9999)])
+def test_literal_t_power_quotient_sums_fewer_terms_than_k(monkeypatch, src, k):
+    # A product and a quotient summed O(n) terms for coefficient n, so the
+    # k coefficients read below t^k cost O(k^2): 20 s for the first text.
+    calls = _summed_terms(monkeypatch)
+    assert eval_series(parse_text(src), 1) == TSeries(1, (1, 1 if "1+t" in src else 0))
+    assert sum(calls) < k
+
+
+# The errors of base^x inputs: each node on every route keeps its check,
+# position and message.
+POWX_ERRORS = [
+    ("exp(1+t)^x", 0, "ExpArgNotZero: exp argument must have constant term 0"),
+    ("exp(exp(t))^x", 0, "ExpArgNotZero: exp argument must have constant term 0"),
+    ("exp(1)^x", 0, "ExpArgNotZero: exp argument must have constant term 0"),
+    ("exp(log(2+t))^x", 4, "LogArgNotOne: log argument must have constant term 1"),
+    ("exp(t^x)^x", 4, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("log(2+t)^x", 0, "LogArgNotOne: log argument must have constant term 1"),
+    ("(2+t)^x", 1, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("t^x", 0, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("0^x", 0, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("(-1+t)^x", 1, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("(-(1+t))^x", 1, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("(t*t+2)^x", 1, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("(exp(t)+1)^x", 1, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("((2+t)^x)^x", 2, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("(1+(2+t)^x)^x", 4, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("(1+t)^x^x*(3+t)^x", 11, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("(log(1+t)/t)^x*(2+t)^x", 16, "PowXBaseNotOne: base of ^x must have constant term 1"),
+    ("(1+t/0)^x", 3, "NonUnitDivisor: divisor vanishes to order 6"),
+    ("(1+t)^x/t", 1, "TByTDivisionImpossible: numerator coefficient of t^0 is nonzero"),
+]
+
+
+@pytest.mark.parametrize("src,position,message", POWX_ERRORS)
+def test_powx_errors_keep_their_positions_and_messages(src, position, message):
+    with pytest.raises(SemanticError) as info:
+        eval_series(parse_text(src), 6)
+    assert (info.value.position, info.value.message) == (position, message)
 
 
 # -- round trips ------------------------------------------------------------------
