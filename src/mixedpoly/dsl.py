@@ -28,7 +28,6 @@ than ``MAX_DEPTH`` and literals longer than ``MAX_DIGITS`` are parse errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +41,8 @@ from .series import (
     _power,
     _product,
     _quotient,
+    _Record,
+    _set,
     _Stream,
     _sum_of_products,
     _times_x,
@@ -148,12 +149,18 @@ class TokenKind(Enum):
     RPAREN = ")"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(_Record):
+    __slots__ = ("kind", "text", "start", "end")
     kind: TokenKind
     text: str
     start: int
     end: int
+
+    def __init__(self, kind, text, start, end):
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
 _IDENTS = ("t", "x", "log", "exp")
@@ -209,78 +216,104 @@ def tokenize(src: str) -> list[Token]:
 
 
 # --------------------------------------------------------------------------
-# AST
+# AST: every node compares and hashes without its span
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Record, compared=("value",)):
+    __slots__ = ("value", "span")
     value: Fraction
-    span: Span = field(compare=False)
+    span: Span
+
+    def __init__(self, value, span):
+        _set(self, "value", value)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class VarT:
-    span: Span = field(compare=False)
+class VarT(_Record, compared=()):
+    __slots__ = ("span",)
+    span: Span
+
+    def __init__(self, span):
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Add:
+class _Binary(_Record, compared=("left", "right")):
+    __slots__ = ("left", "right", "span")
     left: "Ast"
     right: "Ast"
-    span: Span = field(compare=False)
+    span: Span
+
+    def __init__(self, left, right, span):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Ast"
-    right: "Ast"
-    span: Span = field(compare=False)
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Ast"
-    right: "Ast"
-    span: Span = field(compare=False)
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Ast"
-    right: "Ast"
-    span: Span = field(compare=False)
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
+class Div(_Binary):
+    __slots__ = ()
+
+
+class Neg(_Record, compared=("operand",)):
+    __slots__ = ("operand", "span")
     operand: "Ast"
-    span: Span = field(compare=False)
+    span: Span
+
+    def __init__(self, operand, span):
+        _set(self, "operand", operand)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class PowInt:
+class PowInt(_Record, compared=("base", "exponent")):
+    __slots__ = ("base", "exponent", "span")
     base: "Ast"
     exponent: int
-    span: Span = field(compare=False)
+    span: Span
+
+    def __init__(self, base, exponent, span):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class PowX:
+class PowX(_Record, compared=("base",)):
+    __slots__ = ("base", "span")
     base: "Ast"
-    span: Span = field(compare=False)
+    span: Span
+
+    def __init__(self, base, span):
+        _set(self, "base", base)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Log:
+class _Call(_Record, compared=("arg",)):
+    __slots__ = ("arg", "span")
     arg: "Ast"
-    span: Span = field(compare=False)
+    span: Span
+
+    def __init__(self, arg, span):
+        _set(self, "arg", arg)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Exp:
-    arg: "Ast"
-    span: Span = field(compare=False)
+class Log(_Call):
+    __slots__ = ()
+
+
+class Exp(_Call):
+    __slots__ = ()
 
 
 Ast = Union[Const, VarT, Add, Sub, Mul, Div, Neg, PowInt, PowX, Log, Exp]
@@ -584,7 +617,7 @@ def _degree(node: Ast) -> int | None:
     """A bound on the t-degree of a polynomial's syntax, None for any other node.
 
     A polynomial is built from constants and ``t`` by ``+``, ``-``, unary
-    minus, ``*`` and powers k >= 0.
+    minus, ``*``, powers k >= 0 and ``/`` by a nonzero constant.
     """
     if isinstance(node, Const):
         return 0
@@ -592,6 +625,9 @@ def _degree(node: Ast) -> int | None:
         return 1
     if isinstance(node, Neg):
         return _degree(node.operand)
+    if isinstance(node, Div):
+        right = node.right
+        return _degree(node.left) if isinstance(right, Const) and right.value else None
     if isinstance(node, PowInt):
         d = _degree(node.base)
         return None if d is None or node.exponent < 0 else d * node.exponent

@@ -37,7 +37,6 @@ change-of-basis data used throughout the identity catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -49,6 +48,8 @@ from .series import (
     XPoly,
     _pair_sum,
     _product,
+    _Record,
+    _set,
     _Stream,
     _stirling_row,
     _sum_of_products,
@@ -83,8 +84,7 @@ class FamilyKind(Enum):
 _EXP_CARRIER = frozenset({FamilyKind.BERNOULLI, FamilyKind.EULER})
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """A family selector: which kind, at which order.
 
     Order 0 is admitted and yields the bare carrier (empty kernel product);
@@ -92,11 +92,14 @@ class FamilySpec:
     definitions start at order 1.
     """
 
+    __slots__ = ("kind", "order")
     kind: FamilyKind
     order: int
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, kind, order):
+        _set(self, "kind", kind)
+        _set(self, "order", order)
+        if order < 0:
             raise ValueError("family order must be >= 0")
 
     @property
@@ -105,11 +108,14 @@ class FamilySpec:
         return ((self.kind, self.order),)
 
 
-@dataclass(frozen=True)
-class PolyTable:
+class PolyTable(_Record):
     """Rows (n, P_n(x)) for n = 0..n_max, in order."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, XPoly], ...]
+
+    def __init__(self, rows):
+        _set(self, "rows", rows)
 
 
 def stirling1(n: int, m: int) -> int:

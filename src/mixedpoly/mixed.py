@@ -27,7 +27,6 @@ family spec (``families._oracle_memo``), bound once per claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from math import comb
@@ -45,7 +44,7 @@ from .families import (
     stirling1,
     stirling2,
 )
-from .series import _ZERO_POLY, XPoly, _sum_of_products
+from .series import _ZERO_POLY, XPoly, _Record, _set, _sum_of_products
 
 __all__ = [
     "IDENTITY_IDS",
@@ -78,14 +77,17 @@ _FACTORS = {
 }
 
 
-@dataclass(frozen=True)
-class MixedSpec:
+class MixedSpec(_Record):
+    __slots__ = ("kind", "r", "s")
     kind: MixedKind
     r: int
     s: int
 
-    def __post_init__(self):
-        if self.r < 1 or self.s < 1:
+    def __init__(self, kind, r, s):
+        _set(self, "kind", kind)
+        _set(self, "r", r)
+        _set(self, "s", s)
+        if r < 1 or s < 1:
             raise ValueError("mixed-type orders r, s must be >= 1")
 
     @property
@@ -102,26 +104,41 @@ class Variant(Enum):
     CORRECTED = "corrected"
 
 
-# ``_report``'s memo holds reports and their instances by the hundred, so
-# they carry no per-object ``__dict__``.
-@dataclass(frozen=True, slots=True)
-class IdentityInstance:
+# ``_report``'s memo holds reports and their instances by the hundred; as
+# slotted records they carry no per-object ``__dict__``, and each is built
+# by one plain ``__init__``.
+class IdentityInstance(_Record):
+    __slots__ = ("identity_id", "n", "r", "s")
     identity_id: str
     n: int
     r: int
     s: int
 
+    def __init__(self, identity_id, n, r, s):
+        _set(self, "identity_id", identity_id)
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "s", s)
 
-@dataclass(frozen=True, slots=True)
-class IdentityReport:
+
+class IdentityReport(_Record):
     """Verdict for one identity instance; exact pass iff diff is zero."""
 
+    __slots__ = ("instance", "passed", "lhs", "rhs", "diff", "variant")
     instance: IdentityInstance
     passed: bool
     lhs: XPoly
     rhs: XPoly
     diff: XPoly
     variant: Variant
+
+    def __init__(self, instance, passed, lhs, rhs, diff, variant):
+        _set(self, "instance", instance)
+        _set(self, "passed", passed)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "diff", diff)
+        _set(self, "variant", variant)
 
 
 # A mixed family's generating function is built exactly as a base family's,

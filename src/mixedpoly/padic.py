@@ -25,13 +25,12 @@ the inputs and the return values of ``multifold_integral``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .series import _ONE_PAIR, XPoly, _pair_sum, _power
+from .series import _ONE_PAIR, XPoly, _pair_sum, _power, _Record, _set
 
 __all__ = [
     "BinomialBasis",
@@ -119,21 +118,24 @@ def check_level(p: int, N: int, budget: int, k: int = 1) -> None:
         raise BudgetExceededError(f"{label} = {p}^{e} exceeds budget {budget}")
 
 
-@dataclass(frozen=True)
-class PAdicContext:
+class PAdicContext(_Record):
     """Summation level: p odd prime, sums run over 0 .. p^N - 1.
 
     The level is checked against the budget before p is tested for
     primality, so no primality test runs on a p above the budget.
     """
 
+    __slots__ = ("p", "N", "budget")
     p: int
     N: int
-    budget: int = DEFAULT_BUDGET
+    budget: int
 
-    def __post_init__(self):
-        check_level(self.p, self.N, self.budget)
-        if not is_odd_prime(self.p):
+    def __init__(self, p, N, budget=DEFAULT_BUDGET):
+        _set(self, "p", p)
+        _set(self, "N", N)
+        _set(self, "budget", budget)
+        check_level(p, N, budget)
+        if not is_odd_prime(p):
             raise ValueError("p must be an odd prime")
 
     @property
@@ -141,14 +143,15 @@ class PAdicContext:
         return self.p**self.N
 
 
-@dataclass(frozen=True)
-class BinomialBasis:
+class BinomialBasis(_Record):
     """The integrand C(x, n) kept in the binomial basis."""
 
+    __slots__ = ("n",)
     n: int
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n):
+        _set(self, "n", n)
+        if n < 0:
             raise ValueError("binomial index must be >= 0")
 
 
@@ -308,20 +311,30 @@ def shift_residual(kind: IntegralKind, f: XPoly, ctx: PAdicContext) -> Fraction:
     return Fraction(*_difference(value, _reduced(limit, den)))
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(_Record):
+    __slots__ = ("N", "approximant", "residual", "vp")
     N: int
     approximant: Fraction
     residual: Fraction
     vp: Union[int, float]
 
+    def __init__(self, N, approximant, residual, vp):
+        _set(self, "N", N)
+        _set(self, "approximant", approximant)
+        _set(self, "residual", residual)
+        _set(self, "vp", vp)
 
-@dataclass(frozen=True)
-class ValuationTrace:
+
+class ValuationTrace(_Record):
     """Residual valuations of level-N approximants against a fixed target."""
 
+    __slots__ = ("target", "rows")
     target: Fraction
     rows: tuple[TraceRow, ...]
+
+    def __init__(self, target, rows):
+        _set(self, "target", target)
+        _set(self, "rows", rows)
 
 
 def convergence_trace(

@@ -36,10 +36,61 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, repeat
 from math import factorial, gcd, lcm
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
+
+# A record's ``__init__`` sets its fields through this, past its ``__setattr__``.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__``, in order, and sets them in
+    its own ``__init__`` through ``_set``, validating as it goes.  Records
+    are equal when they are of one class with equal compared fields, and
+    hash as the tuple of those fields; the class keyword ``compared=``
+    names them, for the class and its subclasses, and by default every
+    field is compared.  Fields cannot be assigned or deleted; ``pickle`` and
+    ``copy`` rebuild a record through its constructor, and its repr is
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compared=None):
+        slots = (vars(base).get("__slots__", ()) for base in reversed(cls.__mro__))
+        cls._fields = tuple(name for names in slots for name in names)
+        if compared is not None:
+            cls._compared = compared
+        names = getattr(cls, "_compared", cls._fields)
+        if len(names) > 1:
+            cls._key = staticmethod(attrgetter(*names))
+        else:  # attrgetter of one name returns the bare value, not a 1-tuple
+            cls._key = staticmethod(lambda record: tuple(getattr(record, n) for n in names))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class SeriesError(Exception):

@@ -620,8 +620,9 @@ def test_deepest_trees_evaluate(src):
 
 # Each base^x route against _eager's exp_xt o log1p: the d-term step of a
 # polynomial base (degrees 0-3 and 6, rational and negative coefficients,
-# unary minus, powers, products), exp(x g) for an exp(g) base, and
-# exp(x log base) for any other base, x-free or on the x lane.
+# unary minus, powers, products, quotients by a constant), exp(x g) for an
+# exp(g) base, and exp(x log base) for any other base, x-free or on the x
+# lane.
 POWX_ORACLE_CASES = [
     ("(1+t)^x", 30),
     ("(1-t)^x", 30),
@@ -629,6 +630,7 @@ POWX_ORACLE_CASES = [
     ("(-(-1-t))^x", 30),
     ("(1+2*t-t^2)^x", 30),
     ("(1-1/2*t+3/4*t^2-2*t^3)^x", 30),
+    ("(1+t/2-t^2/3)^x", 30),
     ("(1+t*t^2)^x", 30),
     ("(1+t^2)^3^x", 30),
     ("((1+t)*(1-3*t))^x", 30),
@@ -692,6 +694,25 @@ def test_binomial_carrier_sums_two_terms_per_coefficient(monkeypatch):
     assert len(calls) == 2 + 200  # b_0 and b_1 of 1+t, then F_1 .. F_200
 
 
+@pytest.mark.parametrize(
+    "quotient,product,degree",
+    [("(1+t/2)^x", "(1+1/2*t)^x", 1), ("(1+t/2-t^2/3)^x", "(1+1/2*t-1/3*t^2)^x", 2)],
+)
+def test_quotient_by_a_constant_takes_the_polynomial_step(monkeypatch, quotient, product, degree):
+    # 1/2*t folds to one constant at parse time, t/2 stays a quotient; both
+    # bases are polynomials of one degree, so both take the d-term step.
+    steps = []
+
+    def counted(b, d, real=dsl._power_x):
+        steps.append(d)
+        return real(b, d)
+
+    monkeypatch.setattr(dsl, "_power_x", counted)
+    for trunc in range(31):
+        assert eval_series(parse_text(quotient), trunc) == eval_series(parse_text(product), trunc)
+    assert steps == [degree, degree] * 31
+
+
 @pytest.mark.parametrize("src,k", [("(t*t^9999)/t^10000", 10000), ("t^9999*(1+t)/t^9999", 9999)])
 def test_literal_t_power_quotient_sums_fewer_terms_than_k(monkeypatch, src, k):
     # A product and a quotient summed O(n) terms for coefficient n, so the
@@ -722,6 +743,7 @@ POWX_ERRORS = [
     ("(1+t)^x^x*(3+t)^x", 11, "PowXBaseNotOne: base of ^x must have constant term 1"),
     ("(log(1+t)/t)^x*(2+t)^x", 16, "PowXBaseNotOne: base of ^x must have constant term 1"),
     ("(1+t/0)^x", 3, "NonUnitDivisor: divisor vanishes to order 6"),
+    ("(2+t/3)^x", 1, "PowXBaseNotOne: base of ^x must have constant term 1"),
     ("(1+t)^x/t", 1, "TByTDivisionImpossible: numerator coefficient of t^0 is nonzero"),
 ]
 

@@ -18,10 +18,14 @@ folds hold their quantities as integer pairs and build no ``Fraction``
 outside the public entry points, and ``padic`` reads nothing of
 ``families`` or ``mixed`` either.  The printers of polynomial coefficients
 in ``series`` and ``cli`` read the integer numerators and build no
-``Fraction``.
+``Fraction``.  No module imports ``dataclasses``, and a fresh interpreter
+that imports the package and its CLI loads none of the standard modules
+``dataclasses`` would bring in.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -322,3 +326,27 @@ def test_coefficient_printers_build_no_fraction(module):
         name for name, node in defs.items() if FRACTION_BUILDERS & set(_uses(node))
     )
     assert not readers, readers
+
+
+# What ``dataclasses`` loads; the value classes are ``series._Record``s, so a
+# command's fresh interpreter imports none of these for the package.
+IMPORT_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy", "opcode")
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_dataclasses(module):
+    assert "dataclasses" not in _imported_modules(MODULES[module])
+
+
+def test_importing_the_package_loads_no_dataclass_machinery():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mixedpoly, mixedpoly.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"mixedpoly.cli", "mixedpoly.dsl"} <= loaded
+    assert not loaded & set(IMPORT_FREE), sorted(loaded & set(IMPORT_FREE))
