@@ -1,4 +1,4 @@
-"""Static checks over the package source, built on ``ast`` only.
+"""Static checks over the package source, built on ``ast``, and one import check.
 
 Every ``__all__`` entry must name something the module binds, every
 module-level private name must be used somewhere besides its own
@@ -330,7 +330,7 @@ def test_coefficient_printers_build_no_fraction(module):
 
 # What ``dataclasses`` loads; the value classes are ``series._Record``s, so a
 # command's fresh interpreter imports none of these for the package.
-IMPORT_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy", "opcode")
+IMPORT_FREE = {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy", "opcode"}
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
@@ -349,4 +349,4 @@ def test_importing_the_package_loads_no_dataclass_machinery():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert {"mixedpoly.cli", "mixedpoly.dsl"} <= loaded
-    assert not loaded & set(IMPORT_FREE), sorted(loaded & set(IMPORT_FREE))
+    assert not loaded & IMPORT_FREE, sorted(loaded & IMPORT_FREE)
