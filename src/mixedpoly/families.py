@@ -16,19 +16,25 @@ kernel and a mixed family two; a spec lists them as its ``factors``, pairs
     Changhee    2 / (t + 2)     = (1 + t/2)^-1
     Cauchy      t / log(1+t)    = (log(1+t)/t)^-1
 
-so each kernel power is a base series with constant term 1, read from its
+and a kernel power is a base series with constant term 1, read from its
 closed form, raised to an integer power by J.C.P. Miller's recurrence: no
-series quotient and no division by t.  The rows P_n(x) are read from the
-kernel powers and the carrier's coefficients, one growing stream per
-``factors`` (``_row_stream``, the only memo of the rows), so a longer table
-extends the rows already computed.  ``gf_rows``, ``family_poly``,
-``family_gf`` and the identity catalog read those streams;
-``family_oracle`` recomputes the base polynomials through a completely
-different route (number recurrences, their terms reduced integer pairs, plus
-binomial convolution), one memo per spec (``_oracle_memo``, the only memo
-of the oracle polynomials), so agreement between the two is a genuine
-cross-check rather than a tautology.  The p-adic target
-P_n(x0)/n! is summed from the numbers, with no polynomial in x.
+series quotient and no division by t.  The e^(x t) rows (B, E, BE) are read
+from the kernel powers.  The (1+t)^x rows are read from the signed Stirling
+numbers s(m, k), the coefficients of the falling factorial stepped one
+factor at a time (``_falling_stream``), by short rules of O(r n) terms a
+row: Daehee from L^k/k! = sum_m s(m, k) t^m/m! for L = log(1+t), Cauchy
+from the same and, below x^r, from Cauchy kernel powers, and Changhee and
+the DC and CC types from the equation (1+t/2)^s F = G of their generating
+function.  The rows are one growing stream per ``factors`` (``_row_stream``,
+the only memo of the rows), so a longer table extends the rows already
+computed.  ``gf_rows``, ``family_poly``, ``family_gf`` and the identity
+catalog read those streams; ``family_oracle`` recomputes the base
+polynomials through a completely different route (number recurrences, their
+terms reduced integer pairs, plus binomial convolution, in the basis of
+``series.falling_factorial`` for (1+t)^x), one memo per spec
+(``_oracle_memo``, the only memo of the oracle polynomials), so agreement
+between the two is a genuine cross-check rather than a tautology.  The
+p-adic target P_n(x0)/n! is summed from the numbers, with no polynomial in x.
 
 Stirling numbers of both kinds are exported here too (their rows, and the
 falling factorial read from them, live in ``series``); they are the
@@ -40,7 +46,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import add, sub
 from .series import (
     _ONE_PAIR,
@@ -145,17 +151,16 @@ def stirling2(n: int, m: int) -> int:
 # Each order-1 kernel is a base series with constant term 1 raised to +1 or
 # -1: (base, sign) by kind.  The bases' coefficients are closed forms, and
 # every coefficient on this side is a reduced integer pair (p, q) for p/q.
+# Daehee and Changhee have none: their rows read the Stirling numbers and the
+# (1+t/2)^h equation (``_daehee_rows``, ``_changhee_rows``).
 _KERNELS = {
-    FamilyKind.DAEHEE: ("log(1+t)/t", 1),
     FamilyKind.CAUCHY: ("log(1+t)/t", -1),
     FamilyKind.BERNOULLI: ("(e^t-1)/t", -1),
-    FamilyKind.CHANGHEE: ("1+t/2", -1),
     FamilyKind.EULER: ("(e^t+1)/2", -1),
 }
 _BASES = {
     "log(1+t)/t": lambda n: ((-1) ** n, n + 1),
     "(e^t-1)/t": lambda n: (1, factorial(n + 1)),
-    "1+t/2": lambda n: (1, 2**n) if n < 2 else (0, 1),
     "(e^t+1)/2": lambda n: (1, 2 * factorial(n)) if n else (1, 1),
 }
 
@@ -188,52 +193,137 @@ def _kernel_power(kind: FamilyKind, order: int) -> _Stream:
 def _row_stream(factors) -> _Stream:
     """P_0(x), P_1(x), ... of the generating function of ``factors``, each computed once.
 
-    With K the product of the kernel powers, P_n = n! sum_m K_(n-m) c_m(x)
-    for the carrier's coefficients c_m: x^m / m! for e^(x t), read directly
-    as [x^m] P_n = (n!/m!) K_(n-m), and (x)_m / m! for (1+t)^x, summed over
-    one common denominator before the single factor n!.
+    With the carrier e^(x t) (B, E, BE) and K the product of the kernel
+    powers, [x^m] P_n = (n!/m!) K_(n-m).  The (1+t)^x families are
+    (log(1+t)/t)^e (1+t/2)^(-h) (1+t)^x, e the Daehee less the Cauchy
+    powers and h the Changhee power: the Daehee rows of order e, or the
+    Cauchy rows of order -e, then h steps of (1+t/2).  So CD collapses to
+    C^(r-s), D^(s-r) or (x)_n, and reads that stream.
     """
     (kind, power), *mixed = factors
+    if kind not in _EXP_CARRIER:
+        e = h = 0
+        for k, p in factors:
+            if k is FamilyKind.CHANGHEE:
+                h += p
+            else:
+                e += p if k is FamilyKind.DAEHEE else -p
+        log = ((FamilyKind.DAEHEE, e),) if e >= 0 else ((FamilyKind.CAUCHY, -e),)
+        if h:
+            return _changhee_rows(_row_stream(log), h)
+        if factors != log:
+            return _row_stream(log)
+        return _daehee_rows(e) if e >= 0 else _cauchy_rows(-e)
     kernel = _kernel_power(kind, power)
-    if mixed:  # the product of the two kernel powers
+    if mixed:  # BE: the product of the two kernel powers
         kernel = _product(kernel, _kernel_power(*mixed[0]), _pair_sum)
-    if kind in _EXP_CARRIER:
-        def rule(n):
-            ks = [kernel[n - m] for m in range(n + 1)]
-            den = lcm(*(q for _, q in ks))
-            num, weight = [], factorial(n)  # weight = n!/m!
-            for m, (p, q) in enumerate(ks):
-                num.append(weight * p * (den // q))
-                weight //= m + 1
-            return XPoly._normalized(num, den)
-    else:
-        falling = _falling_stream()
 
-        def rule(n):
-            terms = []
-            for m in range(n + 1):
-                p, q = kernel[n - m]
-                if p:
-                    fact, coeffs = falling[m]
-                    terms.append((p, q * fact, coeffs))
-            den = lcm(*(q for _, q, _ in terms))
-            num = [0] * (n + 1)
-            for p, q, coeffs in terms:
-                num[: len(coeffs)] = map(add, num, map((p * (den // q)).__mul__, coeffs))
-            scale = factorial(n)
-            return XPoly._normalized([c * scale for c in num], den)
+    def rule(n):
+        ks = [kernel[n - m] for m in range(n + 1)]
+        den = lcm(*(q for _, q in ks))
+        num, weight = [], factorial(n)  # weight = n!/m!
+        for m, (p, q) in enumerate(ks):
+            num.append(weight * p * (den // q))
+            weight //= m + 1
+        return XPoly._normalized(num, den)
+
     return _Stream(rule)
 
 
-@lru_cache(maxsize=None)
-def _falling_stream() -> _Stream:
-    """(m!, integer coefficients of (x)_m), stepped as (x)_m = (x)_(m-1) (x - m + 1)."""
-    def rule(m):
-        fact, prev = steps[m - 1]
-        return fact * m, tuple(map(sub, (0,) + prev, map((m - 1).__mul__, prev + (0,))))
+def _daehee_rows(r: int) -> _Stream:
+    """D_n^(r)(x): [x^j] = C(j+r, r) s(n+r, j+r) / C(n+r, r), n + 1 terms a row.
 
+    L^k/k! = sum_m s(m, k) t^m/m! for L = log(1+t) (Comtet, ch. 5), and the
+    generating function is t^-r sum_j x^j L^(j+r)/j!.  The Stirling numbers
+    are the top of (x)_(n+r), ``_falling_stream(r)``.
+    """
+    tops = _falling_stream(r)
+
+    def rule(n):
+        num, c = [], 1  # c = C(j+r, r)
+        for j, s in enumerate(tops[n]):
+            num.append(c * s)
+            c = c * (j + r + 1) // (j + 1)
+        return XPoly._normalized(num, comb(n + r, r))
+
+    return _Stream(rule)
+
+
+def _cauchy_rows(r: int) -> _Stream:
+    """C_n^(r)(x): the generating function is t^r sum_j x^j L^(j-r)/j!, L = log(1+t).
+
+    For j >= r, [x^j] = (n)_r s(n-r, j-r) / (j)_r, read from (x)_(n-r).  The
+    x^j with j < r have no such form: they are n! sum_m K_(n-m) s(m, j) / m!
+    for K the kernel power, the dense sum cut to those columns, summed as
+    sum_m C(n, m) N_(n-m) s(m, j) over the numbers N_k = k! K_k, whose
+    denominators are small: O(r n) terms a row.
+    """
+    falling, kernel = _falling_stream(), _kernel_power(FamilyKind.CAUCHY, r)
+    nums, fact, den = [], 1, 1  # N_0..N_n; n!; the lcm of the denominators of N
+
+    def rule(n):
+        nonlocal fact, den
+        fact *= n or 1
+        p, q = kernel[n]
+        g = gcd(fact, q)
+        nums.append((fact // g * p, q // g))
+        den = lcm(den, q // g)
+        cols, c = [0] * min(r, n + 1), 1  # x^0..x^(r-1) over den; c = C(n, m)
+        for m in range(n + 1):
+            p, q = nums[n - m]
+            if p:
+                coeffs = falling[m][:r]
+                cols[: len(coeffs)] = map(add, cols, map((c * p * (den // q)).__mul__, coeffs))
+            c = c * (n - m) // (m + 1)
+        terms = [(p, den) for p in cols]
+        if n >= r:
+            top, bottom = perm(n, r), factorial(r)  # (n)_r, and (j)_r from j = r
+            for j, s in enumerate(falling[n - r], r):
+                terms.append((top * s, bottom))
+                bottom = bottom * (j + 1) // (j + 1 - r)
+        common = lcm(*{q for _, q in terms})
+        return XPoly._normalized([p * (common // q) for p, q in terms], common)
+
+    return _Stream(rule)
+
+
+def _changhee_rows(base: _Stream, h: int) -> _Stream:
+    """Rows of (2/(t+2))^h G from the rows G_n of G, h + 1 terms a row.
+
+    The generating function's own equation (1+t/2)^h F = G gives
+    P_n = G_n - sum_(i=1..min(h, n)) C(h, i) 2^-i (n)_i P_(n-i).
+    """
+    def rule(n):
+        terms, weight = [(base[n],)], 1  # weight = C(h, i) (n)_i
+        for i in range(1, min(h, n) + 1):
+            weight = weight * (h - i + 1) * (n - i + 1) // i
+            terms.append(((-weight, 2**i), rows[n - i]))
+        return _sum_of_products(terms)
+
+    rows = _Stream(rule)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _falling_stream(shift: int = 0) -> _Stream:
+    """s(m+shift, shift..m+shift): the top m + 1 coefficients of (x)_(m+shift), as ints.
+
+    Stepped as (x)_(m+shift) = (x)_(m+shift-1) (x - m - shift + 1), that is
+    s(N, k) = s(N-1, k-1) - (N-1) s(N-1, k); at shift 0 these are all of
+    (x)_m.  The lowest, s(m+shift, shift), reads s(m+shift-1, shift-1)
+    below the window, so the rule carries the diagonal s(m+i, i),
+    i = 0..shift, along by the same recurrence: O(m + shift) steps a term.
+    """
+    def rule(m):
+        prev, step = steps[m - 1], m + shift - 1
+        left[0] = 0
+        for i in range(1, shift + 1):
+            left[i] = left[i - 1] - (m + i - 1) * left[i]
+        return (left[shift], *map(sub, prev, map(step.__mul__, prev[1:] + (0,))))
+
+    left = [1] * (shift + 1)  # s(m+i, i) at m = 0
     steps = _Stream(rule)
-    steps[0] = (1, (1,))
+    steps[0] = (1,)
     return steps
 
 

@@ -4,11 +4,14 @@ Each is built from its closed-form coefficients as a ``TSeries``, and the
 order-1 kernels as truncated series quotients of them, so they share no
 code with the kernel-power and row streams of ``families`` or with the
 expression language's stream rules.  The small ``XPoly`` and ``TSeries``
-constructors that only the tests use live here too.
+constructors that only the tests use live here too, and so does the dense
+row sum of the (1+t)^x families (``dense_rows``), the slow oracle of their
+short row rules.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
 from mixedpoly.families import FamilyKind
 from mixedpoly.series import TSeries, XPoly
@@ -90,3 +93,41 @@ def quotient_kernel(kind: FamilyKind, trunc: int) -> TSeries:
     if kind is FamilyKind.BERNOULLI:
         return TSeries.constant(1, trunc) / expm1(trunc + 1).shift_down()
     return TSeries.constant(2, trunc) / (expm1(trunc) + 2)
+
+
+@lru_cache(maxsize=None)
+def falling_coefficients(m: int) -> tuple[int, ...]:
+    """Integer coefficients of (x)_m, ascending, multiplied out one factor (x - i) at a time."""
+    coeffs = [1]
+    for i in range(m):
+        coeffs = [a - i * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def dense_rows(factors, n_max: int) -> tuple[XPoly, ...]:
+    """P_0(x)..P_(n_max)(x) of a (1+t)^x family by the dense row sum.
+
+    P_n = n! sum_m K_(n-m) (x)_m / m! for K the product of the quotient
+    kernels: n + 1 terms of up to n + 1 coefficients a row, ~n^2/2
+    multiply-adds, summed over one common denominator before the single
+    factor n!.
+    """
+    product = TSeries.constant(1, n_max)
+    for kind, power in factors:
+        product = product * quotient_kernel(kind, n_max) ** power
+    kernel = [product.coeff(n).coeff(0) for n in range(n_max + 1)]
+    rows = []
+    for n in range(n_max + 1):
+        terms = [
+            (k.numerator, k.denominator * factorial(m), falling_coefficients(m))
+            for m, k in enumerate(reversed(kernel[: n + 1]))
+            if k
+        ]
+        den = lcm(*(q for _, q, _ in terms))
+        num = [0] * (n + 1)
+        for p, q, coeffs in terms:
+            for i, c in enumerate(coeffs):
+                num[i] += p * (den // q) * c
+        rows.append(XPoly([Fraction(c * factorial(n), den) for c in num]))
+    return tuple(rows)

@@ -97,6 +97,23 @@ def test_stdout_digest(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Large tables of the (1+t)^x families, whose rows reach 300 Stirling and
+# (1+t/2)^s steps; the digests were recorded from the dense row sum
+# P_n = n! sum_m K_(n-m) (x)_m / m! that those rules replaced.
+AT_SCALE = [
+    ("table --family D --order 2 --n 300", "ffcb69270f3f12b78847471072857af39c0fdc329a253cd0ed72b273ee71921b"),
+    ("table --family C --order 2 --n 300", "4836b584a6334ad80e6548c4edbb1a1fa1c738256e660d60fa0acab56792b33d"),
+    ("table --family Ch --order 2 --n 300", "14da15ff6eeb8d6207e5262526525d84fafce9e4934e634fe8e924b4e91f1dba"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", AT_SCALE, ids=[a[0] for a in AT_SCALE])
+def test_large_table_digest(capsys, argv, digest):
+    got_code, out = run(capsys, shlex.split(argv))
+    assert got_code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("variant,code", [("corrected", 0), ("as-printed", 1)])
 def test_verify_latex_table(capsys, variant, code):
     argv = ["verify", "--id", "all", "--n-max", "8", "--variant", variant, "--format"]

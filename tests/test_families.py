@@ -26,7 +26,15 @@ from mixedpoly.families import (
 from mixedpoly.mixed import MixedKind, MixedSpec
 from mixedpoly.series import TSeries, XPoly
 
-from series_reference import binomial_x, degree, exp_xt, poly_one, poly_zero, quotient_kernel
+from series_reference import (
+    binomial_x,
+    degree,
+    dense_rows,
+    exp_xt,
+    poly_one,
+    poly_zero,
+    quotient_kernel,
+)
 
 ALL_KINDS = list(FamilyKind)
 
@@ -341,17 +349,26 @@ def test_degree_and_leading_coefficient(kind):
 
 
 def _kernel_series(kind, trunc):
-    # The order-1 kernel stream of the GF route, as a truncated series.
-    kernel = families._kernel_power(kind, 1)
-    return TSeries(trunc, [F(*kernel[n]) for n in range(trunc + 1)])
+    # The order-1 kernel of the GF route, as a truncated series: its kernel
+    # stream, or for Daehee and Changhee, whose rows read none, the order-1
+    # generating function at x = 0.
+    if kind in families._KERNELS:
+        kernel = families._kernel_power(kind, 1)
+        return TSeries(trunc, [F(*kernel[n]) for n in range(trunc + 1)])
+    gf = family_gf(FamilySpec(kind, 1), trunc)
+    return TSeries(trunc, [gf.coeff(n)(0) for n in range(trunc + 1)])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_kernel_powers_are_x_free(kind):
     # The number-level generating function (carrier evaluated at x = 0)
-    # must have purely rational coefficients.
+    # must have purely rational coefficients.  Daehee and Changhee have no
+    # kernel stream, so theirs is the test-side quotient kernel.
     for order in (1, 2, 3):
-        k = _kernel_series(kind, 10) ** order
+        if kind in families._KERNELS:
+            k = _kernel_series(kind, 10) ** order
+        else:
+            k = quotient_kernel(kind, 10) ** order
         assert all(c.is_scalar for c in k.coeffs)
         gf = family_gf(FamilySpec(kind, order), 10)
         for n in range(11):
@@ -410,6 +427,91 @@ def test_gf_streams_match_truncated_series_reference_in_any_call_order(calls, ar
         gf, rows = _gf_from_truncated_series(spec.factors, 30)
         assert gf_rows(spec.factors, trunc) == rows[: trunc + 1], (spec, trunc)
         assert family_gf(spec, trunc) == TSeries(trunc, gf.coeffs[: trunc + 1]), (spec, trunc)
+
+
+# The (1+t)^x specs: D, C and Ch at orders 0..4, DC, CD and CC at r, s = 1..4.
+_LOG_CARRIER_SPECS = [
+    FamilySpec(kind, order)
+    for kind in (FamilyKind.DAEHEE, FamilyKind.CAUCHY, FamilyKind.CHANGHEE)
+    for order in range(5)
+] + [
+    MixedSpec(kind, r, s)
+    for kind in (MixedKind.DC, MixedKind.CD, MixedKind.CC)
+    for r in range(1, 5)
+    for s in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("kind", sorted({spec.kind for spec in _LOG_CARRIER_SPECS}, key=str))
+def test_log_carrier_rules_match_the_dense_row_sum(kind):
+    # Every row n <= 60 of the Stirling, Cauchy-kernel and (1+t/2)^s rules
+    # equals the dense sum n! sum_m K_(n-m) (x)_m / m! over test-side
+    # kernels and falling factorials.
+    _clear_family_memos()
+    specs = [spec for spec in _LOG_CARRIER_SPECS if spec.kind is kind]
+    assert specs
+    for spec in specs:
+        assert gf_rows(spec.factors, 60) == dense_rows(spec.factors, 60), spec
+
+
+def test_log_carrier_rows_read_linear_work(monkeypatch):
+    # Cold memos, then rows 0..60 of each spec, counting what each row reads:
+    # each coefficient it takes from a Stirling tuple, each coefficient of a
+    # polynomial term it sums, and each term of a kernel-power step.  A row n
+    # of order weight w reads at most (w + 3)(n + 1); the dense row sum read
+    # (n + 1)(n + 2)/2, three times that bound at n = 60 and w = 8.
+    work = [0]
+    falling, total, pair_total = (
+        families._falling_stream, families._sum_of_products, families._pair_sum
+    )
+
+    class Counted(tuple):
+        def __iter__(self):
+            work[0] += len(self)
+            return super().__iter__()
+
+        def __getitem__(self, index):
+            part = super().__getitem__(index)
+            work[0] += len(part) if isinstance(index, slice) else 1
+            return part
+
+    def counted_falling(shift=0):
+        steps = falling(shift)
+        return series._Stream(lambda m: Counted(steps[m]))
+
+    def counted_total(terms, scale=1):
+        terms = list(terms)
+        work[0] += sum(len(f._num) for term in terms for f in term if type(f) is XPoly)
+        return total(terms, scale)
+
+    def counted_pair_total(terms, scale=1):
+        terms = list(terms)
+        work[0] += len(terms)
+        return pair_total(terms, scale)
+
+    monkeypatch.setattr(families, "_falling_stream", counted_falling)
+    monkeypatch.setattr(families, "_sum_of_products", counted_total)
+    monkeypatch.setattr(families, "_pair_sum", counted_pair_total)
+    specs = [
+        FamilySpec(FamilyKind.DAEHEE, 4),
+        FamilySpec(FamilyKind.CAUCHY, 4),
+        FamilySpec(FamilyKind.CHANGHEE, 4),
+        MixedSpec(MixedKind.DC, 4, 4),
+        MixedSpec(MixedKind.CC, 4, 4),
+        MixedSpec(MixedKind.CD, 4, 1),
+    ]
+    try:
+        for spec in specs:
+            _clear_family_memos()
+            weight = sum(power for _, power in spec.factors)
+            rows, start = families._row_stream(spec.factors), work[0]
+            for n in range(61):
+                before = work[0]
+                rows[n]
+                assert work[0] - before <= (weight + 3) * (n + 1), (spec, n, work[0] - before)
+            assert work[0] - start >= 61 * 62 // 2, spec  # every row reads its own n + 1
+    finally:
+        _clear_family_memos()
 
 
 def test_deep_order_rows_need_no_recursion():

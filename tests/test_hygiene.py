@@ -175,7 +175,16 @@ def test_module_imports_are_read(module):
 
 # The generating-function side of ``families`` and the oracle side, each by
 # its entry points and by the names only it may read.
-GF_ROUTE = ("_base_stream", "_kernel_power", "_row_stream", "gf_rows", "family_gf")
+GF_ROUTE = (
+    "_base_stream",
+    "_kernel_power",
+    "_daehee_rows",
+    "_cauchy_rows",
+    "_changhee_rows",
+    "_row_stream",
+    "gf_rows",
+    "family_gf",
+)
 GF_NAMES = GF_ROUTE + ("_BASES", "_KERNELS", "_falling_stream")
 ORACLE_ROUTE = (
     "_order1_stream",
@@ -241,7 +250,16 @@ def test_oracle_numbers_build_no_fraction():
 
 # The generating-function side's builders, which the expression language
 # must not read: its output is compared with the GF rows.
-GF_SIDE = ("_kernel_power", "_base_stream", "_row_stream", "_falling_stream", "_KERNELS")
+GF_SIDE = (
+    "_kernel_power",
+    "_base_stream",
+    "_daehee_rows",
+    "_cauchy_rows",
+    "_changhee_rows",
+    "_row_stream",
+    "_falling_stream",
+    "_KERNELS",
+)
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

@@ -325,8 +325,9 @@ def _catalog_sides(n_max, corrected):
 
 @pytest.mark.parametrize("corrected", [True, False])
 def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
-    # Scaling the kernel powers moves every GF row; scaling the order-1 numbers
-    # moves every oracle value.  Each must move exactly one side of each
+    # Scaling the kernel powers and the GF route's Stirling numbers (the
+    # coefficients of ``_falling_stream``) moves every GF row; scaling the
+    # order-1 numbers moves every oracle value.  Each must move exactly one side of each
     # claim: a claim with the same route on both sides would move twice.
     # Scaling the falling factorial moves the oracle basis of the (1+t)^x
     # families and E17's left side, but must not move the GF carrier, so it
@@ -334,12 +335,18 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
     n_max = 5
     _clear_memos()
     base = _catalog_sides(n_max, corrected)
-    kernel, numbers = families._kernel_power, families._order1_stream
+    kernel, stirling, numbers = (
+        families._kernel_power, families._falling_stream, families._order1_stream
+    )
     falling = series.falling_factorial
 
     def doubled_kernel(kind, order):
         power = kernel(kind, order)  # terms are integer pairs (p, q) for p/q
         return series._Stream(lambda n: (2 * power[n][0], power[n][1]))
+
+    def doubled_stirling(shift=0):
+        steps = stirling(shift)  # terms are tuples of integer coefficients
+        return series._Stream(lambda m: tuple(2 * c for c in steps[m]))
 
     def tripled_numbers(kind):
         nums = numbers(kind)  # terms are integer pairs (p, q) for p/q
@@ -350,7 +357,13 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
 
     # route -> (patches, ids each of whose claims must move; None for all)
     perturbations = {
-        "gf": ([(families, "_kernel_power", doubled_kernel)], None),
+        "gf": (
+            [
+                (families, "_kernel_power", doubled_kernel),
+                (families, "_falling_stream", doubled_stirling),
+            ],
+            None,
+        ),
         "oracle": ([(families, "_order1_stream", tripled_numbers)], None),
         "falling": (
             [(module, "falling_factorial", quintupled_falling) for module in (series, families, mixed)],
