@@ -198,22 +198,27 @@ def _row_stream(factors) -> _Stream:
     (log(1+t)/t)^e (1+t/2)^(-h) (1+t)^x, e the Daehee less the Cauchy
     powers and h the Changhee power: the Daehee rows of order e, or the
     Cauchy rows of order -e, then h steps of (1+t/2).  So CD collapses to
-    C^(r-s), D^(s-r) or (x)_n, and reads that stream.
+    C^(r-s), D^(s-r) or (x)_n, and reads that stream.  A factor that fits
+    neither form, which no spec has, is a ``ValueError``.
     """
     (kind, power), *mixed = factors
     if kind not in _EXP_CARRIER:
         e = h = 0
         for k, p in factors:
-            if k is FamilyKind.CHANGHEE:
+            if k is FamilyKind.CHANGHEE and p >= 0:
                 h += p
-            else:
+            elif k in (FamilyKind.DAEHEE, FamilyKind.CAUCHY):
                 e += p if k is FamilyKind.DAEHEE else -p
+            else:
+                raise ValueError(f"no (1+t)^x rows for the factor ({k.value}, {p})")
         log = ((FamilyKind.DAEHEE, e),) if e >= 0 else ((FamilyKind.CAUCHY, -e),)
         if h:
             return _changhee_rows(_row_stream(log), h)
         if factors != log:
             return _row_stream(log)
         return _daehee_rows(e) if e >= 0 else _cauchy_rows(-e)
+    if any(k not in _EXP_CARRIER for k, _ in mixed):
+        raise ValueError("the e^(xt) carrier takes Bernoulli and Euler factors only")
     kernel = _kernel_power(kind, power)
     if mixed:  # BE: the product of the two kernel powers
         kernel = _product(kernel, _kernel_power(*mixed[0]), _pair_sum)

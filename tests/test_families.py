@@ -382,6 +382,27 @@ def test_gf_rows_are_the_extracted_gf_polynomials():
     assert family_poly(spec, 4) == gf.poly(4)
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((FamilyKind.DAEHEE, 1), (FamilyKind.BERNOULLI, 1)),
+        ((FamilyKind.BERNOULLI, 1), (FamilyKind.DAEHEE, 1)),
+        ((FamilyKind.CHANGHEE, -1),),
+    ],
+)
+def test_gf_rows_reject_factors_no_rule_reads(factors):
+    # Kernels of the other carrier, and a negative Changhee power, fit
+    # neither row form; no spec has them, and they are refused, not misread.
+    with pytest.raises(ValueError):
+        gf_rows(factors, 3)
+
+
+def test_gf_rows_read_a_negative_log_power_as_the_other_kind():
+    minus = ((FamilyKind.DAEHEE, -2),)
+    assert gf_rows(minus, 12) == gf_rows(FamilySpec(FamilyKind.CAUCHY, 2).factors, 12)
+    assert gf_rows(minus, 12) == dense_rows(minus, 12)
+
+
 def test_poly_table_rows():
     table = poly_table(FamilySpec(FamilyKind.DAEHEE, 1), 3)
     assert [n for n, _ in table.rows] == [0, 1, 2, 3]
