@@ -365,10 +365,8 @@ def test_kernel_powers_are_x_free(kind):
     # must have purely rational coefficients.  Daehee and Changhee have no
     # kernel stream, so theirs is the test-side quotient kernel.
     for order in (1, 2, 3):
-        if kind in families._KERNELS:
-            k = _kernel_series(kind, 10) ** order
-        else:
-            k = quotient_kernel(kind, 10) ** order
+        kernel = _kernel_series if kind in families._KERNELS else quotient_kernel
+        k = kernel(kind, 10) ** order
         assert all(c.is_scalar for c in k.coeffs)
         gf = family_gf(FamilySpec(kind, order), 10)
         for n in range(11):
@@ -480,7 +478,7 @@ def test_log_carrier_rows_read_linear_work(monkeypatch):
     # each coefficient it takes from a Stirling tuple, each coefficient of a
     # polynomial term it sums, and each term of a kernel-power step.  A row n
     # of order weight w reads at most (w + 3)(n + 1); the dense row sum read
-    # (n + 1)(n + 2)/2, three times that bound at n = 60 and w = 8.
+    # (n + 1)(n + 2)/2, 2.8 times that bound at n = 60 and w = 8.
     work = [0]
     falling, total, pair_total = (
         families._falling_stream, families._sum_of_products, families._pair_sum

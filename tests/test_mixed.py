@@ -327,8 +327,9 @@ def _catalog_sides(n_max, corrected):
 def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
     # Scaling the kernel powers and the GF route's Stirling numbers (the
     # coefficients of ``_falling_stream``) moves every GF row; scaling the
-    # order-1 numbers moves every oracle value.  Each must move exactly one side of each
-    # claim: a claim with the same route on both sides would move twice.
+    # order-1 numbers moves every oracle value.  Each must move exactly one
+    # side of each claim: a claim with the same route on both sides would
+    # move twice.
     # Scaling the falling factorial moves the oracle basis of the (1+t)^x
     # families and E17's left side, but must not move the GF carrier, so it
     # moves exactly one side of the claims that read either, and never two.
