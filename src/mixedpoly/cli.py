@@ -19,7 +19,12 @@ library memoizes what ``verify`` and ``eval`` compute, in bounded memos:
 the report of each identity instance (``mixed._report``, the 1024 most
 recent) and the series of each expression text and truncation
 (``dsl.eval_text``, the 128 most recent).  A repeated request then only
-prints, and prints the same bytes.
+prints, and prints the same bytes.  Each polynomial builds its plain and
+its LaTeX text on its first print and reuses it (``series.XPoly``), so a
+repeated ``table``, ``verify`` or ``eval`` request does not render its rows,
+diffs or series again.  A text printed while ``sys.set_int_max_str_digits``
+was raised is reused after the limit is lowered; a print that failed on
+the limit stored nothing.
 
 The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
 default; whichever is in force must be an integer >= 1, or the command

@@ -11,7 +11,11 @@ Two nested commutative rings:
 
 ``fractions.Fraction`` appears only at the boundary: ``XPoly.coeffs``,
 ``coeff``, evaluation and hashing of constants.  The printers reduce each
-coefficient with one gcd (``_rat_text``).  Inside, every
+coefficient with one gcd (``_rat_text``).  An ``XPoly`` builds its plain and
+its LaTeX text on its first print and keeps it, so a memoized row or series
+coefficient printed again costs one attribute read; a text printed under a
+raised ``sys.set_int_max_str_digits`` limit is reused after the limit is
+lowered, and a print that fails on the limit keeps nothing.  Inside, every
 sum of products -- a coefficient of a series product or quotient, and the
 convolutions of the families and the identity catalog -- is one integer sum
 over a common denominator, normalized once (``_sum_of_products``).  The
@@ -123,10 +127,12 @@ class XPoly:
     ``_num`` holds the numerators in ascending degree and ``_den`` the common
     denominator.  The content is always normalized -- no trailing zero
     numerators, gcd of all numerators and the denominator equal to 1, zero
-    stored as ``((), 1)`` -- so equality is structural.
+    stored as ``((), 1)`` -- so equality is structural.  ``_str`` and
+    ``_latex`` hold the plain and LaTeX text once printed; they take no part
+    in equality, hashing or pickling.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_str", "_latex")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_rat(c) for c in coeffs]
@@ -249,11 +255,22 @@ class XPoly:
         return " ".join(parts)
 
     def __str__(self) -> str:
-        return self._render("{}/{}", "x^{}", "*")
+        try:
+            return self._str
+        except AttributeError:
+            self._str = text = self._render("{}/{}", "x^{}", "*")
+            return text
 
     def latex(self) -> str:
         """LaTeX form: braced exponents x^{k} and \\frac{p}{q} coefficients."""
-        return self._render(r"\frac{{{}}}{{{}}}", "x^{{{}}}", " ")
+        try:
+            return self._latex
+        except AttributeError:
+            self._latex = text = self._render(r"\frac{{{}}}{{{}}}", "x^{{{}}}", " ")
+            return text
+
+    def __getstate__(self):
+        return None, {"_num": self._num, "_den": self._den}
 
     def __repr__(self) -> str:
         return f"XPoly({self})"

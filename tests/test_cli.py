@@ -515,6 +515,21 @@ def test_eval_result_too_large_to_print(capsys, fmt):
     assert err.startswith("error: result too large to print")
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_eval_series_too_large_to_print_stores_no_text(capsys, fmt):
+    # Without --n every format prints the memoized series' own coefficients,
+    # so a render that failed must leave nothing for the second call to read.
+    for _ in range(2):
+        code, out, err = run_main(capsys, "eval", "2^1000000*t", "--T", "2", "--format", fmt)
+        assert_one_line_usage_error(code, out, err)
+        assert err.startswith("error: result too large to print")
+    big = dsl.eval_text("2^1000000*t", 2).coeffs[1]
+    with pytest.raises(ValueError):
+        str(big)
+    with pytest.raises(ValueError):
+        big.latex()
+
+
 def test_eval_deep_nesting_is_positioned_error(capsys):
     code, out, err = run_main(capsys, "eval", "(" * 3000 + "t" + ")" * 3000, "--T", "2")
     assert code == 1

@@ -9,6 +9,8 @@ afresh from those coefficients, which holds only if the content is
 normalized.
 """
 
+import pickle
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -236,9 +238,39 @@ def _integer_polys(draw):
 def test_printers_match_the_fraction_printers(p):
     # ``FracPoly.render`` is the ``Fraction`` walk ``XPoly._render`` used to
     # be, and ``[str(c) for c in p.coeffs]`` the csv/json coefficients the
-    # CLI used to print; the integer printers must give the same text.
+    # CLI used to print; the integer printers must give the same text.  The
+    # first print fills the stored text and the second reads it; a pickle holds
+    # no text and its copy prints afresh, and printing leaves ``==`` and ``hash`` as they were.
     old = FracPoly(p.coeffs)
-    assert str(p) == str(old)
-    assert p.latex() == old.latex()
+    fresh = XPoly._normalized(list(p._num), p._den)
+    before = hash(p)
+    for _ in range(2):
+        assert str(p) == str(old)
+        assert p.latex() == old.latex()
+    assert pickle.dumps(p) == pickle.dumps(fresh)
+    twin = pickle.loads(pickle.dumps(p))
+    assert str(twin) == str(old)
+    assert twin.latex() == old.latex()
+    assert p == fresh == twin
+    assert hash(p) == before == hash(fresh) == hash(twin)
     assert cli._poly_coeff_strings(p) == ([str(c) for c in p.coeffs] or ["0"])
     assert [row[1:] for row in cli._coeff_rows([(0, p)])] == [cli._poly_coeff_strings(p)]
+
+
+def test_text_printed_under_a_raised_limit_is_reused():
+    # A polynomial keeps the text of its first print, so one printed while
+    # ``sys.set_int_max_str_digits`` was raised prints again after it is
+    # lowered; an unprinted equal polynomial still meets the limit.
+    big = XPoly._normalized([10**5000, 0, 1], 3)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text, tex = str(big), big.latex()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text.startswith("1/3*x^2 + 1" + "0" * 4999)
+    assert str(big) == text and big.latex() == tex
+    unprinted = XPoly._normalized([10**5000, 0, 1], 3)
+    assert unprinted == big
+    with pytest.raises(ValueError):
+        str(unprinted)
