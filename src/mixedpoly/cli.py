@@ -14,10 +14,14 @@ SystemExit.  Identical invocations produce byte-identical output.
 
 ``main`` builds its parser on its first call and reuses it, and runs a full
 garbage collection once every ``_COLLECT_EVERY`` calls, so a process that
-serves many calls pays for its commands and keeps a bounded heap.  The
-library memoizes what ``verify`` and ``eval`` compute, in bounded memos:
-the report of each identity instance (``mixed._report``, the 1024 most
-recent) and the series of each expression text and truncation
+serves many calls pays for its commands and keeps a bounded heap.  An argv
+that starts with a command name goes straight to that command's subparser,
+and the values of the 1024 most recent argv are memoized (``_parser``);
+each call still gets a fresh namespace.  JSON is written by ``_json``, with
+the bytes ``json.dumps(value, indent=2)`` gives but without its pure-Python
+encoder.  The library memoizes what ``verify`` and ``eval`` compute, in
+bounded memos: the report of each identity instance (``mixed._report``, the
+1024 most recent) and the series of each expression text and truncation
 (``dsl.eval_text``, the 128 most recent).  A repeated request then only
 prints, and prints the same bytes.  Each polynomial builds its plain and
 its LaTeX text on its first print and reuses it (``series.XPoly``), so a
@@ -37,12 +41,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
+from json.encoder import encode_basestring_ascii as _quote
 from math import inf
 
 from . import __version__
@@ -140,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mixedpoly {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # command name -> its subparser
 
     p_table = subs.add_parser("table", help="emit polynomial tables")
     p_table.add_argument("--family", choices=sorted(_FAMILY_CODES), help="base family code")
@@ -210,6 +215,28 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, for the values the commands build.
+
+    Those hold only dicts with string keys, lists, strings, ints and None.
+    The standard encoder serves ``indent`` only from its pure-Python path;
+    this writer quotes strings with the function that path calls, and joins
+    each container's items once.
+    """
+    if type(value) is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_quote(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    items = [_quote(item) if type(item) is str else _json(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
 def _emit(fmt: str, *, value, rows, latex, plain, header=None, code: int = 0) -> int:
     """Write a command's result to stdout in ``fmt`` with one write; return ``code``.
 
@@ -221,7 +248,7 @@ def _emit(fmt: str, *, value, rows, latex, plain, header=None, code: int = 0) ->
     """
     try:
         if fmt == "json":
-            lines = [json.dumps(value(), indent=2)]
+            lines = [_json(value())]
         elif fmt == "csv":
             lines = map(",".join, [header, *rows()] if header else rows())
         else:
@@ -413,13 +440,37 @@ def cmd_eval(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call, not at import, and reused.
+def _parser():
+    """The memoized parse of an argv tuple into its values, built on the first ``main`` call.
 
-    Parsing leaves it unchanged: each call gets a fresh namespace, and the
-    environment is read in ``main`` itself, on every call.
+    An argv that starts with a command name goes straight to that command's
+    subparser; ``--help``, ``--version``, no command and an unknown one go
+    through the top-level parser.  Either way the values and the errors are
+    those of ``build_parser().parse_args``.  The memo keeps the 1024 most
+    recent argv: a warm process that repeats requests skips argparse.  It
+    never holds an error, ``--help`` or ``--version``, since those raise.
+    Parsing leaves the parsers unchanged, and the environment is read in
+    ``main`` itself, on every call.
     """
-    return build_parser()
+    parser = build_parser()
+
+    # At 4096 entries peak RSS of the perfbench ``session`` child rose 6%.
+    @lru_cache(maxsize=1024)
+    def parse(argv: tuple) -> dict:
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            return vars(parser.parse_args(argv))
+        return {"command": argv[0], **vars(command.parse_args(argv[1:]))}
+
+    return parse
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed as ``build_parser().parse_args`` parses it, into a fresh namespace.
+
+    ``main`` sets the budget and the width on the namespace, so no two calls share one.
+    """
+    return argparse.Namespace(**_parser()(tuple(argv)))
 
 
 # A process serving many ``main`` calls runs a full collection once every
@@ -439,17 +490,18 @@ def _parser() -> argparse.ArgumentParser:
 _COLLECT_EVERY = 1024
 _calls = count(1)
 
+_BUDGET_ENV = _setting("MIXEDPOLY_BUDGET", 1)
+_WIDTH_ENV = _setting("MIXEDPOLY_WIDTH", 0, MAX_WIDTH)
+
 
 def main(argv=None) -> int:
     if not next(_calls) % _COLLECT_EVERY:
         gc.collect()
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.budget is None:
-            raw = os.environ.get("MIXEDPOLY_BUDGET", str(DEFAULT_BUDGET))
-            args.budget = _setting("MIXEDPOLY_BUDGET", 1)(raw)
-        raw = os.environ.get("MIXEDPOLY_WIDTH", "0")
-        args.width = _setting("MIXEDPOLY_WIDTH", 0, MAX_WIDTH)(raw)
+            args.budget = _BUDGET_ENV(os.environ.get("MIXEDPOLY_BUDGET", str(DEFAULT_BUDGET)))
+        args.width = _WIDTH_ENV(os.environ.get("MIXEDPOLY_WIDTH", "0"))
         return args.run(args)
     except _UsageError as exc:
         return _fail(str(exc))

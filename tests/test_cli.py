@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from mixedpoly import cli, dsl, families, mixed, series
 from mixedpoly.cli import FORMATS, main
+from test_cli_golden import GOLDEN
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -553,6 +555,33 @@ def test_eval_json_schema(capsys):
     assert payload["coeffs"] == ["0", "-1", "1"]
 
 
+# -- JSON writer -------------------------------------------------------------------
+
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'), st.characters()), max_size=8
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.integers() | st.sampled_from([-1, -(10**40), 10**400]) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value=_JSON_VALUES)
+def test_json_writer_matches_the_standard_encoder(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_raises_on_an_int_too_long_for_text():
+    # _emit turns this ValueError into its "result too large to print" exit.
+    value = {"rows": [{"n": 10**5000}]}
+    for write in (cli._json, lambda value: json.dumps(value, indent=2)):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            write(value)
+
+
 # -- process-level contract --------------------------------------------------------
 
 
@@ -698,6 +727,91 @@ def test_parser_is_built_once_over_many_calls(monkeypatch, capsys, fresh_parser)
         assert main(argv) == (0 if i % 2 else 2)
     capsys.readouterr()
     assert len(builds) == 1
+
+
+def _parsed(parse, argv):
+    """How ``parse(argv)`` ends: its values, its usage error, or its SystemExit and stdout."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            args = parse(argv)
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    values = dict(vars(args))
+    args.budget, args.width = 1, 0  # as main sets them
+    return "values", values
+
+
+def _assert_parse_matches_a_fresh_parser(argv):
+    want = _parsed(cli.build_parser().parse_args, argv)
+    cli._parser.cache_clear()
+    for _ in range(2):  # against a cold memo, then a warm one
+        assert _parsed(cli._parse, argv) == want, argv
+        # Only a parse that returned is kept: no error, --help or --version.
+        assert cli._parser().cache_info().currsize == (want[0] == "values"), argv
+
+
+def test_parse_of_golden_argv_matches_a_fresh_parser(fresh_parser):
+    for argv, _, _ in GOLDEN:
+        _assert_parse_matches_a_fresh_parser(shlex.split(argv))
+
+
+# Values for each flag, valid ones and ones argparse or a flag's bound rejects.
+_FLAG_VALUES = {
+    "--family": ["B", "Ch", "Z"], "--fam": ["D"], "--order": ["2", "-1", "x"],
+    "--mixed": ["CC", "BE"], "--r": ["1", "1.5"], "--s": ["2", "-3"], "--n": ["3", "0", "-1", "x"],
+    "--id": ["all", "E11", ""], "--n-max": ["4", "-1"], "--n-m": ["2"],
+    "--orders": ["1..3", "3..1", "2", "x"], "--variant": ["corrected", "as-printed", "typo"],
+    "--kind": ["bosonic", "fermionic"], "--binom": ["2", "-2"], "--p": ["3", "2", "x"],
+    "--N": ["1..3", "-2..2", "4"], "--target": ["daehee", "changhee"], "--k": ["2", "0"],
+    "--x0": ["-1", "1"], "--T": ["6", "-1", "1.5"], "--format": [*FORMATS, "xml"],
+    "--budget": ["125", "0", "99999999999999999999"],
+}
+# Per command: the arguments it requires, then the flags it may take.
+_COMMAND_ARGS = {
+    "table": (["--n"], ["--family", "--fam", "--order", "--mixed", "--r", "--s", "--n"]),
+    "verify": (["--id"], ["--id", "--n-max", "--n-m", "--orders", "--variant"]),
+    "padic": (["--kind", "--binom", "--p", "--N"], ["--kind", "--target", "--k", "--x0", "--N"]),
+    "eval": (["(1+t)^x"], ["--T", "--n"]),
+}
+_PARSE_NOISE = [
+    "--", "-h", "--help", "--version", "--ver", "--bogus", "-", "-3", "1.5", "t", "table", "--n",
+]
+
+
+def _argument(name):
+    """``name`` as drawn: a positional as is, a flag with a value, as two tokens or as one."""
+    if not name.startswith("-"):
+        return st.just([name])
+    return st.tuples(st.sampled_from(_FLAG_VALUES[name]), st.sampled_from([0, 0, 0, 1])).map(
+        lambda drawn: [f"{name}={drawn[0]}"] if drawn[1] else [name, drawn[0]]
+    )
+
+
+def _command_argv(command):
+    required, optional = _COMMAND_ARGS[command]
+    return st.tuples(
+        st.just([[command]]),
+        st.tuples(*map(_argument, required)),
+        st.lists(
+            st.sampled_from([*optional, "--format", "--budget"]).flatmap(_argument), max_size=3
+        ),
+        st.lists(st.sampled_from(_PARSE_NOISE).map(lambda token: [token]), max_size=2),
+    ).map(lambda parts: sum((token for part in parts for token in part), []))
+
+
+_PARSE_ARGV = st.one_of(
+    *map(_command_argv, _COMMAND_ARGS),
+    st.lists(st.sampled_from([*_COMMAND_ARGS, *_PARSE_NOISE, "--format", "json"]), max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=_PARSE_ARGV)
+def test_parse_of_drawn_argv_matches_a_fresh_parser(argv):
+    _assert_parse_matches_a_fresh_parser(argv)
 
 
 def test_full_collection_every_collect_every_calls(monkeypatch, capsys):
