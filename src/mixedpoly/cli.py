@@ -22,13 +22,19 @@ the bytes ``json.dumps(value, indent=2)`` gives but without its pure-Python
 encoder.  The library memoizes what ``verify`` and ``eval`` compute, in
 bounded memos: the report of each identity instance (``mixed._report``, the
 1024 most recent) and the series of each expression text and truncation
-(``dsl.eval_text``, the 128 most recent).  A repeated request then only
-prints, and prints the same bytes.  Each polynomial builds its plain and
-its LaTeX text on its first print and reuses it (``series.XPoly``), so a
-repeated ``table``, ``verify`` or ``eval`` request does not render its rows,
-diffs or series again.  A text printed while ``sys.set_int_max_str_digits``
-was raised is reused after the limit is lowered; a print that failed on
-the limit stored nothing.
+(``dsl.eval_text``, the 128 most recent).  This module memoizes the rest of
+a request's result, also bounded: the p-adic trace of each ``padic``
+request (``_trace``, the 128 most recent), checked against the budget
+before the memo is read, and the polynomial ``eval --n`` extracts
+(``_extracted``, the 1024 most recent).  A repeated request then only
+prints, and prints the same bytes.  Each polynomial builds its plain, its
+LaTeX and its csv/json coefficient text on its first print in that form and
+reuses it (``series.XPoly``), so a repeated ``table``, ``verify`` or
+``eval`` request does not render its rows, diffs or series again; the json
+and csv writers take the polynomial itself (``_json``, ``_coeff_rows``).
+A text printed while ``sys.set_int_max_str_digits`` was raised is reused
+after the limit is lowered; a print that failed on the limit stored
+nothing.
 
 The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
 default; whichever is in force must be an integer >= 1, or the command
@@ -62,7 +68,7 @@ from .padic import (
     check_level,
     convergence_trace,
 )
-from .series import XPoly, _rat_text
+from .series import XPoly
 
 FORMATS = ("json", "csv", "latex", "plain")
 MAX_WIDTH = 1000
@@ -218,10 +224,13 @@ def _fail(message: str, code: int = 2) -> int:
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, for the values the commands build.
 
-    Those hold only dicts with string keys, lists, strings, ints and None.
-    The standard encoder serves ``indent`` only from its pure-Python path;
-    this writer quotes strings with the function that path calls, and joins
-    each container's items once.
+    Those hold only dicts with string keys, lists, strings, ints, None and
+    polynomials; a polynomial is written as the list of its coefficient
+    texts, ``[str(c) for c in p.coeffs] or ["0"]``.  The standard encoder
+    serves ``indent`` only from its pure-Python path; this writer quotes
+    strings with the function that path calls, and joins each container's
+    items once.  A polynomial's stored text (``XPoly.coeff_text``) holds
+    only digits, ``-`` and ``/``, so one replace of its commas quotes it.
     """
     if type(value) is str:
         return _quote(value)
@@ -230,6 +239,9 @@ def _json(value, indent: str = "\n") -> str:
     if type(value) is int:
         return str(value)
     inner = indent + "  "
+    if type(value) is XPoly:
+        texts = value.coeff_text().replace(",", '",' + inner + '"')
+        return "[" + inner + '"' + texts + '"' + indent + "]"
     if isinstance(value, dict):
         items = [_quote(key) + ": " + _json(item, inner) for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
@@ -266,15 +278,9 @@ def _tabular(spec: str, header: list[str], rows) -> list[str]:
     return [rf"\begin{{tabular}}{{{spec}}}", head, r"\hline", *body, r"\end{tabular}"]
 
 
-def _poly_coeff_strings(p: XPoly) -> list[str]:
-    """The coefficients as exact "p/q" strings, ascending; ``["0"]`` for the zero polynomial."""
-    den = p._den
-    return [_rat_text(c, den) for c in p._num] or ["0"]
-
-
 def _coeff_rows(pairs):
-    """csv rows ``n, c_0, c_1, ...`` for (n, polynomial) pairs."""
-    return ([str(n), *_poly_coeff_strings(p)] for n, p in pairs)
+    """csv rows ``n, c_0, c_1, ...`` for (n, polynomial) pairs: the index and the stored text."""
+    return ([str(n), p.coeff_text()] for n, p in pairs)
 
 
 _REPORT_FIELDS = ["identity", "variant", "n", "r", "s", "verdict", "diff"]
@@ -308,7 +314,7 @@ def cmd_table(args) -> int:
         args.format,
         value=lambda: {
             **head,
-            "rows": [{"n": n, "coeffs": _poly_coeff_strings(p)} for n, p in table.rows],
+            "rows": [{"n": n, "coeffs": p} for n, p in table.rows],
         },
         rows=lambda: _coeff_rows(table.rows),
         latex=lambda: (rf"{sym}_{{{n}}}^{{({orders})}}(x) = {p.latex()} \\" for n, p in table.rows),
@@ -352,6 +358,24 @@ def cmd_verify(args) -> int:
     )
 
 
+# The perfbench ``session`` pool has 96 distinct traces, which held 96 KB
+# (tracemalloc); 128 entries keep them all.
+@lru_cache(maxsize=128)
+def _trace(kind: IntegralKind, target_name: str, binom, p, levels, budget, k, x0):
+    """The trace of C(x, binom) against the target family's value, for ``cmd_padic``.
+
+    Memoized: a warm process answers a repeated request from here.  The
+    caller checks the levels, p and the fold count against the budget
+    first, so a breach is a usage error whether or not the memo holds the
+    trace; a raise is never memoized.
+    """
+    family = FamilyKind.DAEHEE if target_name == "daehee" else FamilyKind.CHANGHEE
+    target = Fraction(*_oracle_value(FamilySpec(family, k), binom, x0))
+    return convergence_trace(
+        kind, BinomialBasis(binom), target, p, levels, budget=budget, k=k, x0=x0
+    )
+
+
 def cmd_padic(args) -> int:
     # The top level and the fold count against the budget first, then the
     # lowest level and p, all before the target or any level is built.
@@ -359,18 +383,7 @@ def cmd_padic(args) -> int:
     _checked(PAdicContext, args.p, args.N[0], args.budget)
     kind = IntegralKind(args.kind)
     target_name = args.target or ("daehee" if kind is IntegralKind.BOSONIC else "changhee")
-    family = FamilyKind.DAEHEE if target_name == "daehee" else FamilyKind.CHANGHEE
-    target = Fraction(*_oracle_value(FamilySpec(family, args.k), args.binom, args.x0))
-    trace = convergence_trace(
-        kind,
-        BinomialBasis(args.binom),
-        target,
-        args.p,
-        args.N,
-        budget=args.budget,
-        k=args.k,
-        x0=args.x0,
-    )
+    trace = _trace(kind, target_name, args.binom, args.p, args.N, args.budget, args.k, args.x0)
 
     def cells(inf_text: str):
         """N, approximant, residual and valuation per level; +infinity prints as ``inf_text``."""
@@ -413,22 +426,36 @@ def cmd_padic(args) -> int:
     )
 
 
+@lru_cache(maxsize=1024)
+def _extracted(expr: str, T: int, n: int) -> XPoly:
+    """The n-th extracted polynomial of ``expr`` truncated at ``T``, for ``eval --n``.
+
+    ``TSeries.poly`` builds a new polynomial on every call; memoized here, a
+    repeated request prints the text the first one stored.  A ``DslError``
+    is raised afresh on every call.
+    """
+    return eval_text(expr, T).poly(n)
+
+
 def cmd_eval(args) -> int:
     if args.n is not None and not 0 <= args.n <= args.T:
         return _fail(f"--n must lie in 0..{args.T}")
     try:
-        series = eval_text(args.expr, args.T)
+        if args.n is None:
+            result = eval_text(args.expr, args.T)
+            pairs = list(enumerate(result.coeffs))
+        else:
+            result = _extracted(args.expr, args.T, args.n)
+            pairs = [(args.n, result)]
     except DslError as exc:
         line, col = line_col(args.expr, exc.position)
         return _fail(f"{type(exc).__name__} at line {line}, column {col}: {exc.message}", 1)
-    result = series if args.n is None else series.poly(args.n)
-    pairs = list(enumerate(series.coeffs)) if args.n is None else [(args.n, result)]
 
     def value():
         head = {"expr": args.expr, "trunc": args.T}
         if args.n is None:
-            return {**head, "coeffs": [_poly_coeff_strings(c) for c in series.coeffs]}
-        return {**head, "n": args.n, "coeffs": _poly_coeff_strings(result), "poly": str(result)}
+            return {**head, "coeffs": result.coeffs}
+        return {**head, "n": args.n, "coeffs": result, "poly": str(result)}
 
     return _emit(
         args.format,

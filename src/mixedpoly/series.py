@@ -11,8 +11,9 @@ Two nested commutative rings:
 
 ``fractions.Fraction`` appears only at the boundary: ``XPoly.coeffs``,
 ``coeff``, evaluation and hashing of constants.  The printers reduce each
-coefficient with one gcd (``_rat_text``).  An ``XPoly`` builds its plain and
-its LaTeX text on its first print and keeps it, so a memoized row or series
+coefficient with one gcd (``_rat_text``).  An ``XPoly`` builds its plain,
+its LaTeX and its comma-joined coefficient text (the csv and json form) on
+its first print in that form and keeps it, so a memoized row or series
 coefficient printed again costs one attribute read; a text printed under a
 raised ``sys.set_int_max_str_digits`` limit is reused after the limit is
 lowered, and a print that fails on the limit keeps nothing.  Inside, every
@@ -127,12 +128,13 @@ class XPoly:
     ``_num`` holds the numerators in ascending degree and ``_den`` the common
     denominator.  The content is always normalized -- no trailing zero
     numerators, gcd of all numerators and the denominator equal to 1, zero
-    stored as ``((), 1)`` -- so equality is structural.  ``_str`` and
-    ``_latex`` hold the plain and LaTeX text once printed; they take no part
-    in equality, hashing or pickling.
+    stored as ``((), 1)`` -- so equality is structural.  ``_str``,
+    ``_latex`` and ``_coeff_text`` hold the plain, the LaTeX and the
+    coefficient text once printed; they take no part in equality, hashing
+    or pickling.
     """
 
-    __slots__ = ("_num", "_den", "_str", "_latex")
+    __slots__ = ("_num", "_den", "_str", "_latex", "_coeff_text")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_rat(c) for c in coeffs]
@@ -267,6 +269,18 @@ class XPoly:
             return self._latex
         except AttributeError:
             self._latex = text = self._render(r"\frac{{{}}}{{{}}}", "x^{{{}}}", " ")
+            return text
+
+    def coeff_text(self) -> str:
+        """The coefficients as exact "p/q" texts, ascending, comma-joined; "0" for zero.
+
+        Split at the commas, it is ``[str(c) for c in self.coeffs] or ["0"]``.
+        """
+        try:
+            return self._coeff_text
+        except AttributeError:
+            den = self._den
+            self._coeff_text = text = ",".join([_rat_text(c, den) for c in self._num]) or "0"
             return text
 
     def __getstate__(self):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedpoly import cli, dsl, families, mixed, series
@@ -509,12 +509,14 @@ def test_eval_n_out_of_range_rejected_before_evaluation(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_eval_result_too_large_to_print(capsys, fmt):
-    # 2^1000000 has more digits than the interpreter converts to text.
-    code, out, err = run_main(
-        capsys, "eval", "2^1000000*t", "--T", "2", "--n", "1", "--format", fmt
-    )
-    assert_one_line_usage_error(code, out, err)
-    assert err.startswith("error: result too large to print")
+    # 2^1000000 has more digits than the interpreter converts to text.  The
+    # extracted polynomial is memoized, so the second call prints it again.
+    for _ in range(2):
+        code, out, err = run_main(
+            capsys, "eval", "2^1000000*t", "--T", "2", "--n", "1", "--format", fmt
+        )
+        assert_one_line_usage_error(code, out, err)
+        assert err.startswith("error: result too large to print")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -526,10 +528,9 @@ def test_eval_series_too_large_to_print_stores_no_text(capsys, fmt):
         assert_one_line_usage_error(code, out, err)
         assert err.startswith("error: result too large to print")
     big = dsl.eval_text("2^1000000*t", 2).coeffs[1]
-    with pytest.raises(ValueError):
-        str(big)
-    with pytest.raises(ValueError):
-        big.latex()
+    for write in (str, series.XPoly.latex, series.XPoly.coeff_text):
+        with pytest.raises(ValueError):
+            write(big)
 
 
 def test_eval_deep_nesting_is_positioned_error(capsys):
@@ -568,10 +569,40 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# Polynomials: the zero one, negative and 10^30-sized numerators, proper
+# fractions and integers.
+_JSON_POLYS = st.builds(
+    lambda num, den: series.XPoly._normalized(num, den),
+    st.lists(st.integers() | st.sampled_from([-(10**30), 10**30 + 7]), max_size=5),
+    st.sampled_from([1, 2, 6, 10**30]),
+)
+_JSON_TREES = st.recursive(
+    st.none() | st.integers() | _JSON_TEXT | _JSON_POLYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _as_standard(value):
+    """``value`` with each polynomial replaced by its list of coefficient strings."""
+    if isinstance(value, series.XPoly):
+        return [str(c) for c in value.coeffs] or ["0"]
+    if isinstance(value, dict):
+        return {key: _as_standard(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_standard(item) for item in value]
+    return value
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(value=_JSON_VALUES)
+@given(value=_JSON_VALUES | _JSON_TREES)
+@example(value=series.XPoly())
+@example(value=[series.XPoly._normalized([-(10**30), 0, 3], 2)])
+@example(value={"rows": [{"n": 0, "coeffs": series.XPoly()}, {"n": 1, "coeffs": [[series.XPoly((1,))]]}]})
 def test_json_writer_matches_the_standard_encoder(value):
-    assert cli._json(value) == json.dumps(value, indent=2)
+    # A polynomial leaf is written as its coefficient strings, the list the
+    # CLI printed before polynomials were put in the value itself.
+    assert cli._json(value) == json.dumps(_as_standard(value), indent=2)
 
 
 def test_json_writer_raises_on_an_int_too_long_for_text():
@@ -825,19 +856,29 @@ def test_full_collection_every_collect_every_calls(monkeypatch, capsys):
     assert len(collections) == 2
 
 
-# Verify and eval requests whose results the library memoizes: passing and
-# failing instances, a whole series, one extracted row and a failing text.
+# Requests whose results the library or the CLI memoizes: passing and
+# failing instances, a whole series, one extracted row, a failing text with
+# and without --n, p-adic traces and tables, each with the memo that
+# answers it warm (a table's rows are the families' memo streams).
 _MEMOIZED_ARGV = [
-    ["verify", "--id", "E34,E40", "--n-max", "5", "--orders", "1..2", "--variant", "as-printed"],
-    ["verify", "--id", "all", "--n-max", "3", "--orders", "1..2"],
-    ["eval", "(log(1+t)/t)^2*(1+t)^x", "--T", "6"],
-    ["eval", "(t/(exp(t)-1))^2*exp(t)^x", "--T", "6", "--n", "4"],
-    ["eval", "log(t)", "--T", "4"],
+    (["verify", "--id", "E34,E40", "--n-max", "5", "--orders", "1..2", "--variant", "as-printed"],
+     "mixed._report"),
+    (["verify", "--id", "all", "--n-max", "3", "--orders", "1..2"], "mixed._report"),
+    (["eval", "(log(1+t)/t)^2*(1+t)^x", "--T", "6"], "dsl.eval_text"),
+    (["eval", "(t/(exp(t)-1))^2*exp(t)^x", "--T", "6", "--n", "4"], "cli._extracted"),
+    (["eval", "log(t)", "--T", "4"], "dsl.eval_text"),
+    (["eval", "log(t)", "--T", "4", "--n", "2"], "cli._extracted"),
+    (["padic", "--kind", "bosonic", "--binom", "3", "--p", "3", "--N", "1..3", "--k", "2",
+      "--x0", "1"], "cli._trace"),
+    (["padic", "--kind", "fermionic", "--binom", "2", "--p", "5", "--N", "1..2", "--target",
+      "daehee"], "cli._trace"),
+    (["table", "--family", "C", "--order", "2", "--n", "6"], None),
+    (["table", "--mixed", "CD", "--r", "1", "--s", "2", "--n", "5"], None),
 ]
 
 
 def _clear_library_memos():
-    for module in (series, families, mixed, dsl):
+    for module in (series, families, mixed, dsl, cli):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -845,15 +886,57 @@ def _clear_library_memos():
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_memoized_results_print_the_same_bytes_cold_and_warm(monkeypatch, fmt):
-    for argv in _MEMOIZED_ARGV:
-        memo = mixed._report if argv[0] == "verify" else dsl.eval_text
+    for argv, memo_name in _MEMOIZED_ARGV:
         argv = [*argv, "--format", fmt]
         _clear_library_memos()
         cold = _served(monkeypatch, {}, argv)
         warm = [_served(monkeypatch, {}, argv) for _ in range(2)]
         assert warm == [cold, cold], argv
-        # The warm calls are answered from the memo, except the failing text's.
-        assert bool(memo.cache_info().hits) == (memo is mixed._report or cold[0] == 0), argv
+        if memo_name is None:
+            continue
+        module, name = memo_name.split(".")
+        info = getattr({"mixed": mixed, "dsl": dsl, "cli": cli}[module], name).cache_info()
+        # The warm calls are answered from the memo, except a failing text's,
+        # which no memo holds.
+        assert bool(info.hits) == (argv[0] == "verify" or cold[0] == 0), argv
+        assert bool(info.currsize) == bool(info.hits), argv
+
+
+_PADIC_TRACE = ["padic", "--kind", "fermionic", "--binom", "3", "--p", "3", "--N", "1..2",
+                "--k", "2", "--x0", "2"]
+
+
+def test_repeated_padic_request_traces_once(capsys, monkeypatch):
+    traced = cli.convergence_trace
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return traced(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "convergence_trace", counted)
+    cli._trace.cache_clear()
+    for fmt in FORMATS:
+        outs = {run_main(capsys, *_PADIC_TRACE, "--format", fmt) for _ in range(3)}
+        assert len(outs) == 1 and outs.pop()[0] == 0, fmt
+    assert len(calls) == 1
+
+
+# p^N = 27 at the top level of _PADIC_L3: a budget of 26 rejects it.
+_LOWER_BUDGETS = [({}, ["--budget", "26"]), ({"MIXEDPOLY_BUDGET": "26"}, [])]
+
+
+@pytest.mark.parametrize("env, flags", _LOWER_BUDGETS)
+def test_lower_budget_after_a_warm_trace_is_still_a_usage_error(monkeypatch, env, flags):
+    cli._trace.cache_clear()
+    cold = _served(monkeypatch, env, [*_PADIC_L3, *flags])
+    assert cold[0] == 2 and cold[1] == "" and "exceeds budget 26" in cold[2], cold
+    for warm_env, warm_flags in [({}, []), ({}, ["--budget", "27"]), ({"MIXEDPOLY_BUDGET": "27"}, [])]:
+        assert _served(monkeypatch, warm_env, [*_PADIC_L3, *warm_flags])[0] == 0
+        for lower_env, lower_flags in _LOWER_BUDGETS:
+            assert _served(monkeypatch, lower_env, [*_PADIC_L3, *lower_flags]) == cold
+    # The default budget's trace and the one at 27; no rejection is memoized.
+    assert cli._trace.cache_info().currsize == 2
 
 
 # -- argv fuzz ---------------------------------------------------------------------

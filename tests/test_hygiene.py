@@ -20,7 +20,8 @@ outside the public entry points, and ``padic`` reads nothing of
 in ``series`` and ``cli`` read the integer numerators and build no
 ``Fraction``.  No module imports ``dataclasses``, and a fresh interpreter
 that imports the package and its CLI loads none of the standard modules
-``dataclasses`` would bring in.
+``dataclasses`` would bring in.  Every memo the CLI binds at module level
+is bounded, so a warm process keeps a bounded heap.
 """
 
 import ast
@@ -312,8 +313,8 @@ def test_padic_folds_build_no_fraction():
 # methods.  ``coeffs``, ``coeff`` and ``_rat`` are ``XPoly``'s own
 # ``Fraction`` builders, so reading one builds a ``Fraction`` too.
 PRINTERS = {
-    "series": ("XPoly._render", "XPoly.__str__", "XPoly.latex", "_rat_text"),
-    "cli": ("_poly_coeff_strings", "_coeff_rows"),
+    "series": ("XPoly._render", "XPoly.__str__", "XPoly.latex", "XPoly.coeff_text", "_rat_text"),
+    "cli": ("_coeff_rows", "_json"),
 }
 FRACTION_BUILDERS = {"Fraction", "coeffs", "coeff", "_rat"}
 
@@ -344,6 +345,25 @@ def test_coefficient_printers_build_no_fraction(module):
         name for name, node in defs.items() if FRACTION_BUILDERS & set(_uses(node))
     )
     assert not readers, readers
+
+
+# The one ``cli`` memo without a bound: it holds the single parser, and the
+# argv memo inside it has its own bound.
+UNBOUNDED_CLI_MEMOS = {"_parser"}
+
+
+def test_cli_memos_are_bounded():
+    # A warm process serving many requests keeps every entry a memo admits.
+    from mixedpoly import cli
+
+    sizes = {
+        name: value.cache_info().maxsize
+        for name, value in vars(cli).items()
+        if hasattr(value, "cache_info")
+    }
+    assert {"_trace", "_extracted", "_parser"} <= set(sizes), sorted(sizes)
+    assert {name for name, size in sizes.items() if size is None} == UNBOUNDED_CLI_MEMOS
+    assert cli._parser().cache_info().maxsize == 1024
 
 
 # What ``dataclasses`` loads; the value classes are ``series._Record``s, so a

@@ -9,6 +9,7 @@ afresh from those coefficients, which holds only if the content is
 normalized.
 """
 
+import json
 import pickle
 import sys
 from fractions import Fraction as F
@@ -242,35 +243,44 @@ def test_printers_match_the_fraction_printers(p):
     # first print fills the stored text and the second reads it; a pickle holds
     # no text and its copy prints afresh, and printing leaves ``==`` and ``hash`` as they were.
     old = FracPoly(p.coeffs)
+    texts = [str(c) for c in p.coeffs] or ["0"]
     fresh = XPoly._normalized(list(p._num), p._den)
     before = hash(p)
     for _ in range(2):
         assert str(p) == str(old)
         assert p.latex() == old.latex()
+        assert p.coeff_text().split(",") == texts
+        assert [",".join(row).split(",") for row in cli._coeff_rows([(0, p)])] == [["0", *texts]]
     assert pickle.dumps(p) == pickle.dumps(fresh)
     twin = pickle.loads(pickle.dumps(p))
     assert str(twin) == str(old)
     assert twin.latex() == old.latex()
+    assert twin.coeff_text().split(",") == texts
     assert p == fresh == twin
     assert hash(p) == before == hash(fresh) == hash(twin)
-    assert cli._poly_coeff_strings(p) == ([str(c) for c in p.coeffs] or ["0"])
-    assert [row[1:] for row in cli._coeff_rows([(0, p)])] == [cli._poly_coeff_strings(p)]
 
 
 def test_text_printed_under_a_raised_limit_is_reused():
     # A polynomial keeps the text of its first print, so one printed while
     # ``sys.set_int_max_str_digits`` was raised prints again after it is
     # lowered; an unprinted equal polynomial still meets the limit.
+    # The csv and json printers read the coefficient text the same way.
     big = XPoly._normalized([10**5000, 0, 1], 3)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text, tex = str(big), big.latex()
+        text, tex, coeffs = str(big), big.latex(), big.coeff_text()
+        csv = [",".join(row) for row in cli._coeff_rows([(2, big)])]
+        payload = cli._json({"coeffs": big})
     finally:
         sys.set_int_max_str_digits(limit)
     assert text.startswith("1/3*x^2 + 1" + "0" * 4999)
-    assert str(big) == text and big.latex() == tex
+    assert coeffs == "1" + "0" * 5000 + "/3,0,1/3"
+    assert str(big) == text and big.latex() == tex and big.coeff_text() == coeffs
+    assert [",".join(row) for row in cli._coeff_rows([(2, big)])] == csv == ["2," + coeffs]
+    assert cli._json({"coeffs": big}) == payload == json.dumps({"coeffs": coeffs.split(",")}, indent=2)
     unprinted = XPoly._normalized([10**5000, 0, 1], 3)
     assert unprinted == big
-    with pytest.raises(ValueError):
-        str(unprinted)
+    for write in (str, XPoly.latex, XPoly.coeff_text, lambda p: cli._json([p])):
+        with pytest.raises(ValueError):
+            write(unprinted)
