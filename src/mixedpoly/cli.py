@@ -443,13 +443,12 @@ def cmd_eval(args) -> int:
     try:
         if args.n is None:
             result = eval_text(args.expr, args.T)
-            pairs = list(enumerate(result.coeffs))
         else:
             result = _extracted(args.expr, args.T, args.n)
-            pairs = [(args.n, result)]
     except DslError as exc:
         line, col = line_col(args.expr, exc.position)
         return _fail(f"{type(exc).__name__} at line {line}, column {col}: {exc.message}", 1)
+    pairs = list(enumerate(result.coeffs)) if args.n is None else [(args.n, result)]
 
     def value():
         head = {"expr": args.expr, "trunc": args.T}
