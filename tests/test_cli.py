@@ -859,19 +859,20 @@ def test_full_collection_every_collect_every_calls(monkeypatch, capsys):
 # Requests whose results the library or the CLI memoizes: passing and
 # failing instances, a whole series, one extracted row, a failing text with
 # and without --n, p-adic traces and tables, each with the memo that
-# answers it warm (a table's rows are the families' memo streams).
+# answers it warm.  A table's rows are the families' streams, which keep no
+# hit count.
 _MEMOIZED_ARGV = [
     (["verify", "--id", "E34,E40", "--n-max", "5", "--orders", "1..2", "--variant", "as-printed"],
-     "mixed._report"),
-    (["verify", "--id", "all", "--n-max", "3", "--orders", "1..2"], "mixed._report"),
-    (["eval", "(log(1+t)/t)^2*(1+t)^x", "--T", "6"], "dsl.eval_text"),
-    (["eval", "(t/(exp(t)-1))^2*exp(t)^x", "--T", "6", "--n", "4"], "cli._extracted"),
-    (["eval", "log(t)", "--T", "4"], "dsl.eval_text"),
-    (["eval", "log(t)", "--T", "4", "--n", "2"], "cli._extracted"),
+     mixed._report),
+    (["verify", "--id", "all", "--n-max", "3", "--orders", "1..2"], mixed._report),
+    (["eval", "(log(1+t)/t)^2*(1+t)^x", "--T", "6"], dsl.eval_text),
+    (["eval", "(t/(exp(t)-1))^2*exp(t)^x", "--T", "6", "--n", "4"], cli._extracted),
+    (["eval", "log(t)", "--T", "4"], dsl.eval_text),
+    (["eval", "log(t)", "--T", "4", "--n", "2"], cli._extracted),
     (["padic", "--kind", "bosonic", "--binom", "3", "--p", "3", "--N", "1..3", "--k", "2",
-      "--x0", "1"], "cli._trace"),
+      "--x0", "1"], cli._trace),
     (["padic", "--kind", "fermionic", "--binom", "2", "--p", "5", "--N", "1..2", "--target",
-      "daehee"], "cli._trace"),
+      "daehee"], cli._trace),
     (["table", "--family", "C", "--order", "2", "--n", "6"], None),
     (["table", "--mixed", "CD", "--r", "1", "--s", "2", "--n", "5"], None),
 ]
@@ -886,16 +887,15 @@ def _clear_library_memos():
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_memoized_results_print_the_same_bytes_cold_and_warm(monkeypatch, fmt):
-    for argv, memo_name in _MEMOIZED_ARGV:
+    for argv, memo in _MEMOIZED_ARGV:
         argv = [*argv, "--format", fmt]
         _clear_library_memos()
         cold = _served(monkeypatch, {}, argv)
         warm = [_served(monkeypatch, {}, argv) for _ in range(2)]
         assert warm == [cold, cold], argv
-        if memo_name is None:
+        if memo is None:
             continue
-        module, name = memo_name.split(".")
-        info = getattr({"mixed": mixed, "dsl": dsl, "cli": cli}[module], name).cache_info()
+        info = memo.cache_info()
         # The warm calls are answered from the memo, except a failing text's,
         # which no memo holds.
         assert bool(info.hits) == (argv[0] == "verify" or cold[0] == 0), argv
