@@ -9,8 +9,11 @@ truncation.  Each syntax node is a stream of t-coefficients on one of two
 lanes, fixed by the syntax: a node with no ``^x`` under it holds reduced
 integer pairs (p, q), and x enters only at ``base^x``, from which up the
 coefficients are ``XPoly`` values.  Both lanes run the same recurrences.
-``base^x`` steps by base F' = x base' F: d terms for a polynomial base of
-degree d, exp(x g) for ``exp(g)``, and exp(x log base) for any other base.
+The same pass bounds each node's t-valuation and t-degree and spots a
+monomial c t^v, however spelled: it only shifts as a factor or divisor,
+and any other divisor's valuation is searched from its bound.  ``base^x``
+steps by base F' = x base' F: d terms for a base of degree at most d,
+exp(x g) for ``exp(g)``, and exp(x log base) for any other base.
 
 Grammar (see docs/grammar.ebnf):
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Union
 
 from .series import (
     TSeries,
@@ -538,15 +541,22 @@ def render(node: Ast) -> str:
 # terms, and pairs read from x-free operands, with ``_sum_of_products``.
 _ZERO, _ONE = (0, 1), (1, 1)
 _X = XPoly((0, 1))
+# The degree bound of a node that need not be a polynomial.
+_NO_DEGREE = float("inf")
 
 
-def _monomial(k: int) -> _Stream:
-    return _Stream(lambda n: _ONE if n == k else _ZERO)
+def _monomial(c: Fraction, v: int) -> tuple:
+    """The stream, lane and facts of c t^v (see ``_stream``); its terms need no sum."""
+    pair = (c.numerator, c.denominator)
+    return _Stream(lambda n: pair if n == v else _ZERO), _pair_sum, v, v, c
 
 
-def _shifted(a: _Stream, k: int) -> _Stream:
-    """t^k a, on a's lane: term n is a_(n-k), so a negative k reads a ahead."""
-    return _Stream(lambda n: a[n - k] if n >= k else _ZERO)
+def _shifted(a: _Stream, k: int, c: Fraction, total) -> _Stream:
+    """c t^k a, on a's lane: term n is c a_(n-k), so a negative k reads a ahead."""
+    p, q = c.numerator, c.denominator
+    if p == q:  # c = 1 leaves each term as it is
+        return _Stream(lambda n: a[n - k] if n >= k else _ZERO)
+    return _Stream(lambda n: total([(p, a[n - k], _ONE)], q) if n >= k else _ZERO)
 
 
 def _exp(g: _Stream, total, times_x: bool = False) -> _Stream:
@@ -604,127 +614,109 @@ _FUNCTIONS = {
 }
 
 
-def _argument(node: Union[Log, Exp, PowX], cap: int) -> tuple[_Stream, Callable]:
-    """The stream and term sum of a function node's argument, after its constant-term check."""
+def _argument(node: Union[Log, Exp, PowX], cap: int) -> tuple:
+    """``_stream`` of a function node's argument, after its constant-term check."""
     want, reason, what = _FUNCTIONS[type(node)]
-    arg, total = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
-    if _lift(arg[0]) != want:
+    arg = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
+    if _lift(arg[0][0]) != want:
         raise SemanticError(node.span[0], reason, f"{what} must have constant term {want}")
-    return arg, total
+    return arg
 
 
-def _degree(node: Ast) -> int | None:
-    """A bound on the t-degree of a polynomial's syntax, None for any other node.
+def _stream(node: Ast, cap: int) -> tuple:
+    """The stream of ``node``, its lane's term sum and its facts, after its semantic checks.
 
-    A polynomial is built from constants and ``t`` by ``+``, ``-``, unary
-    minus, ``*``, powers k >= 0 and ``/`` by a nonzero constant.
+    One pass, children first, returns (stream, total, v, d, c): v and d
+    bound the t-valuation from below and the t-degree from above
+    (``_NO_DEGREE`` if unknown), and c is set when the node is exactly
+    c t^v.  The lane follows from the syntax: ``_sum_of_products`` from a
+    ``^x`` up, ``_pair_sum`` below any.  Monomials combine with no term
+    read, and a monomial factor or divisor shifts the other operand.  A
+    divisor is checked before its numerator; any other divisor's valuation
+    is searched from its v up to max(v, ``cap``): T plus the valuations
+    shifted out by enclosing quotients.
     """
     if isinstance(node, Const):
-        return 0
+        return _monomial(node.value, 0)
     if isinstance(node, VarT):
-        return 1
+        return _monomial(Fraction(1), 1)
     if isinstance(node, Neg):
-        return _degree(node.operand)
-    if isinstance(node, Div):
-        right = node.right
-        return _degree(node.left) if isinstance(right, Const) and right.value else None
-    if isinstance(node, PowInt):
-        d = _degree(node.base)
-        return None if d is None or node.exponent < 0 else d * node.exponent
+        a, total, v, d, c = _stream(node.operand, cap)
+        if c is not None:
+            return _monomial(-c, v)
+        return _Stream(lambda n: total([(-1, a[n], _ONE)])), total, v, d, None
     if isinstance(node, (Add, Sub, Mul)):
-        a, b = _degree(node.left), _degree(node.right)
-        if a is None or b is None:
-            return None
-        return a + b if isinstance(node, Mul) else max(a, b)
-    return None
-
-
-def _literal_t_power(node: Ast) -> int | None:
-    """k when ``node`` is a literal ``t`` (k = 1) or ``t^k`` with k > 0, else None."""
-    if isinstance(node, VarT):
-        return 1
-    if isinstance(node, PowInt) and isinstance(node.base, VarT) and node.exponent > 0:
-        return node.exponent
-    return None
-
-
-def _stream(node: Ast, cap: int) -> tuple[_Stream, Callable]:
-    """The stream of ``node`` and its lane's term sum, after its semantic checks, children first.
-
-    The lane follows from the syntax: ``_sum_of_products`` from a ``^x``
-    up, ``_pair_sum`` below any.  A divisor is checked before its
-    numerator.  The valuation of a literal ``t`` or ``t^k`` divisor (k > 0)
-    is read from the syntax, and the quotient reads its numerator k ahead;
-    any other divisor's is searched up to ``cap``: T plus the valuations
-    shifted out by enclosing quotients.  A product with a literal ``t^k``
-    factor shifts the other operand by k.
-    """
-    if isinstance(node, Const):
-        value = (node.value.numerator, node.value.denominator)
-        return _Stream(lambda n: value if n == 0 else _ZERO), _pair_sum
-    if isinstance(node, VarT):
-        return _monomial(1), _pair_sum
-    if isinstance(node, (Add, Sub, Mul)):
-        (a, left), (b, right) = _stream(node.left, cap), _stream(node.right, cap)
+        a, left, va, da, ca = _stream(node.left, cap)
+        b, right, vb, db, cb = _stream(node.right, cap)
         total = left if left is right else _sum_of_products
         if isinstance(node, Mul):
-            # A literal t^k factor shifts the other operand, on its lane.
-            if k := _literal_t_power(node.right):
-                return _shifted(a, k), left
-            if k := _literal_t_power(node.left):
-                return _shifted(b, k), right
-            return _product(a, b, total), total
+            if ca is not None and cb is not None:
+                return _monomial(ca * cb, va + vb)
+            if cb is not None:
+                return _shifted(a, vb, cb, left), left, va + vb, da + vb, None
+            if ca is not None:
+                return _shifted(b, va, ca, right), right, va + vb, db + va, None
+            return _product(a, b, total), total, va + vb, da + db, None
         sign = 1 if isinstance(node, Add) else -1
-        return _Stream(lambda n: total([(1, a[n], _ONE), (sign, b[n], _ONE)])), total
-    if isinstance(node, Neg):
-        a, total = _stream(node.operand, cap)
-        return _Stream(lambda n: total([(-1, a[n], _ONE)])), total
+        # Monomials of one degree sum to one, and a zero monomial adds nothing.
+        if ca is not None and cb is not None and (va == vb or not ca or not cb):
+            return _monomial(ca + sign * cb, va if ca else vb)
+        stream = _Stream(lambda n: total([(1, a[n], _ONE), (sign, b[n], _ONE)]))
+        return stream, total, min(va, vb), max(da, db), None
     if isinstance(node, Div):
-        den, right = _stream(node.right, cap)
-        v = literal = _literal_t_power(node.right)
+        den, right, v, _, cd = _stream(node.right, cap)
+        if cd is None:
+            v = next((i for i in range(v, max(v, cap) + 1) if _lift(den[i])), None)
+        elif not cd:
+            v = None
         if v is None:
-            v = next((i for i in range(cap + 1) if _lift(den[i])), None)
-            if v is None:
-                detail = f"divisor vanishes to order {cap}"
-                raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
-            if not _lift(den[v]).is_scalar:
-                detail = "leading divisor coefficient depends on x"
-                raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
-        num, left = _stream(node.left, cap + v)
-        low = next((i for i in range(v) if _lift(num[i])), None)
+            detail = f"divisor vanishes to order {cap}"
+            raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
+        if cd is None and not _lift(den[v]).is_scalar:
+            detail = "leading divisor coefficient depends on x"
+            raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
+        num, left, vn, dn, cn = _stream(node.left, cap + v)
+        if cn is None:
+            low = next((i for i in range(min(vn, v), v) if _lift(num[i])), None)
+        else:
+            low = vn if cn and vn < v else None
         if low is not None:
             detail = f"numerator coefficient of t^{low} is nonzero"
             raise SemanticError(node.span[0], SemanticReason.T_DIVISION_IMPOSSIBLE, detail)
-        if literal:
-            return _shifted(num, -v), left
-        total = left if left is right else _sum_of_products
-        return _quotient(num, den, v, total), total
+        if cd is None:
+            total = left if left is right else _sum_of_products
+            return _quotient(num, den, v, total), total, 0, _NO_DEGREE, None
+        if cn is not None:
+            return _monomial(cn / cd, max(vn - v, 0))
+        return _shifted(num, -v, 1 / cd, left), left, max(vn - v, 0), dn - v, None
     if isinstance(node, PowInt):
-        (base, total), k = _stream(node.base, cap), node.exponent
-        if k == 0 or _literal_t_power(node):
-            return _monomial(k), _pair_sum
+        (base, total, v, d, c), k = _stream(node.base, cap), node.exponent
         if k < 0:
             b0 = _lift(base[0])
             if b0.is_zero or not b0.is_scalar:
                 detail = f"divisor has {'zero' if b0.is_zero else 'x-dependent'} constant term"
                 raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
-            base, k = _quotient(_monomial(0), base, 0, total), -k
-        return _power(base, k, total), total
+        if c is not None or k == 0:
+            return _monomial(Fraction(1) if c is None else c**k, v * k)
+        if k < 0:
+            one = _monomial(Fraction(1), 0)[0]
+            base, k, v, d = _quotient(one, base, 0, total), -k, 0, _NO_DEGREE
+        return _power(base, k, total), total, v * k, d * k, None
     if type(node) in _FUNCTIONS:
-        # The x lane starts at base^x: exp(g)^x = exp(x g), a polynomial
-        # base of degree d takes a d-term step, any other is exp(x log base).
+        # The x lane starts at base^x: exp(g)^x = exp(x g), a base of degree
+        # at most d takes a d-term step, any other is exp(x log base).
         if isinstance(node, PowX) and isinstance(node.base, Exp):
-            g, _ = _argument(node.base, cap)
-            return _exp(g, _sum_of_products, times_x=True), _sum_of_products
-        arg, total = _argument(node, cap)
-        if isinstance(node, Log):
-            return _log(arg, total), total
+            stream = _exp(_argument(node.base, cap)[0], _sum_of_products, times_x=True)
+            return stream, _sum_of_products, 0, _NO_DEGREE, None
+        arg, total, _, d, _ = _argument(node, cap)
+        if isinstance(node, Log):  # log g = 0 + O(t)
+            return _log(arg, total), total, 1, _NO_DEGREE, None
         if isinstance(node, Exp):
-            return _exp(arg, total), total
-        d = _degree(node.base)
-        if d is not None:
-            return _power_x(arg, d), _sum_of_products
-        return _exp(_log(arg, total), _sum_of_products, times_x=True), _sum_of_products
+            return _exp(arg, total), total, 0, _NO_DEGREE, None
+        if d < _NO_DEGREE:
+            return _power_x(arg, d), _sum_of_products, 0, _NO_DEGREE, None
+        stream = _exp(_log(arg, total), _sum_of_products, times_x=True)
+        return stream, _sum_of_products, 0, _NO_DEGREE, None
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -740,19 +732,21 @@ def eval_series(node: Ast, trunc: int) -> TSeries:
     ``log`` are each one recurrence, given the lane's term sum.  A quotient
     by a divisor of t-valuation v > 0 (``t`` in ``log(1+t)/t``,
     ``exp(t)-1`` in ``t/(exp(t)-1)``) reads its numerator v coefficients
-    further, so the result stays exact; by a literal ``t^k`` it only reads
-    k ahead, and a literal ``t^k`` factor only shifts.  ``exp``, ``log``
-    and ``base^x`` are first-order recurrences.  F = ``base^x`` solves
-    base F' = x base' F: a polynomial base of degree d, known from its
-    syntax, steps F_n from d earlier terms; ``exp(g)^x`` is exp(x g); any
-    other base is exp(x log base), whose step multiplies by x as a
-    one-degree shift.  ``log`` and ``base^x`` need a constant term of
+    further, so the result stays exact.  A monomial c t^v divisor, however
+    spelled (``t^6``, ``(t^2)^3``, ``t^6+0``), is read v ahead, times 1/c,
+    as a monomial factor only shifts; any other divisor's valuation is
+    searched from its bound up to T, or to the bound if larger.
+    ``exp``, ``log`` and ``base^x`` are first-order recurrences.  F =
+    ``base^x`` solves base F' = x base' F: a base of degree at most d,
+    known from its facts, steps F_n from d earlier terms; ``exp(g)^x`` is
+    exp(x g); any other base is exp(x log base), whose step multiplies by x
+    as a one-degree shift.  ``log`` and ``base^x`` need a constant term of
     exactly 1 and ``exp`` of exactly 0, and violations raise positioned
     :class:`SemanticError` values.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
-    stream, _ = _stream(node, trunc)
+    stream = _stream(node, trunc)[0]
     return TSeries(trunc, [_lift(stream[n]) for n in range(trunc + 1)])
 
 

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedpoly import dsl
@@ -313,13 +313,16 @@ def test_eval_constant_quotient():
 
 
 def test_eval_literal_t_division_at_truncation_zero():
-    # A literal t (or t^k) denominator carries its valuation in the syntax,
+    # A monomial divisor carries its valuation in its facts, and the search
+    # for any other divisor's starts at its syntactic bound (t^1 for a log),
     # so the quotient is exact even when T is too low to see the leading
-    # term of an evaluated denominator.
+    # term of an evaluated divisor.
     assert eval_text("log(1+t)/t", 0) == TSeries.constant(1, 0)
     assert eval_text("t^2/t^2", 1) == TSeries.constant(1, 1)
+    assert eval_text("t/log(1+t)", 0) == TSeries.constant(1, 0)
+    # exp(t)-1 starts at t^1 only by a cancellation, beyond any syntactic bound.
     with pytest.raises(SemanticError) as info:
-        eval_text("t/log(1+t)", 0)
+        eval_text("t/(exp(t)-1)", 0)
     assert info.value.reason is SemanticReason.NON_UNIT_DIVISOR
 
 
@@ -366,7 +369,7 @@ NEGATIVE_CHANGHEE = [
 @pytest.mark.parametrize("trunc", [0, 3, 8])
 @pytest.mark.parametrize("src", NEGATIVE_CHANGHEE)
 def test_negative_changhee_texts_match_eager_reference(src, trunc):
-    # At T = 0 the Cauchy divisor log(1+t) vanishes to the searched order, on both sides.
+    # At T = 0 the Cauchy divisor log(1+t) is found at t^1, its syntactic bound, on both sides.
     node = parse_text(src)
     assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
 
@@ -438,21 +441,49 @@ def _eager_shift_quotient(node, v, trunc):
     return num_hi.shift_down(v) / den_hi.shift_down(v)
 
 
+def _valuation_bound(node):
+    """(v, c) from the syntax alone, for a tree that evaluates.
+
+    v bounds the t-valuation of the node's series from below, and c is its
+    coefficient when the series is exactly c t^v (None otherwise): the rule
+    the evaluator's divisor search starts from, restated apart from ``dsl``.
+    """
+    if isinstance(node, Const):
+        return 0, node.value
+    if isinstance(node, VarT):
+        return 1, F(1)
+    if isinstance(node, Neg):
+        v, c = _valuation_bound(node.operand)
+        return v, None if c is None else -c
+    if isinstance(node, PowInt):
+        (v, c), k = _valuation_bound(node.base), node.exponent
+        if c is not None or k == 0:
+            return v * k, F(1) if c is None else c**k
+        return max(v * k, 0), None
+    if not isinstance(node, (Add, Sub, Mul, Div)):
+        return int(isinstance(node, Log)), None  # log g = 0 + O(t); exp g, g^x = 1 + O(t)
+    (va, ca), (vb, cb) = _valuation_bound(node.left), _valuation_bound(node.right)
+    known = ca is not None and cb is not None
+    if isinstance(node, Mul):
+        return va + vb, ca * cb if known else None
+    if isinstance(node, Div):
+        # Only a monomial divisor's valuation is read from the syntax.
+        return (0, None) if cb is None else (max(va - vb, 0), ca / cb if known else None)
+    sign = 1 if isinstance(node, Add) else -1
+    if known and (va == vb or not ca or not cb):
+        return va if ca else vb, ca + sign * cb
+    return min(va, vb), None
+
+
 def _eager_div(node, trunc):
-    right = node.right
-    if isinstance(right, VarT):
-        return _eager_shift_quotient(node, 1, trunc)
-    if isinstance(right, PowInt) and isinstance(right.base, VarT) and right.exponent > 0:
-        return _eager_shift_quotient(node, right.exponent, trunc)
-    den = _eager(right, trunc)
-    c0 = den.coeff(0)
-    if not c0.is_zero:
-        if not c0.is_scalar:
-            raise SemanticError(
-                node.span[0], SemanticReason.NON_UNIT_DIVISOR, "divisor constant term depends on x"
-            )
-        return _eager(node.left, trunc) / den
-    v = next((i for i in range(trunc + 1) if not den.coeff(i).is_zero), None)
+    # The divisor's valuation is searched from its syntactic bound v0 up to
+    # max(v0, T).  Its series at T decides its own checks; where v0 > T, a
+    # longer one of the same divisor shows the coefficients the search reads.
+    den = _eager(node.right, trunc)
+    v0 = _valuation_bound(node.right)[0]
+    if v0 > trunc:
+        den = _eager(node.right, v0)
+    v = next((i for i in range(v0, max(v0, trunc) + 1) if not den.coeff(i).is_zero), None)
     if v is None:
         raise SemanticError(
             node.span[0], SemanticReason.NON_UNIT_DIVISOR, f"divisor vanishes to order {trunc}"
@@ -466,21 +497,12 @@ def _eager_div(node, trunc):
     return _eager_shift_quotient(node, v, trunc)
 
 
-# The reference's one message that the single-pass evaluator words
-# differently: one check of the divisor's leading coefficient covers it.
-_RENAMED_MESSAGES = {
-    "NonUnitDivisor: divisor constant term depends on x": (
-        "NonUnitDivisor: leading divisor coefficient depends on x"
-    ),
-}
-
-
 def _outcome(evaluate, node, trunc):
     """The series, or the reason, position and message of the SemanticError."""
     try:
         return evaluate(node, trunc)
     except SemanticError as exc:
-        return exc.reason, exc.position, _RENAMED_MESSAGES.get(exc.message, exc.message)
+        return exc.reason, exc.position, exc.message
 
 
 _NOWHERE = (0, 0)  # spans are ignored: trees are rendered and parsed again
@@ -500,7 +522,7 @@ def _grow(children):
         st.tuples(children, st.integers(1, 3)).map(
             lambda ak: Div(ak[0], PowInt(_T_NODE, ak[1], _NOWHERE), _NOWHERE)
         ),
-        # A power ^1 of a literal t^k is no literal divisor.
+        # A divisor under a power ^1: the power keeps its facts.
         pairs.map(lambda ab: Div(ab[0], PowInt(ab[1], 1, _NOWHERE), _NOWHERE)),
     )
 
@@ -535,8 +557,33 @@ def test_streams_match_eager_reference_across_lanes(tree, trunc):
     assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
 
 
-# Inputs whose parent outcome hangs on where a divisor's valuation search
-# stops: at T plus the valuations shifted out by the enclosing quotients.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tree=st.recursive(_X_LEAVES, _grow, max_leaves=6))
+@example(tree=parse_text("((1+t)*(t-t^2))^2/(2*t)"))
+@example(tree=parse_text("-(3*t^2+t)*(1-t)^3*t^2-2*t*(1+t^4)"))
+def test_stream_facts_bound_the_series(tree):
+    # Each node's facts against its eager series at T = 8: nothing below
+    # the valuation bound v or above the degree bound d, and a monomial
+    # c t^v is exactly that series.  The drawn trees seldom multiply two
+    # polynomials that are not monomials, so two examples do.
+    node = parse_text(render(tree))
+    try:
+        _, _, v, d, c = dsl._stream(node, 8)
+        got = _eager(node, 8)
+    except SemanticError:
+        return
+    assert all(got.coeff(n).is_zero for n in range(min(v, 9)))
+    assert all(got.coeff(n).is_zero for n in range(9) if n > d)
+    if c is not None:
+        assert got == TSeries(8, [c if n == v else 0 for n in range(9)])
+
+
+# Inputs whose outcome hangs on where a divisor's valuation search starts
+# and stops: a monomial divisor's valuation comes from its facts, however
+# it is spelled; any other's is searched from its syntactic bound v up to
+# max(v, cap), cap being T plus the valuations shifted out by the enclosing
+# quotients.  A monomial numerator is checked against the divisor from its
+# facts, so (t^5/(t^3*t^2))/t^3 at T = 0 fails the numerator check.
 SEARCH_CAP_CASES = [
     ("((2^0/(t^3*t^2))/t^3)*t^3", 0),
     ("(1/(t^3*t^2))/t^3", 2),
@@ -551,8 +598,8 @@ SEARCH_CAP_CASES = [
     ("t/(t)^1^1", 0),
     ("t^2/(t^2)^1", 1),
     ("t^3/(t)^3", 0),
-    # A literal t^k divisor's valuation comes from the syntax, any other's
-    # from the search, so equal divisors can get different verdicts.
+    # Equal divisors get equal verdicts, except where a cancellation hides
+    # the valuation from the syntax: exp(t)-1 is bounded only by t^0.
     ("t^3/t^3", 1),
     ("t^3/(t^3+0)", 1),
     ("log(1+t)/t", 0),
@@ -564,6 +611,23 @@ SEARCH_CAP_CASES = [
 def test_streams_match_eager_reference_on_quotient_edges(src, trunc):
     node = parse_text(src)
     assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
+
+
+# Spellings of the one monomial t^6.
+T6_SPELLINGS = ["t^6", "(t^2)^3", "t*t^5", "t^3*t^3", "t^6+0", "2*t^6/2", "(t)^6^1", "-(-t^6)"]
+
+
+@pytest.mark.parametrize("other", ["t^6*exp(t)", "log(1+t)^6"])
+@pytest.mark.parametrize("op", ["/", "*"])
+def test_monomial_spellings_get_equal_outcomes(other, op):
+    # The verdict, and the series, of a quotient or product by t^6 follow
+    # from the monomial, not from how it is written, below T = 6 too.
+    for trunc in range(7):
+        outcomes = {
+            spelling: _outcome(eval_series, parse_text(f"({other}){op}({spelling})"), trunc)
+            for spelling in T6_SPELLINGS
+        }
+        assert len(set(outcomes.values())) == 1, (trunc, outcomes)
 
 
 @pytest.mark.parametrize("src", ["1/(((1+t)^x-1)/t)", "t/((1+t)^x-1)"])
@@ -652,8 +716,9 @@ def test_powx_matches_eager_reference(src, trunc):
     assert eval_series(node, trunc) == _eager(node, trunc)
 
 
-# A literal t^k factor shifts the other operand, and a literal t^k divisor
-# reads its numerator k ahead; both keep the other operand's lane.
+# A monomial c t^k factor shifts the other operand by k, times c, and a
+# monomial divisor reads its numerator k ahead, times 1/c; both keep the
+# other operand's lane.
 LITERAL_SHIFT_CASES = [
     "t^3*(1+t)^x",
     "(1+t)^x*t",
@@ -662,6 +727,9 @@ LITERAL_SHIFT_CASES = [
     "((1+t)^x-1)/t",
     "t*(2/(t+2))^x/t^2",
     "(t*log(1+t))/t^2",
+    "-2/3*t^2*(1+t)^x",
+    "(exp(t)^x-1)/(3*t)",
+    "(t^2*log(1+t))/(-t*t^2/2)",
 ]
 
 
@@ -713,13 +781,31 @@ def test_quotient_by_a_constant_takes_the_polynomial_step(monkeypatch, quotient,
     assert steps == [degree, degree] * 31
 
 
-@pytest.mark.parametrize("src,k", [("(t*t^9999)/t^10000", 10000), ("t^9999*(1+t)/t^9999", 9999)])
-def test_literal_t_power_quotient_sums_fewer_terms_than_k(monkeypatch, src, k):
+LITERAL_QUOTIENTS = [
+    ("(t*t^9999)/t^10000", 10000, TSeries(1, (1, 0))),
+    ("t^9999*(1+t)/t^9999", 9999, TSeries(1, (1, 1))),
+    ("(t*t^999999)/t^1000000", 10**6, TSeries(1, (1, 0))),
+    ("1/(t^1000000*t^1000000)", 10**6, SemanticReason.T_DIVISION_IMPOSSIBLE),
+]
+
+
+@pytest.mark.parametrize(
+    "src,k,expected", LITERAL_QUOTIENTS, ids=[f"{src}-{k}" for src, k, _ in LITERAL_QUOTIENTS]
+)
+def test_literal_t_power_quotient_sums_fewer_terms_than_k(monkeypatch, src, k, expected):
     # A product and a quotient summed O(n) terms for coefficient n, so the
     # k coefficients read below t^k cost O(k^2): 20 s for the first text.
+    # The numerator check read k terms: 1.2 s for the third.  A monomial's
+    # quotient, product and power read no term at all.
     calls = _summed_terms(monkeypatch)
-    assert eval_series(parse_text(src), 1) == TSeries(1, (1, 1 if "1+t" in src else 0))
-    assert sum(calls) < k
+    lifted = []
+    monkeypatch.setattr(dsl, "_lift", lambda c, real=dsl._lift: lifted.append(c) or real(c))
+    try:
+        got = eval_series(parse_text(src), 1)
+    except SemanticError as exc:
+        got = exc.reason
+    assert got == expected
+    assert sum(calls) + len(lifted) < k
 
 
 # The errors of base^x inputs: each node on every route keeps its check,

@@ -21,7 +21,8 @@ in ``series`` and ``cli`` read the integer numerators and build no
 ``Fraction``.  No module imports ``dataclasses``, and a fresh interpreter
 that imports the package and its CLI loads none of the standard modules
 ``dataclasses`` would bring in.  Every memo the CLI binds at module level
-is bounded, so a warm process keeps a bounded heap.
+is bounded, so a warm process keeps a bounded heap.  The expression
+language walks an expression once to evaluate it.
 """
 
 import ast
@@ -283,6 +284,23 @@ def test_dsl_reads_nothing_of_the_gf_side():
     tree = MODULES["dsl"]
     assert not _imported_modules(tree) & {"families", "mixed"}
     assert not sorted(set(_uses(tree)) & set(GF_SIDE))
+
+
+def test_dsl_walks_an_expression_once_to_evaluate_it():
+    # A module-level function that calls itself walks the syntax tree.  One
+    # pass decides each node's stream and facts, and rendering is the only
+    # other walk, so a second evaluation walk (a degree or valuation read
+    # from the syntax beside ``_stream``) shows up here.
+    walks = sorted(
+        stmt.name
+        for stmt in MODULES["dsl"].body
+        if isinstance(stmt, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == stmt.name
+            for node in ast.walk(stmt)
+        )
+    )
+    assert walks == ["_stream", "render"]
 
 
 # The p-adic fold path, which holds every quantity as an integer pair.
