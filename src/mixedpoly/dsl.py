@@ -11,9 +11,9 @@ integer pairs (p, q), and x enters only at ``base^x``, from which up the
 coefficients are ``XPoly`` values.  Both lanes run the same recurrences.
 The same pass bounds each node's t-valuation and t-degree and spots a
 monomial c t^v, however spelled: it only shifts as a factor or divisor,
-and any other divisor's valuation is searched from its bound.  ``base^x``
-steps by base F' = x base' F: d terms for a base of degree at most d,
-exp(x g) for ``exp(g)``, and exp(x log base) for any other base.
+and any other divisor's valuation is searched from its bound up to T.
+``base^x`` steps by base F' = x base' F: d terms for a base of degree at
+most d, exp(x g) for ``exp(g)``, and exp(x log base) for any other base.
 
 Grammar (see docs/grammar.ebnf):
 
@@ -554,8 +554,6 @@ def _monomial(c: Fraction, v: int) -> tuple:
 def _shifted(a: _Stream, k: int, c: Fraction, total) -> _Stream:
     """c t^k a, on a's lane: term n is c a_(n-k), so a negative k reads a ahead."""
     p, q = c.numerator, c.denominator
-    if p == q:  # c = 1 leaves each term as it is
-        return _Stream(lambda n: a[n - k] if n >= k else _ZERO)
     return _Stream(lambda n: total([(p, a[n - k], _ONE)], q) if n >= k else _ZERO)
 
 
@@ -633,8 +631,10 @@ def _stream(node: Ast, cap: int) -> tuple:
     ``^x`` up, ``_pair_sum`` below any.  Monomials combine with no term
     read, and a monomial factor or divisor shifts the other operand.  A
     divisor is checked before its numerator; any other divisor's valuation
-    is searched from its v up to max(v, ``cap``): T plus the valuations
-    shifted out by enclosing quotients.
+    is searched from its v up to ``cap``: T plus the valuations shifted
+    out by enclosing quotients.  No divisor is read past ``cap``, and a
+    monomial one reads its numerator at most max(``cap``, ``MAX_EXPONENT``)
+    ahead.
     """
     if isinstance(node, Const):
         return _monomial(node.value, 0)
@@ -666,8 +666,10 @@ def _stream(node: Ast, cap: int) -> tuple:
     if isinstance(node, Div):
         den, right, v, _, cd = _stream(node.right, cap)
         if cd is None:
-            v = next((i for i in range(v, max(v, cap) + 1) if _lift(den[i])), None)
-        elif not cd:
+            v = next((i for i in range(v, cap + 1) if _lift(den[i])), None)
+        elif not cd or v > max(cap, MAX_EXPONENT):
+            # A monomial's numerator is read v ahead: no further than one
+            # literal power reaches, or than the search reads any other divisor.
             v = None
         if v is None:
             detail = f"divisor vanishes to order {cap}"
@@ -735,7 +737,7 @@ def eval_series(node: Ast, trunc: int) -> TSeries:
     further, so the result stays exact.  A monomial c t^v divisor, however
     spelled (``t^6``, ``(t^2)^3``, ``t^6+0``), is read v ahead, times 1/c,
     as a monomial factor only shifts; any other divisor's valuation is
-    searched from its bound up to T, or to the bound if larger.
+    searched from its bound up to T.
     ``exp``, ``log`` and ``base^x`` are first-order recurrences.  F =
     ``base^x`` solves base F' = x base' F: a base of degree at most d,
     known from its facts, steps F_n from d earlier terms; ``exp(g)^x`` is

@@ -313,17 +313,16 @@ def test_eval_constant_quotient():
 
 
 def test_eval_literal_t_division_at_truncation_zero():
-    # A monomial divisor carries its valuation in its facts, and the search
-    # for any other divisor's starts at its syntactic bound (t^1 for a log),
-    # so the quotient is exact even when T is too low to see the leading
-    # term of an evaluated divisor.
+    # A monomial divisor carries its valuation in its facts, so the quotient
+    # is exact even when T is too low to see the leading term of an
+    # evaluated divisor.  Any other divisor is searched up to T only: log(1+t)
+    # starts at t^1 by its bound, exp(t)-1 by a cancellation, and both fail.
     assert eval_text("log(1+t)/t", 0) == TSeries.constant(1, 0)
     assert eval_text("t^2/t^2", 1) == TSeries.constant(1, 1)
-    assert eval_text("t/log(1+t)", 0) == TSeries.constant(1, 0)
-    # exp(t)-1 starts at t^1 only by a cancellation, beyond any syntactic bound.
-    with pytest.raises(SemanticError) as info:
-        eval_text("t/(exp(t)-1)", 0)
-    assert info.value.reason is SemanticReason.NON_UNIT_DIVISOR
+    for src in ("t/log(1+t)", "t/(exp(t)-1)"):
+        with pytest.raises(SemanticError) as info:
+            eval_text(src, 0)
+        assert info.value.reason is SemanticReason.NON_UNIT_DIVISOR
 
 
 NINE_GF_STRINGS = [
@@ -369,7 +368,7 @@ NEGATIVE_CHANGHEE = [
 @pytest.mark.parametrize("trunc", [0, 3, 8])
 @pytest.mark.parametrize("src", NEGATIVE_CHANGHEE)
 def test_negative_changhee_texts_match_eager_reference(src, trunc):
-    # At T = 0 the Cauchy divisor log(1+t) is found at t^1, its syntactic bound, on both sides.
+    # At T = 0 the Cauchy divisor log(1+t) vanishes to the searched order, on both sides.
     node = parse_text(src)
     assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
 
@@ -476,19 +475,20 @@ def _valuation_bound(node):
 
 
 def _eager_div(node, trunc):
-    # The divisor's valuation is searched from its syntactic bound v0 up to
-    # max(v0, T).  Its series at T decides its own checks; where v0 > T, a
-    # longer one of the same divisor shows the coefficients the search reads.
+    # The divisor's series at T decides its own checks.  A nonzero monomial
+    # divisor's valuation is its syntactic bound v0, for v0 up to
+    # max(T, MAX_EXPONENT); any other divisor's is searched from v0 up to T.
     den = _eager(node.right, trunc)
-    v0 = _valuation_bound(node.right)[0]
-    if v0 > trunc:
-        den = _eager(node.right, v0)
-    v = next((i for i in range(v0, max(v0, trunc) + 1) if not den.coeff(i).is_zero), None)
+    v0, c = _valuation_bound(node.right)
+    if c is not None:
+        v = v0 if c and v0 <= max(trunc, MAX_EXPONENT) else None
+    else:
+        v = next((i for i in range(v0, trunc + 1) if not den.coeff(i).is_zero), None)
     if v is None:
         raise SemanticError(
             node.span[0], SemanticReason.NON_UNIT_DIVISOR, f"divisor vanishes to order {trunc}"
         )
-    if not den.coeff(v).is_scalar:
+    if c is None and not den.coeff(v).is_scalar:
         raise SemanticError(
             node.span[0],
             SemanticReason.NON_UNIT_DIVISOR,
@@ -581,8 +581,8 @@ def test_stream_facts_bound_the_series(tree):
 # Inputs whose outcome hangs on where a divisor's valuation search starts
 # and stops: a monomial divisor's valuation comes from its facts, however
 # it is spelled; any other's is searched from its syntactic bound v up to
-# max(v, cap), cap being T plus the valuations shifted out by the enclosing
-# quotients.  A monomial numerator is checked against the divisor from its
+# cap, T plus the valuations shifted out by the enclosing quotients, and a
+# bound above cap fails at once.  A monomial numerator is checked against the divisor from its
 # facts, so (t^5/(t^3*t^2))/t^3 at T = 0 fails the numerator check.
 SEARCH_CAP_CASES = [
     ("((2^0/(t^3*t^2))/t^3)*t^3", 0),
@@ -598,12 +598,15 @@ SEARCH_CAP_CASES = [
     ("t/(t)^1^1", 0),
     ("t^2/(t^2)^1", 1),
     ("t^3/(t)^3", 0),
-    # Equal divisors get equal verdicts, except where a cancellation hides
-    # the valuation from the syntax: exp(t)-1 is bounded only by t^0.
+    # Equal monomial divisors get equal verdicts.  Any other divisor is
+    # searched up to T only: exp(t)-1 is bounded by t^0, since a
+    # cancellation hides its t^1 from the syntax, and log(1+t) by t^1.
     ("t^3/t^3", 1),
     ("t^3/(t^3+0)", 1),
     ("log(1+t)/t", 0),
     ("t/(exp(t)-1)", 0),
+    ("t/log(1+t)", 0),
+    ("t/log(1+t)", 1),
 ]
 
 
@@ -740,13 +743,18 @@ def test_literal_t_power_shifts_match_eager_reference(src, trunc):
     assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
 
 
-def _summed_terms(monkeypatch):
-    """The number of terms of every call to either lane's term sum, as it runs."""
-    calls = []
+def _summed_terms(monkeypatch, limit=float("inf")):
+    """The number of terms of every call to either lane's term sum, as it runs.
+
+    The evaluation stops once they come to more than ``limit`` terms.
+    """
+    calls, summed = [], [0]
     for name in ("_pair_sum", "_sum_of_products"):
 
         def counted(terms, scale=1, real=getattr(dsl, name)):
             calls.append(len(terms))
+            summed[0] += len(terms)
+            assert summed[0] <= limit, "too many terms summed"
             return real(terms, scale)
 
         monkeypatch.setattr(dsl, name, counted)
@@ -785,7 +793,10 @@ LITERAL_QUOTIENTS = [
     ("(t*t^9999)/t^10000", 10000, TSeries(1, (1, 0))),
     ("t^9999*(1+t)/t^9999", 9999, TSeries(1, (1, 1))),
     ("(t*t^999999)/t^1000000", 10**6, TSeries(1, (1, 0))),
-    ("1/(t^1000000*t^1000000)", 10**6, SemanticReason.T_DIVISION_IMPOSSIBLE),
+    ("1/(t^1000000*t^1000000)", 10**6, SemanticReason.NON_UNIT_DIVISOR),
+    ("1/(t+t^2)^500000", 5 * 10**5, SemanticReason.NON_UNIT_DIVISOR),
+    ("1/(t^1000000*t^1000000*(1+t))", 10**6, SemanticReason.NON_UNIT_DIVISOR),
+    ("(t^600000*t^600000*(1+t))/(t^600000*t^600000)", 10**6, SemanticReason.NON_UNIT_DIVISOR),
 ]
 
 
@@ -796,8 +807,11 @@ def test_literal_t_power_quotient_sums_fewer_terms_than_k(monkeypatch, src, k, e
     # A product and a quotient summed O(n) terms for coefficient n, so the
     # k coefficients read below t^k cost O(k^2): 20 s for the first text.
     # The numerator check read k terms: 1.2 s for the third.  A monomial's
-    # quotient, product and power read no term at all.
-    calls = _summed_terms(monkeypatch)
+    # quotient, product and power read no term at all.  A divisor whose
+    # valuation bound passes T (any other) or MAX_EXPONENT and T (a
+    # monomial) fails before any read: read there, it takes O(k^2) sums
+    # or stores k terms.
+    calls = _summed_terms(monkeypatch, limit=k)
     lifted = []
     monkeypatch.setattr(dsl, "_lift", lambda c, real=dsl._lift: lifted.append(c) or real(c))
     try:
