@@ -49,7 +49,6 @@ import argparse
 import gc
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
 from json.encoder import encode_basestring_ascii as _quote
@@ -57,7 +56,7 @@ from math import inf
 
 from . import __version__
 from .dsl import DslError, eval_text, line_col
-from .families import FamilyKind, FamilySpec, _oracle_value, poly_table
+from .families import FamilyKind, FamilySpec, poly_table
 from .mixed import IDENTITY_IDS, MixedKind, MixedSpec, Variant, verify_identity
 from .padic import (
     DEFAULT_BUDGET,
@@ -67,6 +66,7 @@ from .padic import (
     PAdicContext,
     check_level,
     convergence_trace,
+    integral,
 )
 from .series import XPoly
 
@@ -364,16 +364,16 @@ def cmd_verify(args) -> int:
 def _trace(kind: IntegralKind, target_name: str, binom, p, levels, budget, k, x0):
     """The trace of C(x, binom) against the target family's value, for ``cmd_padic``.
 
-    Memoized: a warm process answers a repeated request from here.  The
-    caller checks the levels, p and the fold count against the budget
-    first, so a breach is a usage error whether or not the memo holds the
-    trace; a raise is never memoized.
+    The target, D or Ch of order k at x0 over binom!, is the k-fold integral
+    whose level sums the trace prints.  Memoized: a warm process answers a
+    repeated request from here.  The caller checks the levels, p and the
+    fold count against the budget first, so a breach is a usage error
+    whether or not the memo holds the trace; a raise is never memoized.
     """
-    family = FamilyKind.DAEHEE if target_name == "daehee" else FamilyKind.CHANGHEE
-    target = Fraction(*_oracle_value(FamilySpec(family, k), binom, x0))
-    return convergence_trace(
-        kind, BinomialBasis(binom), target, p, levels, budget=budget, k=k, x0=x0
-    )
+    f = BinomialBasis(binom)
+    daehee = target_name == "daehee"
+    target = integral(IntegralKind.BOSONIC if daehee else IntegralKind.FERMIONIC, f, k, x0)
+    return convergence_trace(kind, f, target, p, levels, budget=budget, k=k, x0=x0)
 
 
 def cmd_padic(args) -> int:

@@ -33,8 +33,7 @@ polynomials through a completely different route (number recurrences, their
 terms reduced integer pairs, plus binomial convolution, in the basis of
 ``series.falling_factorial`` for (1+t)^x), one memo per spec
 (``_oracle_memo``, the only memo of the oracle polynomials), so agreement
-between the two is a genuine cross-check rather than a tautology.  The
-p-adic target P_n(x0)/n! is summed from the numbers, with no polynomial in x.
+between the two is a genuine cross-check rather than a tautology.
 
 Stirling numbers of both kinds are exported here too (their rows, and the
 falling factorial read from them, live in ``series``); they are the
@@ -467,29 +466,6 @@ def family_oracle(spec: FamilySpec, n: int) -> XPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _oracle_memo(spec)(n)
-
-
-def _oracle_value(spec: FamilySpec, n: int, x0) -> tuple[int, int]:
-    """P_n^(r)(x0) / n! as a pair, from the numbers alone: no polynomial in x is built.
-
-    The sum is that of ``family_oracle`` at x0 = a/b (an integer or a
-    ``Fraction``), over n!: x0^m is the pair (a^m, b^m) and the falling
-    factorial (x0)_m is (a (a - b) ... (a - (m-1) b), b^m).  C(n, m) is
-    stepped along the row, and the sum stops at the first zero factor,
-    which every later one holds too: at x0 = 0 only m = 0 is read.
-    """
-    a, b = x0.numerator, x0.denominator
-    step = 0 if spec.kind in _EXP_CARRIER else b
-    nums = _numbers(spec, n)
-    terms, c, top, den = [], 1, 1, 1  # c = C(n, m); top/den is x0^m or (x0)_m
-    for m in range(n + 1):
-        terms.append((c, (top, den), nums[n - m]))
-        top *= a - m * step
-        if not top:
-            break
-        den *= b
-        c = c * (n - m) // (m + 1)
-    return _pair_sum(terms, factorial(n))
 
 
 def poly_table(spec, n_max: int) -> PolyTable:

@@ -2,11 +2,11 @@
 
 The bosonic (Volkenborn) integral of f over the p-adic integers is the
 p-adic limit of p^(-N) * sum_{x=0}^{p^N - 1} f(x); the fermionic integral
-is the limit of the alternating sum sum_x (-1)^x f(x).  This module never
-claims to compute those limits: it evaluates the finite level-N sums as
-exact rationals and measures how fast they approach a supplied target in
-the p-adic valuation.  All quantitative convergence thresholds asserted in
-the test suite were frozen from oracle runs of these routines, not derived
+is the limit of the alternating sum sum_x (-1)^x f(x).  This module
+evaluates the finite level-N sums and their limits (``integral``) as exact
+rationals, and measures how fast the sums approach a target in the p-adic
+valuation.  All quantitative convergence thresholds asserted in the test
+suite were frozen from oracle runs of these routines, not derived
 analytically.
 
 Integrands are either ``XPoly`` values or first-class binomial-basis
@@ -18,7 +18,7 @@ Inside, every quantity on that path -- the binomial coordinates of the
 integrand, the C(x0, j) row, the level values, their fold power and the
 final dot product -- is a reduced integer pair (p, q) summed by
 ``series._pair_sum``.  ``Fraction`` is built only at the public boundary:
-the inputs and the return values of ``multifold_integral``,
+the inputs and the return values of ``integral``, ``multifold_integral``,
 ``finite_integral``, ``shift_residual``, ``convergence_trace`` and ``vp``.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Union
 
 from .series import _ONE_PAIR, XPoly, _pair_sum, _power, _Record, _set
@@ -44,6 +44,7 @@ __all__ = [
     "check_level",
     "convergence_trace",
     "finite_integral",
+    "integral",
     "is_odd_prime",
     "multifold_integral",
     "shift_residual",
@@ -220,9 +221,29 @@ def multifold_integral(
     context budget.
     """
     check_level(ctx.p, ctx.N, ctx.budget, k)
+    return Fraction(*_folds(kind, f, _pair(Fraction(x0)))(ctx.modulus, k))
+
+
+def integral(
+    kind: IntegralKind, f: Integrand, k: int = 1, x0: Union[int, Fraction] = 0
+) -> Fraction:
+    """The k-fold bosonic or fermionic integral of f at y_1 + ... + y_k + x0, exact.
+
+    The p-adic limit of ``multifold_integral`` as N grows: its 1-fold level
+    values are polynomials in M = p^N, which tends to 0 p-adically, so the
+    limit is the same fold at M = 0, where they are (-1)^j/(j+1) (bosonic)
+    and (-1/2)^j (fermionic).  At x0 = 0 and k = 1 these are the
+    coefficients of log(1+t)/t and 2/(2+t).
+    """
+    if k < 1:  # ``series._power`` would return its base for k = 0
+        raise ValueError("fold count k must be >= 1")
+    return Fraction(*_folds(kind, f, _pair(Fraction(x0)))(0, k))
+
+
+def _folds(kind: IntegralKind, f: Integrand, x0: tuple[int, int]) -> partial:
+    """(M, k) -> the fold of f at the pair x0 over the level values at M, as a pair."""
     coords, den = _binomial_coords(f)
-    row = _binomials(_pair(Fraction(x0)), len(coords) - 1)
-    return Fraction(*_fold(kind, coords, den, row, ctx.modulus, k))
+    return partial(_fold, kind, coords, den, _binomials(x0, len(coords) - 1))
 
 
 def _fold(
@@ -268,18 +289,20 @@ def _binomials(z: tuple[int, int], d: int) -> list[tuple[int, int]]:
 def _level_values(kind: IntegralKind, M: int, d: int) -> list[tuple[int, int]]:
     """The 1-fold level-N values of C(y, j), j = 0 .. d, over y in 0 .. M - 1, as pairs.
 
-    Bosonic: C(M, j + 1)/M, by the hockey-stick identity.  Fermionic: the
-    integers A_j = sum_y (-1)^y C(y, j): A_0 = 1 and A_{j+1} = (C(M, j + 1) - A_j)/2
-    exactly, by C(y + 1, j + 1) = C(y, j + 1) + C(y, j), as M = p^N is odd
-    (``PAdicContext`` admits only odd primes).
+    Bosonic: C(M, j + 1)/M = C(M - 1, j)/(j + 1), by the hockey-stick
+    identity.  Fermionic: A_j = sum_y (-1)^y C(y, j): A_0 = 1 and
+    A_{j+1} = (C(M, j + 1) - A_j)/2, by C(y + 1, j + 1) = C(y, j + 1) + C(y, j),
+    as M = p^N is odd (``PAdicContext`` admits only odd primes).  Both are
+    polynomials in M, and at M = 0 they are (-1)^j/(j+1) and (-1/2)^j.
     """
     if kind is IntegralKind.BOSONIC:
-        return [_reduced(c, M) for c, _ in _binomials((M, 1), d + 1)[1:]]
+        return [_reduced(c, j + 1) for j, (c, _) in enumerate(_binomials((M - 1, 1), d))]
     if kind is IntegralKind.FERMIONIC:
-        values = [1]
+        values = [_ONE_PAIR]
         for c, _ in _binomials((M, 1), d)[1:]:
-            values.append((c - values[-1]) // 2)
-        return [(a, 1) for a in values]
+            a, b = values[-1]
+            values.append(_reduced(c * b - a, 2 * b))
+        return values
     raise ValueError(f"unknown integral kind {kind!r}")
 
 
@@ -355,13 +378,12 @@ def convergence_trace(
     """
     target = Fraction(target)
     goal = _pair(target)
-    coords, den = _binomial_coords(f)
-    row = _binomials(_pair(Fraction(x0)), len(coords) - 1)
+    fold = _folds(kind, f, _pair(Fraction(x0)))
     rows = []
     for N in sorted(set(N_range)):
         ctx = PAdicContext(p, N, budget)
         check_level(p, N, budget, k)
-        approx = _fold(kind, coords, den, row, ctx.modulus, k)
+        approx = fold(ctx.modulus, k)
         residual = _difference(approx, goal)
         rows.append(TraceRow(N, Fraction(*approx), Fraction(*residual), _vp_pair(residual, p)))
     return ValuationTrace(target=target, rows=tuple(rows))

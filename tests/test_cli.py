@@ -10,7 +10,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import jsonschema
@@ -325,10 +325,11 @@ def test_padic_fold_count_below_one_is_usage_error(capsys, k):
 
 
 def test_padic_deep_fold_count_needs_no_recursion(capsys):
-    # The order-3000 Daehee target is read from cold memos; its numbers are
-    # filled one order at a time, since recursing through the orders below
-    # would overflow the interpreter stack.  The digest is the stdout of the
-    # earlier from-scratch number loop.
+    # The order-3000 Daehee target is the 3000th power of the limit series
+    # of the level values, by binary powering, so nothing recurses per
+    # order.  The digest is the stdout of the earlier from-scratch number
+    # loop.  ``family_numbers(FamilySpec(DAEHEE, 3000), 3)`` in
+    # test_families guards the order-by-order fill of the oracle numbers.
     for value in vars(families).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
@@ -342,6 +343,47 @@ def test_padic_deep_fold_count_needs_no_recursion(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "cbdf38b0e9703c34f32e9da9c729f5e82a492a6aafe8764f71d493563e9c759d"
     )
+
+
+def test_padic_request_reads_no_family_memo(capsys):
+    # The target is the exact integral the approximants tend to, folded by
+    # ``padic`` like them, so no request reads the family numbers.
+    memos = {name: value for name, value in vars(families).items() if hasattr(value, "cache_info")}
+    assert "_numbers_stream" in memos and "_oracle_memo" in memos
+    for memo in [*memos.values(), cli._trace]:
+        memo.cache_clear()
+    for argv in (
+        ["--kind", "bosonic", "--binom", "3", "--p", "3", "--N", "1..3", "--k", "2"],
+        ["--kind", "fermionic", "--binom", "3", "--p", "3", "--N", "1..3", "--target", "daehee"],
+    ):
+        code, _, err = run_main(capsys, "padic", *argv)
+        assert (code, err) == (0, ""), argv
+    filled = {name: memo.cache_info().currsize for name, memo in memos.items()}
+    assert not any(filled.values()), filled
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["bosonic", "fermionic"]),
+    target=st.sampled_from([None, "daehee", "changhee"]),
+    binom=st.integers(0, 12),
+    k=st.integers(1, 4),
+    x0=st.integers(-3, 3),
+)
+def test_padic_target_is_the_oracle_value(kind, target, binom, k, x0):
+    # The printed target is checked against the family oracle, a route that
+    # shares no fold with the approximants.
+    argv = ["padic", "--kind", kind, "--binom", str(binom), "--p", "3", "--N", "1",
+            "--k", str(k), f"--x0={x0}"]
+    argv += ["--target", target] if target else []
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0, argv
+    family = target or ("daehee" if kind == "bosonic" else "changhee")
+    kind_of = {"daehee": families.FamilyKind.DAEHEE, "changhee": families.FamilyKind.CHANGHEE}
+    spec = families.FamilySpec(kind_of[family], k)
+    want = families.family_oracle(spec, binom)(x0) / factorial(binom)
+    assert f" target={want} ({family})\n" in out.getvalue().splitlines(keepends=True)[0], argv
 
 
 def test_padic_nineteen_digit_prime_under_raised_budget(capsys):

@@ -277,20 +277,6 @@ def test_number_streams_hold_reduced_pairs(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("x0", [0, 1, 5, -2, F(1, 2), F(-2, 3)])
-def test_oracle_value_matches_the_oracle_polynomial(kind, x0):
-    # The p-adic target P_n(x0)/n!, summed from the numbers, equals the
-    # oracle polynomial evaluated at x0 and divided by n!.
-    for order in range(1, 5):
-        spec = FamilySpec(kind, order)
-        for n in range(31):
-            want = family_oracle(spec, n)(x0) / factorial(n)
-            p, q = families._oracle_value(spec, n, x0)
-            assert q > 0 and gcd(p, q) == 1
-            assert F(p, q) == want, (kind, order, n, x0)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_oracle_equivalence(kind, order):
     spec = FamilySpec(kind, order)

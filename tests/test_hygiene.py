@@ -197,7 +197,6 @@ ORACLE_ROUTE = (
     "family_numbers",
     "_oracle_memo",
     "family_oracle",
-    "_oracle_value",
 )
 ORACLE_NAMES = ORACLE_ROUTE + ("_monomial", "falling_factorial", "_stirling_row")
 
@@ -309,9 +308,9 @@ PADIC_FOLDS = ("_fold", "_binomial_coords", "_binomials", "_level_values", "_dif
 
 def test_padic_folds_build_no_fraction():
     # Only the public entry points convert their inputs and return values;
-    # no private name of ``padic`` reads ``Fraction``.  The trace's target
-    # comes from ``families``, so ``padic`` imports nothing of it or of
-    # ``mixed`` and the two routes stay independent.
+    # no private name of ``padic`` reads ``Fraction``.  ``padic`` imports
+    # nothing of ``families`` or ``mixed``, so the family values the tests
+    # compare its exact integrals with come from a route it does not share.
     tree = MODULES["padic"]
     bound = _bindings(tree)
     assert not [name for name in PADIC_FOLDS if name not in bound]
@@ -325,6 +324,18 @@ def test_padic_folds_build_no_fraction():
     )
     assert not readers, readers
     assert not _imported_modules(tree) & {"families", "mixed"}
+
+
+def test_cli_imports_no_private_name():
+    # The CLI reads the package's modules through their public names only.
+    private = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(MODULES["cli"])
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+    assert not private, private
 
 
 # The printers of polynomial coefficients, by module: dotted names reach

@@ -23,6 +23,7 @@ from mixedpoly.padic import (
     PAdicContext,
     convergence_trace,
     finite_integral,
+    integral,
     is_odd_prime,
     multifold_integral,
     shift_residual,
@@ -366,6 +367,41 @@ def test_multifold_consistency_with_family_targets(k, x0):
             assert vp(fer - ch_target, 3) >= N - 1, ("fermionic", k, x0, n, N)
 
 
+# -- exact integrals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family, kind",
+    [
+        (FamilyKind.BERNOULLI, BOS),
+        (FamilyKind.EULER, FER),
+        (FamilyKind.DAEHEE, BOS),
+        (FamilyKind.CHANGHEE, FER),
+    ],
+)
+def test_integral_is_the_witt_type_representation(family, kind):
+    # B_n^(k)(x0) and E_n^(k)(x0) are the k-fold bosonic and fermionic
+    # integrals of (x0 + y_1 + ... + y_k)^n, and D_n^(k)(x0)/n! and
+    # Ch_n^(k)(x0)/n! those of C(x0 + y_1 + ... + y_k, n).  The oracle
+    # builds them from number recurrences, with no integral.
+    binomial = family in (FamilyKind.DAEHEE, FamilyKind.CHANGHEE)
+    for k in range(1, 5):
+        spec = FamilySpec(family, k)
+        for n in range(21):
+            f, scale = (BinomialBasis(n), factorial(n)) if binomial else (XPoly([0] * n + [1]), 1)
+            for x0 in (0, 1, 5, -2, F(1, 2), F(-2, 3)):
+                want = family_oracle(spec, n)(x0) / scale
+                assert integral(kind, f, k, x0) == want, (k, n, x0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_integral_rejects_fold_count_below_one(k):
+    # ``series._power`` returns its base for k = 0, which would pass the
+    # 1-fold integral off as the 0-fold one.
+    with pytest.raises(ValueError, match="fold count k must be >= 1"):
+        integral(BOS, BinomialBasis(2), k)
+
+
 # -- brute-force oracle ------------------------------------------------------------
 #
 # The module evaluates every sum in closed form; this oracle sums the
@@ -454,6 +490,7 @@ def test_unknown_kind_rejected_on_every_entry_point(kind):
         lambda: finite_integral(kind, XPoly(()), ctx),
         lambda: shift_residual(kind, X2, ctx),
         lambda: convergence_trace(kind, BinomialBasis(2), 0, 3, (1, 2)),
+        lambda: integral(kind, BinomialBasis(2)),
     ]
     calls += [
         lambda k=k: multifold_integral(kind, BinomialBasis(2), k, 0, ctx) for k in (1, 2)
@@ -466,5 +503,7 @@ def test_unknown_kind_rejected_on_every_entry_point(kind):
 def test_non_integrand_rejected():
     with pytest.raises(TypeError):
         multifold_integral(BOS, 3, 1, 0, PAdicContext(3, 1))
+    with pytest.raises(TypeError):
+        integral(BOS, 3)
     with pytest.raises(TypeError):
         shift_residual(BOS, BinomialBasis(1), PAdicContext(3, 1))
