@@ -379,19 +379,19 @@ def test_multifold_consistency_with_family_targets(k, x0):
         (FamilyKind.CHANGHEE, FER),
     ],
 )
-def test_integral_is_the_witt_type_representation(family, kind):
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("x0", [0, 1, 5, -2, F(1, 2), F(-2, 3)])
+def test_integral_is_the_witt_type_representation(family, kind, k, x0):
     # B_n^(k)(x0) and E_n^(k)(x0) are the k-fold bosonic and fermionic
     # integrals of (x0 + y_1 + ... + y_k)^n, and D_n^(k)(x0)/n! and
     # Ch_n^(k)(x0)/n! those of C(x0 + y_1 + ... + y_k, n).  The oracle
     # builds them from number recurrences, with no integral.
     binomial = family in (FamilyKind.DAEHEE, FamilyKind.CHANGHEE)
-    for k in range(1, 5):
-        spec = FamilySpec(family, k)
-        for n in range(21):
-            f, scale = (BinomialBasis(n), factorial(n)) if binomial else (XPoly([0] * n + [1]), 1)
-            for x0 in (0, 1, 5, -2, F(1, 2), F(-2, 3)):
-                want = family_oracle(spec, n)(x0) / scale
-                assert integral(kind, f, k, x0) == want, (k, n, x0)
+    spec = FamilySpec(family, k)
+    for n in range(21):
+        f, scale = (BinomialBasis(n), factorial(n)) if binomial else (XPoly([0] * n + [1]), 1)
+        want = family_oracle(spec, n)(x0) / scale
+        assert integral(kind, f, k, x0) == want, n
 
 
 @pytest.mark.parametrize("k", [0, -1])
