@@ -14,27 +14,28 @@ SystemExit.  Identical invocations produce byte-identical output.
 
 ``main`` builds its parser on its first call and reuses it, and runs a full
 garbage collection once every ``_COLLECT_EVERY`` calls, so a process that
-serves many calls pays for its commands and keeps a bounded heap.  An argv
-that starts with a command name goes straight to that command's subparser,
-and the values of the 1024 most recent argv are memoized (``_parser``);
-each call still gets a fresh namespace.  JSON is written by ``_json``, with
-the bytes ``json.dumps(value, indent=2)`` gives but without its pure-Python
-encoder.  The library memoizes what ``verify`` and ``eval`` compute, in
-bounded memos: the report of each identity instance (``mixed._report``, the
-1024 most recent) and the series of each expression text and truncation
-(``dsl.eval_text``, the 128 most recent).  This module memoizes the rest of
-a request's result, also bounded: the p-adic trace of each ``padic``
-request (``_trace``, the 128 most recent), checked against the budget
-before the memo is read, and the polynomial ``eval --n`` extracts
-(``_extracted``, the 1024 most recent).  A repeated request then only
-prints, and prints the same bytes.  Each polynomial builds its plain, its
-LaTeX and its csv/json coefficient text on its first print in that form and
-reuses it (``series.XPoly``), so a repeated ``table``, ``verify`` or
-``eval`` request does not render its rows, diffs or series again; the json
-and csv writers take the polynomial itself (``_json``, ``_coeff_rows``).
-A text printed while ``sys.set_int_max_str_digits`` was raised is reused
-after the limit is lowered; a print that failed on the limit stored
-nothing.
+serves many calls pays for its commands and keeps a bounded heap.  A
+well-formed argv that starts with a command name is parsed without
+argparse, from that command's own subparser actions (``_fast_parse``); any
+other argv that starts with a command name goes to that command's
+subparser.  No argv is memoized, and each call gets a fresh namespace.
+JSON is written by ``_json``, with the bytes ``json.dumps(value,
+indent=2)`` gives but without its pure-Python encoder.  The library
+memoizes what ``verify`` and ``eval`` compute, in bounded memos: the
+report of each identity instance (``mixed._report``, the 1024 most recent)
+and the series of each expression text and truncation (``dsl.eval_text``,
+the 128 most recent).  This module memoizes the rest of a request's
+result, also bounded: the p-adic trace of each ``padic`` request
+(``_trace``, the 128 most recent), checked against the budget before the
+memo is read, and the polynomial ``eval --n`` extracts (``_extracted``, the
+1024 most recent).  A repeated request then only prints, and prints the
+same bytes.  Each polynomial builds its plain, its LaTeX and its csv/json
+coefficient text on its first print in that form and reuses it
+(``series.XPoly``), so a repeated ``table``, ``verify`` or ``eval`` request
+does not render its rows, diffs or series again; the json and csv writers
+take the polynomial itself (``_json``, ``_coeff_rows``).  A text printed
+while ``sys.set_int_max_str_digits`` was raised is reused after the limit
+is lowered; a print that failed on the limit stored nothing.
 
 The budget is ``--budget`` when given, else MIXEDPOLY_BUDGET, else the
 default; whichever is in force must be an integer >= 1, or the command
@@ -467,28 +468,85 @@ def cmd_eval(args) -> int:
     )
 
 
+def _fast_parse(command: str, sub: argparse.ArgumentParser):
+    """A parse of a well-formed ``command`` argv without argparse, read once from ``sub``.
+
+    It returns the values ``sub.parse_args(argv[1:])`` gives, with
+    ``command`` set, when every token after the command is an exact option
+    string of a store action followed by its value, or the one positional;
+    no value starts with ``-``, no flag comes twice, every required argument
+    is there, and every value passes its ``type`` and its ``choices``.  For
+    any other argv (``--flag=value``, a prefix such as ``--fam``, ``--``,
+    ``-h``, a value such as ``-1``, a ``type`` that raises) it returns None,
+    and argparse parses it.  An unset flag takes its default, a string
+    default through its ``type`` as argparse converts it, then ``sub``'s own
+    ``set_defaults``.
+    """
+    defaults, flags, positional = {"command": command}, {}, None
+    for action in sub._actions:
+        default = action.default
+        if default is not argparse.SUPPRESS:
+            is_text = isinstance(default, str)
+            defaults[action.dest] = (action.type or str)(default) if is_text else default
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            entry = (action.dest, action.type or str, action.choices)
+            if action.option_strings:
+                flags.update(dict.fromkeys(action.option_strings, entry))
+            else:
+                positional = entry
+    defaults.update(sub._defaults)
+    required = [action.dest for action in sub._actions if action.required]
+
+    def parse(argv) -> dict | None:
+        values = {}
+        tokens = iter(argv)
+        next(tokens)  # the command
+        for token in tokens:
+            entry = flags.get(token)
+            if entry is None:
+                entry = positional
+            else:
+                token = next(tokens, "-")  # a flag with no value falls back
+            if entry is None or token[:1] == "-" or entry[0] in values:
+                return None
+            dest, convert, choices = entry
+            try:
+                value = convert(token)
+            except Exception:  # argparse runs the ``type`` again and reports it
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        for dest in required:
+            if dest not in values:
+                return None
+        return {**defaults, **values}
+
+    return parse
+
+
 @lru_cache(maxsize=None)
 def _parser():
-    """The memoized parse of an argv tuple into its values, built on the first ``main`` call.
+    """The parse of an argv into its values, built on the first ``main`` call.
 
-    An argv that starts with a command name goes straight to that command's
-    subparser; ``--help``, ``--version``, no command and an unknown one go
-    through the top-level parser.  Either way the values and the errors are
-    those of ``build_parser().parse_args``.  The memo keeps the 1024 most
-    recent argv: a warm process that repeats requests skips argparse.  It
-    never holds an error, ``--help`` or ``--version``, since those raise.
-    Parsing leaves the parsers unchanged, and the environment is read in
-    ``main`` itself, on every call.
+    A well-formed argv of a command is parsed by that command's
+    ``_fast_parse``, any other argv of a command by its subparser, and
+    --help, --version, no command and an unknown one by the top-level
+    parser.  Each gives the values and the errors of
+    ``build_parser().parse_args``.  Parsing keeps no argv and leaves the
+    parsers unchanged; the environment is read in ``main`` itself.
     """
     parser = build_parser()
+    fast = {name: _fast_parse(name, sub) for name, sub in parser.commands.items()}
 
-    # At 4096 entries peak RSS of the perfbench ``session`` child rose 6%.
-    @lru_cache(maxsize=1024)
-    def parse(argv: tuple) -> dict:
-        command = parser.commands.get(argv[0]) if argv else None
-        if command is None:
+    def parse(argv) -> dict:
+        command = argv[0] if argv else None
+        if command not in fast:
             return vars(parser.parse_args(argv))
-        return {"command": argv[0], **vars(command.parse_args(argv[1:]))}
+        values = fast[command](argv)
+        if values is None:  # argparse, through the command's own subparser
+            values = {"command": command, **vars(parser.commands[command].parse_args(argv[1:]))}
+        return values
 
     return parse
 
@@ -498,7 +556,9 @@ def _parse(argv) -> argparse.Namespace:
 
     ``main`` sets the budget and the width on the namespace, so no two calls share one.
     """
-    return argparse.Namespace(**_parser()(tuple(argv)))
+    args = argparse.Namespace()
+    vars(args).update(_parser()(argv))
+    return args
 
 
 # A process serving many ``main`` calls runs a full collection once every

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, formats, determinism, schema validity."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -526,6 +527,14 @@ def test_eval_trivial_truncation(capsys):
     assert out == "1\n"
 
 
+def test_eval_expression_with_a_leading_minus_follows_double_dash(capsys):
+    # Before "--" argparse reads "-t" as a flag, so the expression is missing.
+    assert run_main(capsys, "eval", "--T", "3", "--", "-t") == (0, "(-1)*t\n", "")
+    code, out, err = run_main(capsys, "eval", "-t", "--T", "3")
+    assert_one_line_usage_error(code, out, err)
+    assert err == "error: the following arguments are required: expr\n"
+
+
 def test_eval_semantic_error_exit_one(capsys):
     code, _, err = run_main(capsys, "eval", "log(t)", "--T", "4")
     assert code == 1
@@ -819,14 +828,11 @@ def _parsed(parse, argv):
 
 def _assert_parse_matches_a_fresh_parser(argv):
     want = _parsed(cli.build_parser().parse_args, argv)
-    cli._parser.cache_clear()
-    for _ in range(2):  # against a cold memo, then a warm one
+    for _ in range(2):  # parsing leaves the reused parser unchanged
         assert _parsed(cli._parse, argv) == want, argv
-        # Only a parse that returned is kept: no error, --help or --version.
-        assert cli._parser().cache_info().currsize == (want[0] == "values"), argv
 
 
-def test_parse_of_golden_argv_matches_a_fresh_parser(fresh_parser):
+def test_parse_of_golden_argv_matches_a_fresh_parser():
     for argv, _, _ in GOLDEN:
         _assert_parse_matches_a_fresh_parser(shlex.split(argv))
 
@@ -885,6 +891,87 @@ _PARSE_ARGV = st.one_of(
 @given(argv=_PARSE_ARGV)
 def test_parse_of_drawn_argv_matches_a_fresh_parser(argv):
     _assert_parse_matches_a_fresh_parser(argv)
+
+
+def _argparse_calls_of_parse(argv):
+    """How many ``parse_known_args`` calls, by any parser, ``cli._parse(argv)`` makes.
+
+    The parse is first checked against a fresh parser's.
+    """
+    _assert_parse_matches_a_fresh_parser(argv)
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return parse_known_args(self, *args, **kwargs)
+
+    argparse.ArgumentParser.parse_known_args = counted
+    try:
+        _parsed(cli._parse, argv)
+    finally:
+        argparse.ArgumentParser.parse_known_args = parse_known_args
+    return len(calls)
+
+
+def test_golden_argv_skip_argparse():
+    for argv, _, _ in GOLDEN:
+        assert _argparse_calls_of_parse(shlex.split(argv)) == 0, argv
+
+
+# Values each flag's ``type`` and ``choices`` accept, none starting with "-";
+# they may still fail the command's own checks, as --p 2 does.
+_WELL_FORMED_VALUES = {
+    "--family": ["B", "Ch"], "--order": ["2", "0"], "--mixed": ["CC", "BE"], "--r": ["1"],
+    "--s": ["2"], "--n": ["3", "0"], "--id": ["all", "E11", ""], "--n-max": ["4"],
+    "--orders": ["1..3", "2"], "--variant": ["corrected", "as-printed"],
+    "--kind": ["bosonic", "fermionic"], "--binom": ["2"], "--p": ["3", "2"], "--N": ["1..3", "4"],
+    "--target": ["daehee", "changhee"], "--k": ["2", "0"], "--x0": ["1"], "--T": ["6", "0"],
+    "--format": list(FORMATS), "--budget": ["125", "99999999999999999999"],
+    "expr": ["(1+t)^x", "t", "", "exp(t)^x --T 3"],
+}
+
+
+def _well_formed_argv(command):
+    """``command``'s required arguments and up to three more flags, each once, in any order."""
+    required, optional = _COMMAND_ARGS[command]
+    required = ["expr" if name == "(1+t)^x" else name for name in required]
+    optional = sorted({*optional, "--format", "--budget"} - {"--fam", "--n-m", *required})
+
+    def argument(name):
+        value = st.sampled_from(_WELL_FORMED_VALUES[name])
+        return value.map(lambda v: [v] if name == "expr" else [name, v])
+
+    return (
+        st.lists(st.sampled_from(optional), unique=True, max_size=3)
+        .flatmap(lambda names: st.tuples(*map(argument, required + names)))
+        .flatmap(st.permutations)
+        .map(lambda parts: [command, *(token for part in parts for token in part)])
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=st.one_of(*map(_well_formed_argv, _COMMAND_ARGS)))
+def test_well_formed_argv_skip_argparse(argv):
+    assert _argparse_calls_of_parse(argv) == 0, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table --family B --order 2 --n=3",  # --flag=value
+        "table --fam D --order 2 --n 3",  # a prefix of --family
+        "eval --T 3 -- -t",  # --
+        "verify -h",
+        "padic --kind bosonic --binom 2 --p 3 --N 1..2 --x0 -1",  # a value starting with -
+        "table --family B --order 2 --n 2 --n 3",  # a flag twice
+        "padic --kind bosonic --binom 2 --p x --N 1..2",  # type=int raises ValueError
+        "table --family B --order 2",  # no --n
+        "eval -t --T 3",  # no expr: -t reads as a flag
+    ],
+)
+def test_other_argv_go_to_argparse(argv):
+    assert _argparse_calls_of_parse(shlex.split(argv)) >= 1, argv
 
 
 def test_full_collection_every_collect_every_calls(monkeypatch, capsys):

@@ -376,8 +376,8 @@ def test_coefficient_printers_build_no_fraction(module):
     assert not readers, readers
 
 
-# The one ``cli`` memo without a bound: it holds the single parser, and the
-# argv memo inside it has its own bound.
+# The one ``cli`` memo without a bound: it holds the single parser, built
+# once, and no argv.
 UNBOUNDED_CLI_MEMOS = {"_parser"}
 
 
@@ -392,7 +392,7 @@ def test_cli_memos_are_bounded():
     }
     assert {"_trace", "_extracted", "_parser"} <= set(sizes), sorted(sizes)
     assert {name for name, size in sizes.items() if size is None} == UNBOUNDED_CLI_MEMOS
-    assert cli._parser().cache_info().maxsize == 1024
+    assert not hasattr(cli._parser(), "cache_info")  # no memo of argv
 
 
 # What ``dataclasses`` loads; the value classes are ``series._Record``s, so a
