@@ -17,8 +17,8 @@ garbage collection once every ``_COLLECT_EVERY`` calls, so a process that
 serves many calls pays for its commands and keeps a bounded heap.  A
 well-formed argv that starts with a command name is parsed without
 argparse, from that command's own subparser actions (``_fast_parse``); any
-other argv that starts with a command name goes to that command's
-subparser.  No argv is memoized, and each call gets a fresh namespace.
+other argv goes to the top-level parser.  No argv is memoized, and each
+call gets a fresh namespace.
 JSON is written by ``_json``, with the bytes ``json.dumps(value,
 indent=2)`` gives but without its pure-Python encoder.  The library
 memoizes what ``verify`` and ``eval`` compute, in bounded memos: the
@@ -530,23 +530,19 @@ def _parser():
     """The parse of an argv into its values, built on the first ``main`` call.
 
     A well-formed argv of a command is parsed by that command's
-    ``_fast_parse``, any other argv of a command by its subparser, and
-    --help, --version, no command and an unknown one by the top-level
-    parser.  Each gives the values and the errors of
-    ``build_parser().parse_args``.  Parsing keeps no argv and leaves the
-    parsers unchanged; the environment is read in ``main`` itself.
+    ``_fast_parse``; any other argv, --help, --version, no command and an
+    unknown one included, by the top-level parser.  Both give the values
+    and the errors of ``build_parser().parse_args``.  Parsing keeps no argv
+    and leaves the parser unchanged; the environment is read in ``main``
+    itself.
     """
     parser = build_parser()
     fast = {name: _fast_parse(name, sub) for name, sub in parser.commands.items()}
 
     def parse(argv) -> dict:
-        command = argv[0] if argv else None
-        if command not in fast:
-            return vars(parser.parse_args(argv))
-        values = fast[command](argv)
-        if values is None:  # argparse, through the command's own subparser
-            values = {"command": command, **vars(parser.commands[command].parse_args(argv[1:]))}
-        return values
+        fast_parse = fast.get(argv[0]) if argv else None
+        values = fast_parse(argv) if fast_parse else None
+        return vars(parser.parse_args(argv)) if values is None else values
 
     return parse
 
@@ -556,9 +552,7 @@ def _parse(argv) -> argparse.Namespace:
 
     ``main`` sets the budget and the width on the namespace, so no two calls share one.
     """
-    args = argparse.Namespace()
-    vars(args).update(_parser()(argv))
-    return args
+    return argparse.Namespace(**_parser()(argv))
 
 
 # A process serving many ``main`` calls runs a full collection once every
