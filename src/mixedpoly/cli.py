@@ -12,13 +12,14 @@ the flags and the library's rejections all raise ``_UsageError``, which
 ``main`` writes before it returns 2; only --help and --version exit through
 SystemExit.  Identical invocations produce byte-identical output.
 
-``main`` builds its parser on its first call and reuses it, and runs a full
-garbage collection once every ``_COLLECT_EVERY`` calls, so a process that
-serves many calls pays for its commands and keeps a bounded heap.  A
-well-formed argv that starts with a command name is parsed without
-argparse, from that command's own subparser actions (``_fast_parse``); any
-other argv goes to the top-level parser.  No argv is memoized, and each
-call gets a fresh namespace.
+``main`` builds its parser on its first call and reuses it, so a process
+that serves many calls pays for its commands.  A request frees its own
+objects by reference counting: no stream refers to itself (see
+``series._Stream``), so a request leaves no reference cycle, and this
+module runs no garbage collection.  A well-formed argv that starts with a
+command name is parsed without argparse, from that command's own
+subparser actions (``_fast_parse``); any other argv goes to the top-level
+parser.  No argv is memoized, and each call gets a fresh namespace.
 JSON is written by ``_json``, with the bytes ``json.dumps(value,
 indent=2)`` gives but without its pure-Python encoder.  The library
 memoizes what ``verify`` and ``eval`` compute, in bounded memos: the
@@ -47,11 +48,9 @@ command exits 2 the same way.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 from functools import lru_cache, partial
-from itertools import count
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf
 
@@ -555,30 +554,11 @@ def _parse(argv) -> argparse.Namespace:
     return argparse.Namespace(**_parser()(argv))
 
 
-# A process serving many ``main`` calls runs a full collection once every
-# this many calls.  A parser rebuilt per call left enough garbage to force
-# a full collection about every 430 calls; reused, full collections grew
-# rare (2 in 10000 calls), and the interpreter's freelists kept the
-# coefficient tuples of dead polynomials: peak RSS of the perfbench
-# ``session`` child (30 s) read 27.2-27.5 MB with no collection and 25.3 MB
-# with one every 256 calls.  With the report and ``eval_text`` memos a
-# repeated request leaves little garbage, while a full collection of the
-# warm heap takes ~4.7 ms.  Over five alternating runs of 28000 warm
-# ``session`` requests (seeds 11-15, 2 vCPUs, Python 3.11), peak RSS read
-# 25.22 MB (median) collecting every 256 calls and 25.16 MB every 1024,
-# and 1024 served 3328 requests/s against 3176, more in all five pairs.
-# In 30 s ``session`` runs, four alternating pairs each, 1024 read 0.3-0.8
-# MB less than 256 and 0.6-1.1 MB less than 4096.
-_COLLECT_EVERY = 1024
-_calls = count(1)
-
 _BUDGET_ENV = _setting("MIXEDPOLY_BUDGET", 1)
 _WIDTH_ENV = _setting("MIXEDPOLY_WIDTH", 0, MAX_WIDTH)
 
 
 def main(argv=None) -> int:
-    if not next(_calls) % _COLLECT_EVERY:
-        gc.collect()
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args.budget is None:

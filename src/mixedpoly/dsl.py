@@ -45,6 +45,7 @@ from .series import (
     _product,
     _quotient,
     _Record,
+    _Recurrence,
     _set,
     _Stream,
     _sum_of_products,
@@ -557,49 +558,49 @@ def _shifted(a: _Stream, k: int, c: Fraction, total) -> _Stream:
     return _Stream(lambda n: total([(p, a[n - k], _ONE)], q) if n >= k else _ZERO)
 
 
-def _exp(g: _Stream, total, times_x: bool = False) -> _Stream:
+def _exp(g: _Stream, total, times_x: bool = False) -> _Recurrence:
     """exp(g) for g_0 = 0, online: n e_n = sum_(k=1..n) k g_k e_(n-k).
 
     With ``times_x`` it is exp(x g): each sum is multiplied by x, a one-degree shift.
     """
 
-    def rule(n):
+    def rule(e, n):
         term = total([(k, g[k], e[n - k]) for k in range(1, n + 1)], n)
         return _times_x(term) if times_x else term
 
-    e = _Stream(rule)
+    e = _Recurrence(rule)
     e[0] = _ONE
     return e
 
 
-def _log(g: _Stream, total) -> _Stream:
+def _log(g: _Stream, total) -> _Recurrence:
     """log g for g_0 = 1, online: n l_n = n g_n - sum_(k=1..n-1) k l_k g_(n-k)."""
 
-    def rule(n):
+    def rule(lg, n):
         terms = [(-k, lg[k], g[n - k]) for k in range(1, n)]
         terms.append((n, g[n], _ONE))
         return total(terms, n)
 
-    lg = _Stream(rule)
+    lg = _Recurrence(rule)
     lg[0] = _ZERO
     return lg
 
 
-def _power_x(b: _Stream, d: int) -> _Stream:
+def _power_x(b: _Stream, d: int) -> _Recurrence:
     """b^x for b_0 = 1 and b_k = 0 beyond k = d, online, from b F' = x b' F.
 
     n F_n = sum_(k=1..min(n,d)) (x k - (n-k)) b_k F_(n-k): one sum of 2
     min(n, d) terms, so (1+t)^x steps F_n = F_(n-1) (x - n + 1)/n.
     """
 
-    def rule(n):
+    def rule(f, n):
         terms = []
         for k in range(1, min(n, d) + 1):
             terms.append((k, b[k], f[n - k], _X))
             terms.append((k - n, b[k], f[n - k]))
         return _sum_of_products(terms, n)
 
-    f = _Stream(rule)
+    f = _Recurrence(rule)
     f[0] = _ONE
     return f
 

@@ -54,6 +54,7 @@ from .series import (
     _pair_sum,
     _product,
     _Record,
+    _Recurrence,
     _set,
     _Stream,
     _stirling_row,
@@ -171,7 +172,7 @@ def _base_stream(base: str) -> _Stream:
 
 
 @lru_cache(maxsize=None)
-def _kernel_power(kind: FamilyKind, order: int) -> _Stream:
+def _kernel_power(kind: FamilyKind, order: int) -> _Recurrence:
     """Coefficients of kernel^order: base^k for k = +-order, by J.C.P. Miller's recurrence.
 
     With a_0 = 1, b = a^k has b_0 = 1 and
@@ -181,8 +182,8 @@ def _kernel_power(kind: FamilyKind, order: int) -> _Stream:
     """
     base, sign = _KERNELS[kind]
     a, k = _base_stream(base), sign * order
-    b = _Stream(
-        lambda n: _pair_sum([((k + 1) * j - n, a[j], b[n - j]) for j in range(1, n + 1)], n)
+    b = _Recurrence(
+        lambda b, n: _pair_sum([((k + 1) * j - n, a[j], b[n - j]) for j in range(1, n + 1)], n)
     )
     b[0] = (1, 1)
     return b
@@ -291,25 +292,24 @@ def _cauchy_rows(r: int) -> _Stream:
     return _Stream(rule)
 
 
-def _changhee_rows(base: _Stream, h: int) -> _Stream:
+def _changhee_rows(base: _Stream, h: int) -> _Recurrence:
     """Rows of (2/(t+2))^h G from the rows G_n of G, h + 1 terms a row.
 
     The generating function's own equation (1+t/2)^h F = G gives
     P_n = G_n - sum_(i=1..min(h, n)) C(h, i) 2^-i (n)_i P_(n-i).
     """
-    def rule(n):
+    def rule(rows, n):
         terms, weight = [(base[n],)], 1  # weight = C(h, i) (n)_i
         for i in range(1, min(h, n) + 1):
             weight = weight * (h - i + 1) * (n - i + 1) // i
             terms.append(((-weight, 2**i), rows[n - i]))
         return _sum_of_products(terms)
 
-    rows = _Stream(rule)
-    return rows
+    return _Recurrence(rule)
 
 
 @lru_cache(maxsize=None)
-def _falling_stream(shift: int = 0) -> _Stream:
+def _falling_stream(shift: int = 0) -> _Recurrence:
     """s(m+shift, shift..m+shift): the top m + 1 coefficients of (x)_(m+shift), as ints.
 
     Stepped as (x)_(m+shift) = (x)_(m+shift-1) (x - m - shift + 1), that is
@@ -318,7 +318,7 @@ def _falling_stream(shift: int = 0) -> _Stream:
     below the window, so the rule carries the diagonal s(m+i, i),
     i = 0..shift, along by the same recurrence: O(m + shift) steps a term.
     """
-    def rule(m):
+    def rule(steps, m):
         prev, step = steps[m - 1], m + shift - 1
         left[0] = 0
         for i in range(1, shift + 1):
@@ -326,7 +326,7 @@ def _falling_stream(shift: int = 0) -> _Stream:
         return (left[shift], *map(sub, prev, map(step.__mul__, prev[1:] + (0,))))
 
     left = [1] * (shift + 1)  # s(m+i, i) at m = 0
-    steps = _Stream(rule)
+    steps = _Recurrence(rule)
     steps[0] = (1,)
     return steps
 
@@ -353,7 +353,7 @@ def family_poly(spec, n: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def _order1_stream(kind: FamilyKind) -> _Stream:
+def _order1_stream(kind: FamilyKind) -> _Recurrence:
     """Order-1 numbers P_0, P_1, ... at x = 0, GF-free, as reduced pairs (p, q), each computed once.
 
     Bernoulli and Euler come from their classical linear recurrences over
@@ -363,15 +363,15 @@ def _order1_stream(kind: FamilyKind) -> _Stream:
     C_n = sum_m S1(n, m) / (m + 1).
     """
     if kind is FamilyKind.BERNOULLI:
-        def rule(n):  # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1
+        def rule(nums, n):  # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1
             return _pair_sum([(-comb(n + 1, k), b, _ONE_PAIR) for k, b in nums.items()], n + 1)
     elif kind is FamilyKind.EULER:
-        def rule(n):  # E_n + sum_{k<=n} C(n, k) E_k = 0 for n >= 1
+        def rule(nums, n):  # E_n + sum_{k<=n} C(n, k) E_k = 0 for n >= 1
             return _pair_sum([(-comb(n, k), e, _ONE_PAIR) for k, e in nums.items()], 2)
     elif kind in (FamilyKind.DAEHEE, FamilyKind.CHANGHEE):
         signed = 1  # (-1)^n n!, carried up from the term below
 
-        def rule(n):  # (-1)^n n! / (n + 1) and (-1)^n n! / 2^n, reduced
+        def rule(nums, n):  # (-1)^n n! / (n + 1) and (-1)^n n! / 2^n, reduced
             nonlocal signed
             if n:
                 signed *= -n
@@ -379,12 +379,12 @@ def _order1_stream(kind: FamilyKind) -> _Stream:
             g = gcd(signed, den)
             return signed // g, den // g
     elif kind is FamilyKind.CAUCHY:
-        def rule(n):
+        def rule(nums, n):
             row = enumerate(_stirling_row(True, n))
             return _pair_sum([(s, (1, m + 1), _ONE_PAIR) for m, s in row])
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    nums = _Stream(rule)
+    nums = _Recurrence(rule)
     if kind in _EXP_CARRIER:
         nums[0] = _ONE_PAIR
     return nums

@@ -22,7 +22,11 @@ convolutions of the families and the identity catalog -- is one integer sum
 over a common denominator, normalized once (``_sum_of_products``).  The
 stream rules (product, quotient, power) take that term sum as a parameter,
 so the expression language runs the same rules on x-free coefficients held
-as reduced integer pairs, summed by ``_pair_sum``.
+as reduced integer pairs, summed by ``_pair_sum``.  A rule that reads its
+own lower terms (a quotient, ``exp``, ``log``, ``base^x``, the families'
+recurrences) is given its stream as an argument (``_Recurrence``) instead
+of holding it, so no stream refers to itself: a dropped stream is freed
+by reference counting, and no request leaves a cycle for the collector.
 
 Every generating function handled by this package lives in ``TSeries``; all
 arithmetic is exact, and a series never pretends to know coefficients beyond
@@ -382,8 +386,11 @@ def _times_x(p: XPoly) -> XPoly:
 class _Stream(dict):
     """Terms of a sequence, each computed once, on demand, lowest index first.
 
-    ``rule(n)`` computes term n from other sequences and from the terms below
-    n.  A stream holds its terms and nothing else about them.
+    ``rule(n)`` computes term n from other sequences.  A rule that reads the
+    terms below n of its own sequence belongs to a ``_Recurrence``, which
+    hands it the stream, so no stream refers to itself and a dropped one is
+    freed by reference counting.  A stream holds its terms and nothing else
+    about them.
     """
 
     def __init__(self, rule):
@@ -393,6 +400,15 @@ class _Stream(dict):
     def __missing__(self, n: int):
         for i in range(len(self), n + 1):
             self[i] = term = self.rule(i)
+        return term
+
+
+class _Recurrence(_Stream):
+    """A stream whose ``rule(stream, n)`` reads the terms below n of ``stream``, itself."""
+
+    def __missing__(self, n: int):
+        for i in range(len(self), n + 1):
+            self[i] = term = self.rule(self, i)
         return term
 
 
@@ -410,7 +426,7 @@ def _product(a, b, total=_sum_of_products) -> _Stream:
     return _Stream(lambda n: total([(1, a[k], b[n - k]) for k in range(n + 1)]))
 
 
-def _quotient(f, g, v: int, total=_sum_of_products) -> _Stream:
+def _quotient(f, g, v: int, total=_sum_of_products) -> _Recurrence:
     """f / g for g of valuation v, scalar g_v, f_0 .. f_(v-1) zero: forward substitution.
 
     With g_v = a/b, term n is (b f_(n+v) - b sum_(k=1..n) g_(v+k) q_(n-k)) / a,
@@ -421,13 +437,12 @@ def _quotient(f, g, v: int, total=_sum_of_products) -> _Stream:
     if scale < 0:
         w, scale = -w, -scale
 
-    def rule(n):
+    def rule(q, n):
         terms = [(-w, g[v + k], q[n - k]) for k in range(1, n + 1)]
         terms.append((w, f[n + v], _ONE_PAIR))
         return total(terms, scale)
 
-    q = _Stream(rule)
-    return q
+    return _Recurrence(rule)
 
 
 def _power(base, k: int, total=_sum_of_products):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from mixedpoly import cli, dsl, families, mixed, series
 from mixedpoly.cli import FORMATS, main
+from collector import left_for_the_collector
 from test_cli_golden import GOLDEN
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -974,15 +975,47 @@ def test_other_argv_go_to_argparse(argv):
     assert _argparse_calls_of_parse(shlex.split(argv)) >= 1, argv
 
 
-def test_full_collection_every_collect_every_calls(monkeypatch, capsys):
-    # The counter runs across the process, so any 2 * _COLLECT_EVERY
-    # consecutive calls hold exactly two collections.
-    collections = []
-    monkeypatch.setattr(cli.gc, "collect", lambda: collections.append(1))
-    for _ in range(2 * cli._COLLECT_EVERY):
-        main(["--bogus"])
-    capsys.readouterr()
-    assert len(collections) == 2
+# One request of each command in each format, texts whose streams read
+# their own terms (exp, log, a quotient by a non-monomial, ^x), and the
+# error paths, each with its exit code.
+_CYCLE_FREE_ARGV = [
+    *(
+        (code, [*argv, "--format", fmt])
+        for fmt in FORMATS
+        for code, argv in [
+            (0, ["table", "--family", "Ch", "--order", "2", "--n", "5"]),
+            (0, ["table", "--mixed", "BE", "--r", "2", "--s", "1", "--n", "4"]),
+            (0, ["verify", "--id", "E11,E34", "--n-max", "4", "--orders", "1..2"]),
+            (0, ["eval", "(t/(exp(t)-1))^2*exp(t)^x", "--T", "5"]),
+            (0, ["eval", "(log(1+t)/t)^2*(1+t+t^2)^x", "--T", "5", "--n", "3"]),
+            (0, ["padic", "--kind", "fermionic", "--binom", "2", "--p", "3", "--N", "1..2",
+                 "--target", "daehee"]),
+        ]
+    ),
+    (0, ["eval", "exp(t)*log(1+t)", "--T", "6"]),
+    (0, ["eval", "1/(1-t-t^2)", "--T", "6"]),
+    (0, ["eval", "(2/(2+t))*(exp(t)-t)^x", "--T", "6"]),
+    (0, ["eval", "(1+t)^x/(1-t)^2", "--T", "6", "--n", "4"]),
+    (1, ["eval", "(exp(t)^x-1)/(exp(t)^x-1)", "--T", "4"]),  # DslError after streams
+    (1, ["eval", "log(1+", "--T", "4"]),  # DslError while parsing
+    (2, ["table", "--family", "B", "--order", "2", "--n", "x"]),  # argparse error
+    (2, ["padic", "--kind", "bosonic", "--binom", "2", "--p", "3", "--N", "1..40"]),  # budget
+    (2, ["padic", "--kind", "bosonic", "--binom", "2", "--p", "4", "--N", "1..2"]),  # _checked
+]
+
+
+def test_requests_leave_no_reference_cycles(monkeypatch):
+    # Every request frees its own objects by reference counting, cold and
+    # warm.  The parser's build is the one cycle allowed; it is collected
+    # before the requests run.
+    def serve():
+        for _ in ("cold", "warm"):
+            for code, argv in _CYCLE_FREE_ARGV:
+                assert _served(monkeypatch, {}, argv)[0] == code, argv
+
+    _clear_library_memos()
+    cli._parser()
+    assert not left_for_the_collector(serve)
 
 
 # Requests whose results the library or the CLI memoizes: passing and

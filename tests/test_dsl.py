@@ -43,6 +43,7 @@ from mixedpoly.families import FamilyKind, FamilySpec, family_gf
 from mixedpoly.mixed import MixedKind, MixedSpec, mixed_gf
 from mixedpoly.series import DivisionError, TSeries, XPoly
 
+from collector import left_for_the_collector
 from series_reference import binomial_x, exp_xt, expm1, log1p, poly_one, series_t
 
 
@@ -664,6 +665,35 @@ def test_nested_quotient_chain_is_linear():
     )
     assert proc.returncode == 0, proc.stderr
     assert eval_text(src, 6) == eval_text("exp(t)-1", 6)
+
+
+# One text per node whose stream reads its own lower terms: exp and log on
+# the pair lane, a quotient by a non-monomial and a negative power, the
+# three forms of base^x, and a quotient on the x lane.
+_SELF_READING = {
+    "exp": "exp(t+t^2)",
+    "log": "log(1+t+t^3)",
+    "quotient": "(1+t)/(1-t-t^2)",
+    "negative-power": "(1+t)^(-2)",
+    "powx-polynomial": "(1+t+t^2)^x",
+    "powx-exp": "exp(t)^x",
+    "powx-other": "(exp(t)-t)^x",
+    "x-lane-quotient": "(1+t)^x/(2-exp(t))",
+}
+
+
+@pytest.mark.parametrize("src", _SELF_READING.values(), ids=_SELF_READING)
+def test_self_reading_streams_leave_no_reference_cycle(src):
+    # A recurrence is handed its stream, so a dropped evaluation is freed
+    # by reference counting.
+    ast = parse_text(src)
+    assert not left_for_the_collector(lambda: eval_series(ast, 8))
+
+
+def test_series_division_leaves_no_reference_cycle():
+    a = TSeries(6, [XPoly((1, 2)), 3, 1])
+    b = TSeries(6, [1, XPoly((0, 1)), 2])
+    assert not left_for_the_collector(lambda: (a / b, b**-2, 3 / b))
 
 
 # Each reaches MAX_DEPTH, and every node of it adds frames to a

@@ -26,6 +26,7 @@ from mixedpoly.families import (
 from mixedpoly.mixed import MixedKind, MixedSpec
 from mixedpoly.series import TSeries, XPoly
 
+from collector import left_for_the_collector
 from series_reference import (
     binomial_x,
     degree,
@@ -432,6 +433,22 @@ def test_gf_streams_match_truncated_series_reference_in_any_call_order(calls, ar
         gf, rows = _gf_from_truncated_series(spec.factors, 30)
         assert gf_rows(spec.factors, trunc) == rows[: trunc + 1], (spec, trunc)
         assert family_gf(spec, trunc) == TSeries(trunc, gf.coeffs[: trunc + 1]), (spec, trunc)
+
+
+def test_dropped_family_memos_leave_no_reference_cycle():
+    # Rows of every family and mixed kind, and the oracle's numbers, fill
+    # every stream memo; a recurrence is handed its stream, so clearing the
+    # memos frees the streams by reference counting.
+    def fill_and_clear():
+        for kind in ALL_KINDS:
+            gf_rows(FamilySpec(kind, 2).factors, 8)
+            family_oracle(FamilySpec(kind, 2), 8)
+        for kind in MixedKind:
+            gf_rows(MixedSpec(kind, 2, 1).factors, 8)
+        _clear_family_memos()
+
+    _clear_family_memos()
+    assert not left_for_the_collector(fill_and_clear)
 
 
 # The (1+t)^x specs: D, C and Ch at orders 0..4, DC, CD and CC at r, s = 1..4.

@@ -20,7 +20,9 @@ outside the public entry points, and ``padic`` reads nothing of
 in ``series`` and ``cli`` read the integer numerators and build no
 ``Fraction``.  No module imports ``dataclasses``, and a fresh interpreter
 that imports the package and its CLI loads none of the standard modules
-``dataclasses`` would bring in.  Every memo the CLI binds at module level
+``dataclasses`` would bring in.  No module imports ``gc``: the library
+leaves its host process's collector alone, and a request frees its own
+objects by reference counting.  Every memo the CLI binds at module level
 is bounded, so a warm process keeps a bounded heap.  The expression
 language walks an expression once to evaluate it.
 """
@@ -403,6 +405,13 @@ IMPORT_FREE = {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", 
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_module_imports_dataclasses(module):
     assert "dataclasses" not in _imported_modules(MODULES[module])
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_gc(module):
+    # A request frees its own objects by reference counting; the collector
+    # belongs to the host process.
+    assert "gc" not in _imported_modules(MODULES[module])
 
 
 def test_importing_the_package_loads_no_dataclass_machinery():
