@@ -16,10 +16,12 @@ SystemExit.  Identical invocations produce byte-identical output.
 that serves many calls pays for its commands.  A request frees its own
 objects by reference counting: no stream refers to itself (see
 ``series._Stream``), so a request leaves no reference cycle, and this
-module runs no garbage collection.  A well-formed argv that starts with a
-command name is parsed without argparse, from that command's own
-subparser actions (``_fast_parse``); any other argv goes to the top-level
-parser.  No argv is memoized, and each call gets a fresh namespace.
+module runs no garbage collection; only --help and --version leave a few
+of argparse's formatter objects in cycles.  A well-formed argv that
+starts with a command name is parsed without argparse, from that
+command's own subparser actions (``_fast_parse``); any other argv goes to
+the top-level parser.  No argv is memoized, and each call gets a fresh
+namespace.
 JSON is written by ``_json``, with the bytes ``json.dumps(value,
 indent=2)`` gives but without its pure-Python encoder.  The library
 memoizes what ``verify`` and ``eval`` compute, in bounded memos: the
