@@ -15,13 +15,12 @@ SystemExit.  Identical invocations produce byte-identical output.
 ``main`` builds its parser on its first call and reuses it, so a process
 that serves many calls pays for its commands.  A request frees its own
 objects by reference counting: no stream refers to itself (see
-``series._Stream``), so a request leaves no reference cycle, and this
-module runs no garbage collection; only --help and --version leave a few
-of argparse's formatter objects in cycles.  A well-formed argv that
-starts with a command name is parsed without argparse, from that
-command's own subparser actions (``_fast_parse``); any other argv goes to
-the top-level parser.  No argv is memoized, and each call gets a fresh
-namespace.
+``series._Stream``) and help is formatted by ``_Formatter``, so a request
+leaves no reference cycle, and this module runs no garbage collection.  A
+well-formed argv that starts with a command name is parsed without
+argparse, from that command's own subparser actions (``_fast_parse``); any
+other argv goes to the top-level parser.  No argv is memoized, and each
+call gets a fresh namespace.
 JSON is written by ``_json``, with the bytes ``json.dumps(value,
 indent=2)`` gives but without its pure-Python encoder.  The library
 memoizes what ``verify`` and ``eval`` compute, in bounded memos: the
@@ -83,8 +82,21 @@ class _UsageError(Exception):
     """Exit 2 with this one-line message; argparse passes it out of a ``type`` unchanged."""
 
 
+class _Formatter(argparse.HelpFormatter):
+    """A help formatter that drops its sections, which refer back to it, once formatted."""
+
+    def format_help(self):
+        text = super().format_help()
+        self._root_section.items.clear()
+        self._root_section = self._current_section = None
+        return text
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise ``_UsageError`` instead of exiting."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs, formatter_class=_Formatter)
 
     def error(self, message):
         raise _UsageError(message)
@@ -175,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--orders",
         type=partial(_parse_range, "--orders", lo=1),
-        default="1..3",
+        default=range(1, 4),
         help="order range 'a..b' for r and s (default 1..3)",
     )
     p_verify.add_argument(
@@ -479,16 +491,13 @@ def _fast_parse(command: str, sub: argparse.ArgumentParser):
     is there, and every value passes its ``type`` and its ``choices``.  For
     any other argv (``--flag=value``, a prefix such as ``--fam``, ``--``,
     ``-h``, a value such as ``-1``, a ``type`` that raises) it returns None,
-    and argparse parses it.  An unset flag takes its default, a string
-    default through its ``type`` as argparse converts it, then ``sub``'s own
-    ``set_defaults``.
+    and argparse parses it.  An unset flag takes its default as it is (no
+    typed flag has a text default to convert), then ``sub``'s ``set_defaults``.
     """
     defaults, flags, positional = {"command": command}, {}, None
     for action in sub._actions:
-        default = action.default
-        if default is not argparse.SUPPRESS:
-            is_text = isinstance(default, str)
-            defaults[action.dest] = (action.type or str)(default) if is_text else default
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
         if type(action) is argparse._StoreAction and action.nargs is None:
             entry = (action.dest, action.type or str, action.choices)
             if action.option_strings:

@@ -46,7 +46,6 @@ from .series import (
     _quotient,
     _Record,
     _Recurrence,
-    _set,
     _Stream,
     _sum_of_products,
     _times_x,
@@ -160,12 +159,6 @@ class Token(_Record):
     start: int
     end: int
 
-    def __init__(self, kind, text, start, end):
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "start", start)
-        _set(self, "end", end)
-
 
 _IDENTS = ("t", "x", "log", "exp")
 _SINGLE = {
@@ -229,17 +222,10 @@ class Const(_Record, compared=("value",)):
     value: Fraction
     span: Span
 
-    def __init__(self, value, span):
-        _set(self, "value", value)
-        _set(self, "span", span)
-
 
 class VarT(_Record, compared=()):
     __slots__ = ("span",)
     span: Span
-
-    def __init__(self, span):
-        _set(self, "span", span)
 
 
 class _Binary(_Record, compared=("left", "right")):
@@ -247,11 +233,6 @@ class _Binary(_Record, compared=("left", "right")):
     left: "Ast"
     right: "Ast"
     span: Span
-
-    def __init__(self, left, right, span):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "span", span)
 
 
 class Add(_Binary):
@@ -275,10 +256,6 @@ class Neg(_Record, compared=("operand",)):
     operand: "Ast"
     span: Span
 
-    def __init__(self, operand, span):
-        _set(self, "operand", operand)
-        _set(self, "span", span)
-
 
 class PowInt(_Record, compared=("base", "exponent")):
     __slots__ = ("base", "exponent", "span")
@@ -286,30 +263,17 @@ class PowInt(_Record, compared=("base", "exponent")):
     exponent: int
     span: Span
 
-    def __init__(self, base, exponent, span):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        _set(self, "span", span)
-
 
 class PowX(_Record, compared=("base",)):
     __slots__ = ("base", "span")
     base: "Ast"
     span: Span
 
-    def __init__(self, base, span):
-        _set(self, "base", base)
-        _set(self, "span", span)
-
 
 class _Call(_Record, compared=("arg",)):
     __slots__ = ("arg", "span")
     arg: "Ast"
     span: Span
-
-    def __init__(self, arg, span):
-        _set(self, "arg", arg)
-        _set(self, "span", span)
 
 
 class Log(_Call):
@@ -514,7 +478,7 @@ def render(node: Ast) -> str:
     """Unparse to text that reparses to a structurally identical tree."""
     if isinstance(node, Const):
         v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(v.numerator) if v.denominator == 1 else f"({v.numerator}/{v.denominator})"
     if isinstance(node, VarT):
         return "t"
     if type(node) in _INFIX:

@@ -120,9 +120,6 @@ class PolyTable(_Record):
     __slots__ = ("rows",)
     rows: tuple[tuple[int, XPoly], ...]
 
-    def __init__(self, rows):
-        _set(self, "rows", rows)
-
 
 def stirling1(n: int, m: int) -> int:
     """Signed Stirling number of the first kind.
@@ -470,4 +467,4 @@ def family_oracle(spec: FamilySpec, n: int) -> XPoly:
 
 def poly_table(spec, n_max: int) -> PolyTable:
     """Rows n = 0..n_max of a ``FamilySpec`` or ``MixedSpec``, from ``gf_rows``."""
-    return PolyTable(rows=tuple(enumerate(gf_rows(spec.factors, n_max))))
+    return PolyTable(tuple(enumerate(gf_rows(spec.factors, n_max))))

@@ -104,21 +104,14 @@ class Variant(Enum):
     CORRECTED = "corrected"
 
 
-# ``_report``'s memo holds reports and their instances by the hundred; as
-# slotted records they carry no per-object ``__dict__``, and each is built
-# by one plain ``__init__``.
+# ``_report``'s memo holds reports and their instances by the hundred, as slotted
+# records with no per-object ``__dict__``; it builds them positionally, the quickest path.
 class IdentityInstance(_Record):
     __slots__ = ("identity_id", "n", "r", "s")
     identity_id: str
     n: int
     r: int
     s: int
-
-    def __init__(self, identity_id, n, r, s):
-        _set(self, "identity_id", identity_id)
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "s", s)
 
 
 class IdentityReport(_Record):
@@ -131,14 +124,6 @@ class IdentityReport(_Record):
     rhs: XPoly
     diff: XPoly
     variant: Variant
-
-    def __init__(self, instance, passed, lhs, rhs, diff, variant):
-        _set(self, "instance", instance)
-        _set(self, "passed", passed)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "diff", diff)
-        _set(self, "variant", variant)
 
 
 # A mixed family's generating function is built exactly as a base family's,
@@ -304,14 +289,9 @@ def _report(
     claims = claims_of(n, r, s, variant is Variant.CORRECTED)
     failed = [claim for claim in claims if claim[0] != claim[1]]
     lhs, rhs = (failed or claims)[0]
-    return IdentityReport(
-        instance=IdentityInstance(identity_id, n, r, s),
-        passed=not failed,
-        lhs=lhs,
-        rhs=rhs if failed else lhs,
-        diff=rhs - lhs if failed else _ZERO_POLY,
-        variant=variant,
-    )
+    instance = IdentityInstance(identity_id, n, r, s)
+    diff = rhs - lhs if failed else _ZERO_POLY
+    return IdentityReport(instance, not failed, lhs, rhs if failed else lhs, diff, variant)
 
 
 def verify_identity(

@@ -341,12 +341,6 @@ class TraceRow(_Record):
     residual: Fraction
     vp: Union[int, float]
 
-    def __init__(self, N, approximant, residual, vp):
-        _set(self, "N", N)
-        _set(self, "approximant", approximant)
-        _set(self, "residual", residual)
-        _set(self, "vp", vp)
-
 
 class ValuationTrace(_Record):
     """Residual valuations of level-N approximants against a fixed target."""
@@ -354,10 +348,6 @@ class ValuationTrace(_Record):
     __slots__ = ("target", "rows")
     target: Fraction
     rows: tuple[TraceRow, ...]
-
-    def __init__(self, target, rows):
-        _set(self, "target", target)
-        _set(self, "rows", rows)
 
 
 def convergence_trace(
@@ -386,4 +376,4 @@ def convergence_trace(
         approx = fold(ctx.modulus, k)
         residual = _difference(approx, goal)
         rows.append(TraceRow(N, Fraction(*approx), Fraction(*residual), _vp_pair(residual, p)))
-    return ValuationTrace(target=target, rows=tuple(rows))
+    return ValuationTrace(target, tuple(rows))

@@ -50,21 +50,23 @@ from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
 
-# A record's ``__init__`` sets its fields through this, past its ``__setattr__``.
+# A record that validates sets its fields through this, past its ``__setattr__``.
 _set = object.__setattr__
 
 
 class _Record:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields in ``__slots__``, in order, and sets them in
-    its own ``__init__`` through ``_set``, validating as it goes.  Records
-    are equal when they are of one class with equal compared fields, and
-    hash as the tuple of those fields; the class keyword ``compared=``
-    names them, for the class and its subclasses, and by default every
-    field is compared.  Fields cannot be assigned or deleted; ``pickle`` and
-    ``copy`` rebuild a record through its constructor, and its repr is
-    ``Name(field=value, ...)``.
+    A subclass lists its fields in ``__slots__``, in order.  The base's
+    constructor sets them in that order: positional values first, then the
+    remaining fields by name; a missing, extra, repeated or unknown field
+    raises ``TypeError``.  Only a record that validates writes its own
+    ``__init__``, setting its fields through ``_set``.  Records are equal
+    when they are of one class with equal compared fields, and hash as the
+    tuple of those fields; the class keyword ``compared=`` names them, for
+    the class and its subclasses, and by default every field is compared.
+    Fields cannot be assigned or deleted; ``pickle`` and ``copy`` rebuild a
+    record through its constructor, and its repr is ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -72,6 +74,8 @@ class _Record:
     def __init_subclass__(cls, compared=None):
         slots = (vars(base).get("__slots__", ()) for base in reversed(cls.__mro__))
         cls._fields = tuple(name for names in slots for name in names)
+        # A slot's own descriptor sets it past ``__setattr__``, cheaper than ``_set``.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
         if compared is not None:
             cls._compared = compared
         names = getattr(cls, "_compared", cls._fields)
@@ -79,6 +83,17 @@ class _Record:
             cls._key = staticmethod(attrgetter(*names))
         else:  # attrgetter of one name returns the bare value, not a 1-tuple
             cls._key = staticmethod(lambda record: tuple(getattr(record, n) for n in names))
+
+    def __init__(self, *values, **named):
+        setters = self._setters
+        if named or len(values) != len(setters):
+            rest = self._fields[len(values) :]
+            if len(values) > len(setters) or named.keys() != set(rest):
+                fields = ", ".join(self._fields)
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {fields}, each once")
+            values += tuple(named[name] for name in rest)
+        for i in range(len(setters)):  # by index: quicker than unpacking a zip's pairs
+            setters[i](self, values[i])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -975,6 +975,14 @@ def test_other_argv_go_to_argparse(argv):
     assert _argparse_calls_of_parse(shlex.split(argv)) >= 1, argv
 
 
+def test_no_typed_flag_has_a_text_default():
+    # ``_fast_parse`` takes every default as it is, where argparse would
+    # convert a text default through the flag's ``type``.
+    for name, sub in cli.build_parser().commands.items():
+        for action in sub._actions:
+            assert not (action.type and isinstance(action.default, str)), (name, action.dest)
+
+
 # One request of each command in each format, texts whose streams read
 # their own terms (exp, log, a quotient by a non-monomial, ^x), and the
 # error paths, each with its exit code.
@@ -1004,14 +1012,21 @@ _CYCLE_FREE_ARGV = [
 ]
 
 
+# Requests that exit through SystemExit after printing help or the version.
+_HELP_ARGV = [["--help"], ["-h"], ["table", "-h"], ["verify", "-h"], ["padic", "-h"],
+              ["eval", "--help"], ["--version"]]
+
+
 def test_requests_leave_no_reference_cycles(monkeypatch):
     # Every request frees its own objects by reference counting, cold and
-    # warm.  The parser's build is the one cycle allowed; it is collected
-    # before the requests run.
+    # warm, help and version included.  The parser's build is the one cycle
+    # allowed; it is collected before the requests run.
     def serve():
         for _ in ("cold", "warm"):
             for code, argv in _CYCLE_FREE_ARGV:
                 assert _served(monkeypatch, {}, argv)[0] == code, argv
+            for argv in _HELP_ARGV:
+                assert _served(monkeypatch, {}, argv)[0] == ("SystemExit", 0), argv
 
     _clear_library_memos()
     cli._parser()

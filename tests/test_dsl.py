@@ -909,6 +909,11 @@ ROUND_TRIP_CORPUS = [
     "1-2-t",
     "exp(t*t)",
     "((1+t)^x)^2",
+    "(1/2)^2",
+    "t*(1/2)",
+    "(1/2)^x",
+    "2*(3/4)",
+    "(1/2)^(-1)",
 ]
 
 
@@ -917,6 +922,21 @@ def test_render_round_trip(src):
     ast = parse_text(src)
     rendered = render(ast)
     assert parse_text(rendered) == ast
+
+
+# A quotient of two constants parses as one fractional constant.
+_QUOTIENTS = st.tuples(st.integers(0, 3), st.integers(1, 4)).map(
+    lambda ab: Div(Const(F(ab[0]), _NOWHERE), Const(F(ab[1]), _NOWHERE), _NOWHERE)
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(tree=st.recursive(st.one_of(_X_LEAVES, _QUOTIENTS), _grow, max_leaves=8))
+def test_render_round_trips_every_parsed_tree(tree):
+    # A drawn tree may hold what parsing folds, so the round trip is
+    # checked from its parsed form.
+    node = parse_text(render(tree))
+    assert parse_text(render(node)) == node
 
 
 # -- total safety -----------------------------------------------------------------

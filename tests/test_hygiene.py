@@ -24,7 +24,9 @@ that imports the package and its CLI loads none of the standard modules
 leaves its host process's collector alone, and a request frees its own
 objects by reference counting.  Every memo the CLI binds at module level
 is bounded, so a warm process keeps a bounded heap.  The expression
-language walks an expression once to evaluate it.
+language walks an expression once to evaluate it.  A value class
+(``series._Record``) that writes its own ``__init__`` does more in it than
+set its fields, which the base's constructor does.
 """
 
 import ast
@@ -426,3 +428,25 @@ def test_importing_the_package_loads_no_dataclass_machinery():
     loaded = set(proc.stdout.split())
     assert {"mixedpoly.cli", "mixedpoly.dsl"} <= loaded
     assert not loaded & IMPORT_FREE, sorted(loaded & IMPORT_FREE)
+
+
+def _sets_a_field(stmt: ast.stmt) -> bool:
+    """``stmt`` is ``_set(self, "name", value)``."""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    return isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_set"
+
+
+def test_records_write_an_init_only_to_do_more_than_set_fields():
+    # ``series._Record``'s constructor sets the fields; only a record that
+    # validates them writes its own ``__init__``, which sets them by ``_set``.
+    only_sets = {
+        cls.name: all(_sets_a_field(line) for line in init.body)
+        for tree in MODULES.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        if any(_sets_a_field(line) for line in init.body)
+    }
+    assert {"FamilySpec", "MixedSpec", "PAdicContext", "BinomialBasis"} <= set(only_sets)
+    assert not [name for name, only in only_sets.items() if only]

@@ -5,11 +5,12 @@ dataclass gave it: fields that cannot be assigned or deleted, equality by
 class and compared fields (a syntax node's ``span`` is not compared), a
 hash of the compared-field tuple, ``pickle`` and ``copy.deepcopy`` round
 trips, the ``Name(field=value, ...)`` repr, and the constructors'
-validation messages.
+validation messages.  Every record builds alike by position, by name and
+by a mix of the two, and a missing, extra, repeated or unknown field is a
+``TypeError``.
 """
 
 import copy
-import inspect
 import pickle
 from fractions import Fraction
 
@@ -77,9 +78,9 @@ RECORDS = [
 _SPANNED = (Const, VarT, Add, Sub, Mul, Div, Neg, PowInt, PowX, Log, Exp)
 
 
-def _fields(record) -> list[str]:
-    """Field names in order, from the constructor's signature."""
-    return list(inspect.signature(type(record)).parameters)
+def _fields(record) -> tuple[str, ...]:
+    """Field names in constructor order."""
+    return type(record)._fields
 
 
 def _compared(record) -> tuple:
@@ -124,6 +125,31 @@ def test_equal_records_hash_as_their_compared_fields(record):
     assert hash(twin) == hash(record) == hash(_compared(record))
     assert record.__eq__(_compared(record)) is NotImplemented
     assert record != _compared(record)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_build_by_position_by_name_and_by_both(record):
+    values = {name: getattr(record, name) for name in _fields(record)}
+    by_name = type(record)(**values)
+    first, *rest = _fields(record)
+    mixed = type(record)(values[first], **{name: values[name] for name in rest})
+    for twin in (by_name, mixed):
+        assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_missing_extra_repeated_or_unknown_field_is_a_type_error(record):
+    cls, fields = type(record), _fields(record)
+    values = [getattr(record, name) for name in fields]
+    first, *rest = fields
+    for build in (
+        lambda: cls(**{name: getattr(record, name) for name in rest}),  # the first field missing
+        lambda: cls(*values, None),  # one value too many
+        lambda: cls(*values, **{first: values[0]}),  # the first field twice
+        lambda: cls(*values, bogus=None),  # no such field
+    ):
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            build()
 
 
 def test_syntax_nodes_compare_and_hash_without_their_span():
