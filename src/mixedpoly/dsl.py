@@ -12,6 +12,8 @@ coefficients are ``XPoly`` values.  Both lanes run the same recurrences.
 The same pass bounds each node's t-valuation and t-degree and spots a
 monomial c t^v, however spelled: it only shifts as a factor or divisor,
 and any other divisor's valuation is searched from its bound up to T.
+The degree bounds cut the window of terms each product, quotient, ``exp``
+and ``log`` sums.
 ``base^x`` steps by base F' = x base' F: d terms for a base of degree at
 most d, exp(x g) for ``exp(g)``, and exp(x log base) for any other base.
 
@@ -37,6 +39,7 @@ from functools import lru_cache
 from typing import Union
 
 from .series import (
+    _NO_DEGREE,
     TSeries,
     XPoly,
     _lift,
@@ -49,6 +52,7 @@ from .series import (
     _Stream,
     _sum_of_products,
     _times_x,
+    _window,
 )
 
 __all__ = [
@@ -175,9 +179,10 @@ _SINGLE = {
 def tokenize(src: str) -> list[Token]:
     """Longest-match lexing; spans cover all non-whitespace input.
 
-    Only ``t``, ``x``, ``log``, ``exp`` are valid identifiers; rationals
-    are not lexed as single tokens -- ``a/b`` arrives as INT SLASH INT and
-    is folded at parse time.
+    An integer is a run of the ASCII digits 0-9; any other digit character
+    is a lexical error.  Only ``t``, ``x``, ``log``, ``exp`` are valid
+    identifiers; rationals are not lexed as single tokens -- ``a/b`` arrives
+    as INT SLASH INT and is folded at parse time.
     """
     tokens: list[Token] = []
     i = 0
@@ -187,9 +192,9 @@ def tokenize(src: str) -> list[Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII digits only: str.isdigit admits "²" and "٣"
             j = i + 1
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(Token(TokenKind.INT, src[i:j], i, j))
             i = j
@@ -506,8 +511,6 @@ def render(node: Ast) -> str:
 # terms, and pairs read from x-free operands, with ``_sum_of_products``.
 _ZERO, _ONE = (0, 1), (1, 1)
 _X = XPoly((0, 1))
-# The degree bound of a node that need not be a polynomial.
-_NO_DEGREE = float("inf")
 
 
 def _monomial(c: Fraction, v: int) -> tuple:
@@ -519,35 +522,39 @@ def _monomial(c: Fraction, v: int) -> tuple:
 def _shifted(a: _Stream, k: int, c: Fraction, total) -> _Stream:
     """c t^k a, on a's lane: term n is c a_(n-k), so a negative k reads a ahead."""
     p, q = c.numerator, c.denominator
-    return _Stream(lambda n: total([(p, a[n - k], _ONE)], q) if n >= k else _ZERO)
+    return _Stream(lambda n: total([(p, a.fill(n - k)[n - k], _ONE)], q) if n >= k else _ZERO)
 
 
-def _exp(g: _Stream, total, times_x: bool = False) -> _Recurrence:
-    """exp(g) for g_0 = 0, online: n e_n = sum_(k=1..n) k g_k e_(n-k).
+def _exp(g: _Stream, total, times_x: bool = False, d=_NO_DEGREE) -> _Recurrence:
+    """exp(g) for g_0 = 0 and g of degree at most d, online.
 
-    With ``times_x`` it is exp(x g): each sum is multiplied by x, a one-degree shift.
+    n e_n = sum_(k=1..min(n,d)) k g_k e_(n-k).  With ``times_x`` it is
+    exp(x g): each sum is multiplied by x, a one-degree shift.
     """
 
     def rule(e, n):
-        term = total([(k, g[k], e[n - k]) for k in range(1, n + 1)], n)
+        hi = min(n, d)
+        term = total(_window(g.fill(hi), e, n, 1, hi, 1, 1), n)
         return _times_x(term) if times_x else term
 
-    e = _Recurrence(rule)
-    e[0] = _ONE
-    return e
+    return _Recurrence(rule, (_ONE,))
 
 
-def _log(g: _Stream, total) -> _Recurrence:
-    """log g for g_0 = 1, online: n l_n = n g_n - sum_(k=1..n-1) k l_k g_(n-k)."""
+def _log(g: _Stream, total, d=_NO_DEGREE) -> _Recurrence:
+    """log g for g_0 = 1 and g of degree at most d, online.
+
+    n l_n = n g_n - sum_(k=max(1,n-d)..n-1) k l_k g_(n-k): at most d terms,
+    since g_n and g_(n-k) vanish beyond d.
+    """
 
     def rule(lg, n):
-        terms = [(-k, lg[k], g[n - k]) for k in range(1, n)]
-        terms.append((n, g[n], _ONE))
+        lo = max(1, n - d)
+        terms = list(_window(lg, g.fill(n - lo), n, lo, n - 1, -lo, -1))
+        if n <= d:
+            terms.append((n, g.fill(n)[n], _ONE))
         return total(terms, n)
 
-    lg = _Recurrence(rule)
-    lg[0] = _ZERO
-    return lg
+    return _Recurrence(rule, (_ZERO,))
 
 
 def _power_x(b: _Stream, d: int) -> _Recurrence:
@@ -558,15 +565,12 @@ def _power_x(b: _Stream, d: int) -> _Recurrence:
     """
 
     def rule(f, n):
-        terms = []
-        for k in range(1, min(n, d) + 1):
-            terms.append((k, b[k], f[n - k], _X))
-            terms.append((k - n, b[k], f[n - k]))
+        hi = min(n, d)
+        window = list(_window(b.fill(hi), f, n, 1, hi, 1, 1))  # (k, b_k, F_(n-k))
+        terms = [(k - n, bk, fk) for k, bk, fk in window] + [(*term, _X) for term in window]
         return _sum_of_products(terms, n)
 
-    f = _Recurrence(rule)
-    f[0] = _ONE
-    return f
+    return _Recurrence(rule, (_ONE,))
 
 
 # Per function node: the constant term its argument needs, and the error otherwise.
@@ -581,7 +585,7 @@ def _argument(node: Union[Log, Exp, PowX], cap: int) -> tuple:
     """``_stream`` of a function node's argument, after its constant-term check."""
     want, reason, what = _FUNCTIONS[type(node)]
     arg = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
-    if _lift(arg[0][0]) != want:
+    if _lift(arg[0].fill(0)[0]) != want:
         raise SemanticError(node.span[0], reason, f"{what} must have constant term {want}")
     return arg
 
@@ -599,7 +603,9 @@ def _stream(node: Ast, cap: int) -> tuple:
     is searched from its v up to ``cap``: T plus the valuations shifted
     out by enclosing quotients.  No divisor is read past ``cap``, and a
     monomial one reads its numerator at most max(``cap``, ``MAX_EXPONENT``)
-    ahead.
+    ahead.  Nothing is read unless asked: every term read fills the
+    operand's stream up to it, lowest first, and the facts bound the window
+    each rule sums (see ``eval_series``).
     """
     if isinstance(node, Const):
         return _monomial(node.value, 0)
@@ -609,7 +615,7 @@ def _stream(node: Ast, cap: int) -> tuple:
         a, total, v, d, c = _stream(node.operand, cap)
         if c is not None:
             return _monomial(-c, v)
-        return _Stream(lambda n: total([(-1, a[n], _ONE)])), total, v, d, None
+        return _Stream(lambda n: total([(-1, a.fill(n)[n], _ONE)])), total, v, d, None
     if isinstance(node, (Add, Sub, Mul)):
         a, left, va, da, ca = _stream(node.left, cap)
         b, right, vb, db, cb = _stream(node.right, cap)
@@ -621,17 +627,17 @@ def _stream(node: Ast, cap: int) -> tuple:
                 return _shifted(a, vb, cb, left), left, va + vb, da + vb, None
             if ca is not None:
                 return _shifted(b, va, ca, right), right, va + vb, db + va, None
-            return _product(a, b, total), total, va + vb, da + db, None
+            return _product(a, b, total, da, db), total, va + vb, da + db, None
         sign = 1 if isinstance(node, Add) else -1
         # Monomials of one degree sum to one, and a zero monomial adds nothing.
         if ca is not None and cb is not None and (va == vb or not ca or not cb):
             return _monomial(ca + sign * cb, va if ca else vb)
-        stream = _Stream(lambda n: total([(1, a[n], _ONE), (sign, b[n], _ONE)]))
+        stream = _Stream(lambda n: total([(1, a.fill(n)[n], _ONE), (sign, b.fill(n)[n], _ONE)]))
         return stream, total, min(va, vb), max(da, db), None
     if isinstance(node, Div):
-        den, right, v, _, cd = _stream(node.right, cap)
+        den, right, v, dd, cd = _stream(node.right, cap)
         if cd is None:
-            v = next((i for i in range(v, cap + 1) if _lift(den[i])), None)
+            v = next((i for i in range(v, cap + 1) if _lift(den.fill(i)[i])), None)
         elif not cd or v > max(cap, MAX_EXPONENT):
             # A monomial's numerator is read v ahead: no further than one
             # literal power reaches, or than the search reads any other divisor.
@@ -644,7 +650,7 @@ def _stream(node: Ast, cap: int) -> tuple:
             raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
         num, left, vn, dn, cn = _stream(node.left, cap + v)
         if cn is None:
-            low = next((i for i in range(min(vn, v), v) if _lift(num[i])), None)
+            low = next((i for i in range(min(vn, v), v) if _lift(num.fill(i)[i])), None)
         else:
             low = vn if cn and vn < v else None
         if low is not None:
@@ -652,14 +658,14 @@ def _stream(node: Ast, cap: int) -> tuple:
             raise SemanticError(node.span[0], SemanticReason.T_DIVISION_IMPOSSIBLE, detail)
         if cd is None:
             total = left if left is right else _sum_of_products
-            return _quotient(num, den, v, total), total, 0, _NO_DEGREE, None
+            return _quotient(num, den, v, total, dd), total, 0, _NO_DEGREE, None
         if cn is not None:
             return _monomial(cn / cd, max(vn - v, 0))
         return _shifted(num, -v, 1 / cd, left), left, max(vn - v, 0), dn - v, None
     if isinstance(node, PowInt):
         (base, total, v, d, c), k = _stream(node.base, cap), node.exponent
         if k < 0:
-            b0 = _lift(base[0])
+            b0 = _lift(base.fill(0)[0])
             if b0.is_zero or not b0.is_scalar:
                 detail = f"divisor has {'zero' if b0.is_zero else 'x-dependent'} constant term"
                 raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
@@ -667,19 +673,20 @@ def _stream(node: Ast, cap: int) -> tuple:
             return _monomial(Fraction(1) if c is None else c**k, v * k)
         if k < 0:
             one = _monomial(Fraction(1), 0)[0]
-            base, k, v, d = _quotient(one, base, 0, total), -k, 0, _NO_DEGREE
-        return _power(base, k, total), total, v * k, d * k, None
+            base, k, v, d = _quotient(one, base, 0, total, d), -k, 0, _NO_DEGREE
+        return _power(base, k, total, d), total, v * k, d * k, None
     if type(node) in _FUNCTIONS:
         # The x lane starts at base^x: exp(g)^x = exp(x g), a base of degree
         # at most d takes a d-term step, any other is exp(x log base).
         if isinstance(node, PowX) and isinstance(node.base, Exp):
-            stream = _exp(_argument(node.base, cap)[0], _sum_of_products, times_x=True)
+            g, _, _, d, _ = _argument(node.base, cap)
+            stream = _exp(g, _sum_of_products, times_x=True, d=d)
             return stream, _sum_of_products, 0, _NO_DEGREE, None
         arg, total, _, d, _ = _argument(node, cap)
         if isinstance(node, Log):  # log g = 0 + O(t)
-            return _log(arg, total), total, 1, _NO_DEGREE, None
+            return _log(arg, total, d), total, 1, _NO_DEGREE, None
         if isinstance(node, Exp):
-            return _exp(arg, total), total, 0, _NO_DEGREE, None
+            return _exp(arg, total, d=d), total, 0, _NO_DEGREE, None
         if d < _NO_DEGREE:
             return _power_x(arg, d), _sum_of_products, 0, _NO_DEGREE, None
         stream = _exp(_log(arg, total), _sum_of_products, times_x=True)
@@ -690,8 +697,16 @@ def _stream(node: Ast, cap: int) -> tuple:
 def eval_series(node: Ast, trunc: int) -> TSeries:
     """Evaluate an AST to an exact truncated series in one pass.
 
-    Every node is one memoized stream of t-coefficients, computed on demand
-    from its children's streams, so no subtree is evaluated twice.  A node
+    Every node is one stream of t-coefficients, a list filled explicitly
+    and lowest term first from its children's streams, so no subtree is
+    evaluated twice; the top node is filled to ``trunc``, and each rule
+    fills an operand only up to the last index it reads, then reads that
+    window as slices.  The facts of ``_stream``'s one pass bound the
+    windows: a product sums a_k b_(n-k) only for k in
+    [max(0, n - d_b), min(n, d_a)], a quotient by a divisor of degree at
+    most d and valuation v only k <= d - v of its divisor's terms, and
+    ``exp`` and ``log`` of a polynomial of degree at most d only d terms,
+    so ``log(1+t)``, ``2/(t+2)`` and ``exp(t)^x`` cost O(T) terms.  A node
     with no ``^x`` under it holds its coefficients as reduced integer pairs
     and sums them over one common denominator with integer weights; from
     ``base^x`` up they are ``XPoly`` values, and an x-free operand's pairs
@@ -713,8 +728,8 @@ def eval_series(node: Ast, trunc: int) -> TSeries:
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
-    stream = _stream(node, trunc)[0]
-    return TSeries(trunc, [_lift(stream[n]) for n in range(trunc + 1)])
+    stream = _stream(node, trunc)[0].fill(trunc)
+    return TSeries(trunc, map(_lift, stream[: trunc + 1]))
 
 
 @lru_cache(maxsize=128)

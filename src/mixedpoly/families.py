@@ -59,6 +59,7 @@ from .series import (
     _Stream,
     _stirling_row,
     _sum_of_products,
+    _window,
     falling_factorial,
 )
 
@@ -179,11 +180,9 @@ def _kernel_power(kind: FamilyKind, order: int) -> _Recurrence:
     """
     base, sign = _KERNELS[kind]
     a, k = _base_stream(base), sign * order
-    b = _Recurrence(
-        lambda b, n: _pair_sum([((k + 1) * j - n, a[j], b[n - j]) for j in range(1, n + 1)], n)
+    return _Recurrence(
+        lambda b, n: _pair_sum(_window(a.fill(n), b, n, 1, n, k + 1 - n, k + 1), n), (_ONE_PAIR,)
     )
-    b[0] = (1, 1)
-    return b
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +220,7 @@ def _row_stream(factors) -> _Stream:
         kernel = _product(kernel, _kernel_power(*mixed[0]), _pair_sum)
 
     def rule(n):
-        ks = [kernel[n - m] for m in range(n + 1)]
+        ks = kernel.fill(n)[n::-1]  # K_n .. K_0
         den = lcm(*(q for _, q in ks))
         num, weight = [], factorial(n)  # weight = n!/m!
         for m, (p, q) in enumerate(ks):
@@ -243,7 +242,7 @@ def _daehee_rows(r: int) -> _Stream:
 
     def rule(n):
         num, c = [], 1  # c = C(j+r, r)
-        for j, s in enumerate(tops[n]):
+        for j, s in enumerate(tops.fill(n)[n]):
             num.append(c * s)
             c = c * (j + r + 1) // (j + 1)
         return XPoly._normalized(num, comb(n + r, r))
@@ -266,11 +265,12 @@ def _cauchy_rows(r: int) -> _Stream:
     def rule(n):
         nonlocal fact, den
         fact *= n or 1
-        p, q = kernel[n]
+        p, q = kernel.fill(n)[n]
         g = gcd(fact, q)
         nums.append((fact // g * p, q // g))
         den = lcm(den, q // g)
         cols, c = [0] * min(r, n + 1), 1  # x^0..x^(r-1) over den; c = C(n, m)
+        falling.fill(n)
         for m in range(n + 1):
             p, q = nums[n - m]
             if p:
@@ -296,7 +296,7 @@ def _changhee_rows(base: _Stream, h: int) -> _Recurrence:
     P_n = G_n - sum_(i=1..min(h, n)) C(h, i) 2^-i (n)_i P_(n-i).
     """
     def rule(rows, n):
-        terms, weight = [(base[n],)], 1  # weight = C(h, i) (n)_i
+        terms, weight = [(base.fill(n)[n],)], 1  # weight = C(h, i) (n)_i
         for i in range(1, min(h, n) + 1):
             weight = weight * (h - i + 1) * (n - i + 1) // i
             terms.append(((-weight, 2**i), rows[n - i]))
@@ -323,14 +323,12 @@ def _falling_stream(shift: int = 0) -> _Recurrence:
         return (left[shift], *map(sub, prev, map(step.__mul__, prev[1:] + (0,))))
 
     left = [1] * (shift + 1)  # s(m+i, i) at m = 0
-    steps = _Recurrence(rule)
-    steps[0] = (1,)
-    return steps
+    return _Recurrence(rule, ((1,),))
 
 
 def family_gf(spec, trunc: int) -> TSeries:
     """Exact truncated generating function of a ``FamilySpec`` or ``MixedSpec``."""
-    rows = _row_stream(spec.factors)
+    rows = _row_stream(spec.factors).fill(trunc)
     return TSeries(trunc, [rows[n] * Fraction(1, factorial(n)) for n in range(trunc + 1)])
 
 
@@ -338,15 +336,14 @@ def gf_rows(factors, n_max: int) -> tuple[XPoly, ...]:
     """P_0(x)..P_{n_max}(x) of the generating function of ``factors``, read from its row stream."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = _row_stream(factors)
-    return tuple(map(rows.__getitem__, range(n_max + 1)))
+    return tuple(_row_stream(factors).fill(n_max)[: n_max + 1])
 
 
 def family_poly(spec, n: int) -> XPoly:
     """P_n(x) of the generating function (n! times [t^n]), read from its row stream."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _row_stream(spec.factors)[n]
+    return _row_stream(spec.factors).fill(n)[n]
 
 
 @lru_cache(maxsize=None)
@@ -354,17 +351,17 @@ def _order1_stream(kind: FamilyKind) -> _Recurrence:
     """Order-1 numbers P_0, P_1, ... at x = 0, GF-free, as reduced pairs (p, q), each computed once.
 
     Bernoulli and Euler come from their classical linear recurrences over
-    the terms so far (``nums.items()`` is P_0..P_(n-1) while term n is
+    the terms so far (``nums`` holds P_0..P_(n-1) while term n is
     computed), Daehee and Changhee from closed forms, Cauchy from exact
     term-wise integration of the falling factorial over [0, 1]:
     C_n = sum_m S1(n, m) / (m + 1).
     """
     if kind is FamilyKind.BERNOULLI:
         def rule(nums, n):  # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1
-            return _pair_sum([(-comb(n + 1, k), b, _ONE_PAIR) for k, b in nums.items()], n + 1)
+            return _pair_sum([(-comb(n + 1, k), b, _ONE_PAIR) for k, b in enumerate(nums)], n + 1)
     elif kind is FamilyKind.EULER:
         def rule(nums, n):  # E_n + sum_{k<=n} C(n, k) E_k = 0 for n >= 1
-            return _pair_sum([(-comb(n, k), e, _ONE_PAIR) for k, e in nums.items()], 2)
+            return _pair_sum([(-comb(n, k), e, _ONE_PAIR) for k, e in enumerate(nums)], 2)
     elif kind in (FamilyKind.DAEHEE, FamilyKind.CHANGHEE):
         signed = 1  # (-1)^n n!, carried up from the term below
 
@@ -381,22 +378,20 @@ def _order1_stream(kind: FamilyKind) -> _Recurrence:
             return _pair_sum([(s, (1, m + 1), _ONE_PAIR) for m, s in row])
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    nums = _Recurrence(rule)
-    if kind in _EXP_CARRIER:
-        nums[0] = _ONE_PAIR
-    return nums
+    return _Recurrence(rule, (_ONE_PAIR,) if kind in _EXP_CARRIER else ())
 
 
 def _binomial_pairs(n: int, a, b, scale: int = 1) -> tuple[int, int]:
     """(1/scale) sum_m C(n,m) a_m b_(n-m) over m = 0..n, for pair sequences, as a reduced pair.
 
-    C(n, m) is stepped along the row, one multiply and one exact division a term.
+    C(n, m) is stepped along the row, one multiply and one exact division a
+    term; both streams are filled to n and read as slices.
     """
-    terms, c = [], 1
+    row, c = [], 1
     for m in range(n + 1):
-        terms.append((c, a[m], b[n - m]))
+        row.append(c)
         c = c * (n - m) // (m + 1)
-    return _pair_sum(terms, scale)
+    return _pair_sum(zip(row, a.fill(n)[: n + 1], reversed(b.fill(n)[: n + 1])), scale)
 
 
 def _conv(n: int, poly_at, nums) -> XPoly:
@@ -421,10 +416,10 @@ def _numbers_stream(spec: FamilySpec) -> _Stream:
 def _numbers(spec: FamilySpec, n: int) -> _Stream:
     """The pair stream of ``spec``'s numbers, filled to n: orders 1..r in turn, lowest first."""
     nums = _numbers_stream(spec)
-    if n not in nums:
-        for order in range(1, spec.order + 1):
-            _numbers_stream(FamilySpec(spec.kind, order))[n]
-    return nums
+    if len(nums) <= n:
+        for order in range(1, spec.order):
+            _numbers_stream(FamilySpec(spec.kind, order)).fill(n)
+    return nums.fill(n)
 
 
 def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
@@ -432,7 +427,7 @@ def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     nums = _numbers(spec, n_max)
-    return tuple(Fraction(*nums[n]) for n in range(n_max + 1))
+    return tuple(Fraction(*pair) for pair in nums[: n_max + 1])
 
 
 @lru_cache(maxsize=None)

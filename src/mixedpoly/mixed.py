@@ -172,7 +172,7 @@ SINGLE_ORDER_IDS = frozenset({"E11", "E14", "E17"})
 def _mixed_row(kind: MixedKind):
     # E21, E31, E37: the mixed GF row equals the closed form of mixed_poly.
     return lambda n, r, s, corrected: [(
-        _row_stream(MixedSpec(kind, r, s).factors)[n],
+        _row_stream(MixedSpec(kind, r, s).factors).fill(n)[n],
         mixed_poly(MixedSpec(kind, r, s), n),
     )]
 
@@ -187,12 +187,12 @@ def _mixed_row(kind: MixedKind):
 _CATALOG = {
     # D_n^(r)(x) = sum_m B_m^(r)(x) S1(n, m)
     "E11": lambda n, r, s, corrected: [(
-        _row_stream(FamilySpec(FamilyKind.DAEHEE, r).factors)[n],
+        _row_stream(FamilySpec(FamilyKind.DAEHEE, r).factors).fill(n)[n],
         _weighted(n, _oracle(FamilyKind.BERNOULLI, r), partial(stirling1, n)),
     )],
     # Ch_n^(r)(x) = sum_m E_m^(r)(x) S1(n, m)
     "E14": lambda n, r, s, corrected: [(
-        _row_stream(FamilySpec(FamilyKind.CHANGHEE, r).factors)[n],
+        _row_stream(FamilySpec(FamilyKind.CHANGHEE, r).factors).fill(n)[n],
         _weighted(n, _oracle(FamilyKind.EULER, r), partial(stirling1, n)),
     )],
     # (x)_n = sum_m C(n,m) C_m^(r)(x) D_{n-m}^(r)
@@ -200,12 +200,12 @@ _CATALOG = {
     "E17": lambda n, r, s, corrected: [
         (falling_factorial(n), _conv(
             n,
-            _row_stream(FamilySpec(FamilyKind.CAUCHY, r).factors).__getitem__,
+            _row_stream(FamilySpec(FamilyKind.CAUCHY, r).factors).fill(n).__getitem__,
             _numbers(FamilySpec(FamilyKind.DAEHEE, r), n),
         )),
         (falling_factorial(n), _conv(
             n,
-            _row_stream(FamilySpec(FamilyKind.DAEHEE, r).factors).__getitem__,
+            _row_stream(FamilySpec(FamilyKind.DAEHEE, r).factors).fill(n).__getitem__,
             _numbers(FamilySpec(FamilyKind.CAUCHY, r), n),
         )),
     ],
@@ -216,14 +216,14 @@ _CATALOG = {
         mixed_poly(MixedSpec(MixedKind.DC, r, s), n),
         _weighted(
             n,
-            _row_stream(MixedSpec(MixedKind.BE, r, s).factors).__getitem__,
+            _row_stream(MixedSpec(MixedKind.BE, r, s).factors).fill(n).__getitem__,
             partial(stirling1, n),
         ),
     )],
     # DC_n^(r,s)(x) = sum_m C(n,m) D_m^(r)(x) Ch_{n-m}^(order)
     # where order is s in the corrected reading, r as printed.
     "E28": lambda n, r, s, corrected: [(
-        _row_stream(MixedSpec(MixedKind.DC, r, s).factors)[n],
+        _row_stream(MixedSpec(MixedKind.DC, r, s).factors).fill(n)[n],
         _conv(
             n,
             _oracle(FamilyKind.DAEHEE, r),
@@ -237,7 +237,7 @@ _CATALOG = {
     "E34": lambda n, r, s, corrected: [(
         _weighted(
             n,
-            _row_stream(MixedSpec(MixedKind.DC, r, s).factors).__getitem__,
+            _row_stream(MixedSpec(MixedKind.DC, r, s).factors).fill(n).__getitem__,
             partial(stirling2, n) if corrected else lambda m: stirling2(m, n),
         ),
         _conv(
@@ -256,7 +256,7 @@ _CATALOG = {
     "E40": lambda n, r, s, corrected: [(
         _weighted(
             n,
-            _row_stream(MixedSpec(MixedKind.CC, r, s).factors).__getitem__,
+            _row_stream(MixedSpec(MixedKind.CC, r, s).factors).fill(n).__getitem__,
             partial(stirling2, n),
         ),
         _weighted(

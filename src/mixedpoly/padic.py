@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Union
 
-from .series import _ONE_PAIR, XPoly, _pair_sum, _power, _Record, _set
+from .series import _ONE_PAIR, XPoly, _pair_sum, _power, _Record, _set, _Stream, _window
 
 __all__ = [
     "BinomialBasis",
@@ -251,12 +251,15 @@ def _fold(
 ) -> tuple[int, int]:
     """sum_n coords[n] sum_j row[j] L^k_(n-j) / den for the level values L at M, as a pair.
 
-    Only the n with coords[n] != 0 are read: one sum of their products.
+    Only the n with coords[n] != 0 are read, each as one window of the
+    folds filled to n: one sum of their products.
     """
-    folds = _power(_level_values(kind, M, len(coords) - 1), k, _pair_sum)
-    return _pair_sum(
-        [(a, row[j], folds[n - j]) for n, a in enumerate(coords) if a for j in range(n + 1)], den
-    )
+    folds = _power(_Stream(None, _level_values(kind, M, len(coords) - 1)), k, _pair_sum)
+    terms = []
+    for n, a in enumerate(coords):
+        if a:
+            terms += _window(row, folds.fill(n), n, 0, n, a)
+    return _pair_sum(terms, den)
 
 
 def _binomial_coords(f: Integrand) -> tuple[list[int], int]:

@@ -22,11 +22,17 @@ convolutions of the families and the identity catalog -- is one integer sum
 over a common denominator, normalized once (``_sum_of_products``).  The
 stream rules (product, quotient, power) take that term sum as a parameter,
 so the expression language runs the same rules on x-free coefficients held
-as reduced integer pairs, summed by ``_pair_sum``.  A rule that reads its
-own lower terms (a quotient, ``exp``, ``log``, ``base^x``, the families'
-recurrences) is given its stream as an argument (``_Recurrence``) instead
-of holding it, so no stream refers to itself: a dropped stream is freed
-by reference counting, and no request leaves a cycle for the collector.
+as reduced integer pairs, summed by ``_pair_sum``.  A stream is a list
+filled explicitly, lowest term first: a rule calls ``fill`` on each
+operand up to the last index it reads, then reads the window of terms it
+sums as two slices (``_window``), so a term read is the interpreter's own
+list subscript.  A
+product, quotient or power told the t-degree bounds of its operands sums
+only the terms they leave nonzero.  A rule that reads its own lower terms
+(a quotient, ``exp``, ``log``, ``base^x``, the families' recurrences) is
+given its stream as an argument (``_Recurrence``) instead of holding it,
+so no stream refers to itself: a dropped stream is freed by reference
+counting, and no request leaves a cycle for the collector.
 
 Every generating function handled by this package lives in ``TSeries``; all
 arithmetic is exact, and a series never pretends to know coefficients beyond
@@ -398,75 +404,123 @@ def _times_x(p: XPoly) -> XPoly:
     return XPoly._normalized([0, *p._num], p._den)
 
 
-class _Stream(dict):
-    """Terms of a sequence, each computed once, on demand, lowest index first.
+# The degree bound of a sequence that need not be a polynomial.
+_NO_DEGREE = float("inf")
 
-    ``rule(n)`` computes term n from other sequences.  A rule that reads the
-    terms below n of its own sequence belongs to a ``_Recurrence``, which
-    hands it the stream, so no stream refers to itself and a dropped one is
-    freed by reference counting.  A stream holds its terms and nothing else
-    about them.
+
+class _Stream(list):
+    """Terms of a sequence, each computed once, lowest index first, when ``fill`` asks.
+
+    ``rule(n)`` computes term n from other sequences.  A reader calls
+    ``fill(n)`` on each operand up to the last index it needs, then reads
+    the list: a window of terms is a slice (``_window``), so every read is
+    the interpreter's own list subscript.  A stream built from terms known
+    in advance has no rule and is read only within them.  A rule that reads
+    the terms below n of its own sequence belongs to a ``_Recurrence``,
+    which hands it the stream, so no stream refers to itself and a dropped
+    one is freed by reference counting.  A stream holds its terms and
+    nothing else about them.
     """
 
-    def __init__(self, rule):
-        super().__init__()
+    __slots__ = ("rule",)
+
+    def __init__(self, rule, terms=()):
+        super().__init__(terms)
         self.rule = rule
 
-    def __missing__(self, n: int):
-        for i in range(len(self), n + 1):
-            self[i] = term = self.rule(i)
-        return term
+    def fill(self, n: int):
+        """Compute the terms up to index n not yet held, lowest first; return the stream."""
+        if len(self) <= n:  # a filled stream returns at once: most calls ask for no term
+            rule = self.rule
+            for i in range(len(self), n + 1):
+                self.append(rule(i))
+        return self
 
 
 class _Recurrence(_Stream):
-    """A stream whose ``rule(stream, n)`` reads the terms below n of ``stream``, itself."""
+    """A stream whose ``rule(stream, n)`` reads the terms below n of ``stream``, itself.
 
-    def __missing__(self, n: int):
-        for i in range(len(self), n + 1):
-            self[i] = term = self.rule(self, i)
-        return term
+    While term n is computed the stream holds exactly the terms 0..n-1, so
+    the rule reads them as a slice with no fill.
+    """
+
+    __slots__ = ()
+
+    def fill(self, n: int):
+        if len(self) <= n:
+            rule = self.rule
+            for i in range(len(self), n + 1):
+                self.append(rule(self, i))
+        return self
 
 
-def _product(a, b, total=_sum_of_products) -> _Stream:
-    """The product of two coefficient sequences (streams or tuples).
+def _window(a, b, n: int, lo: int, hi: int, weight: int = 1, step: int = 0):
+    """The terms (w_k, a_k, b_(n-k)) for k = lo..hi, w_k = weight + step (k - lo), as two slices.
+
+    ``a`` must hold its terms to hi and ``b`` to n - lo: a stream is filled
+    first.  An empty window (hi < lo) has no terms.
+    """
+    weights = repeat(weight) if not step else count(weight, step)
+    return zip(weights, a[lo : hi + 1], reversed(b[n - hi : n - lo + 1]))
+
+
+def _product(a, b, total=_sum_of_products, da=_NO_DEGREE, db=_NO_DEGREE) -> _Stream:
+    """The product of two streams whose t-degrees are at most ``da`` and ``db``.
 
     ``total`` is the term sum of the lane the terms live in: ``_sum_of_products``
-    for ``XPoly`` terms, or ``_pair_sum`` when both sequences hold pairs.  A
+    for ``XPoly`` terms, or ``_pair_sum`` when both sequences hold pairs.
+    Term n sums a_k b_(n-k) over k in [max(0, n - db), min(n, da)] only.  A
     square sums each cross term a_k a_(n-k), k < n - k, once, with weight 2.
     """
     if a is b:
-        return _Stream(
-            lambda n: total([(1 if 2 * k == n else 2, a[k], a[n - k]) for k in range(n // 2 + 1)])
-        )
-    return _Stream(lambda n: total([(1, a[k], b[n - k]) for k in range(n + 1)]))
+
+        def rule(n):
+            lo, mid = n - da if n > da else 0, n // 2  # k < n - k for k < n - mid
+            a.fill(n - lo)
+            if n % 2 or mid < lo:
+                return total(_window(a, a, n, lo, n - mid - 1, 2))
+            return total([*_window(a, a, n, lo, mid - 1, 2), (1, a[mid], a[mid])])
+
+    else:
+
+        def rule(n):
+            lo, hi = n - db if n > db else 0, n if n < da else da
+            return total(_window(a.fill(hi), b.fill(n - lo), n, lo, hi))
+
+    return _Stream(rule)
 
 
-def _quotient(f, g, v: int, total=_sum_of_products) -> _Recurrence:
-    """f / g for g of valuation v, scalar g_v, f_0 .. f_(v-1) zero: forward substitution.
+def _quotient(f, g, v: int, total=_sum_of_products, d=_NO_DEGREE) -> _Recurrence:
+    """f / g for g of valuation v and t-degree at most d, scalar g_v, f_0 .. f_(v-1) zero.
 
-    With g_v = a/b, term n is (b f_(n+v) - b sum_(k=1..n) g_(v+k) q_(n-k)) / a,
+    Forward substitution: with g_v = a/b, term n is
+    (b f_(n+v) - b sum_(k=1..min(n, d-v)) g_(v+k) q_(n-k)) / a,
     so every weight is an integer.
     """
-    lead = _lift(g[v])
+    lead = _lift(g.fill(v)[v])
     w, scale = lead._den, lead._num[0]
     if scale < 0:
         w, scale = -w, -scale
 
     def rule(q, n):
-        terms = [(-w, g[v + k], q[n - k]) for k in range(1, n + 1)]
-        terms.append((w, f[n + v], _ONE_PAIR))
+        hi = v + min(n, d - v)
+        terms = list(_window(g.fill(hi), q, n + v, v + 1, hi, -w))
+        terms.append((w, f.fill(n + v)[n + v], _ONE_PAIR))
         return total(terms, scale)
 
     return _Recurrence(rule)
 
 
-def _power(base, k: int, total=_sum_of_products):
-    """base^k for k >= 1 by binary powering; base itself for k = 1."""
-    result = base
+def _power(base, k: int, total=_sum_of_products, d=_NO_DEGREE):
+    """base^k for k >= 1 by binary powering, for a base of t-degree at most d.
+
+    Each product is told its operands' degree bounds; k = 1 is the base itself.
+    """
+    result, degree = base, d
     for bit in bin(k)[3:]:
-        result = _product(result, result, total)
+        result, degree = _product(result, result, total, degree, degree), 2 * degree
         if bit == "1":
-            result = _product(result, base, total)
+            result, degree = _product(result, base, total, degree, d), degree + d
     return result
 
 
@@ -573,8 +627,8 @@ class TSeries:
     def __mul__(self, other) -> "TSeries":
         if isinstance(other, TSeries):
             self._check(other)
-            product = _product(self.coeffs, other.coeffs)
-            return TSeries(self.trunc, [product[n] for n in range(self.trunc + 1)])
+            product = _product(_Stream(None, self.coeffs), _Stream(None, other.coeffs))
+            return TSeries(self.trunc, product.fill(self.trunc))
         if isinstance(other, (XPoly, Fraction, int)):
             return TSeries(self.trunc, tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -600,8 +654,8 @@ class TSeries:
             raise DivisionError("divisor has zero constant term")
         if not g0.is_scalar:
             raise DivisionError("divisor has x-dependent constant term")
-        quotient = _quotient(self.coeffs, other.coeffs, 0)
-        return TSeries(self.trunc, [quotient[n] for n in range(self.trunc + 1)])
+        quotient = _quotient(_Stream(None, self.coeffs), _Stream(None, other.coeffs), 0)
+        return TSeries(self.trunc, quotient.fill(self.trunc))
 
     def __rtruediv__(self, other) -> "TSeries":
         p = _as_xpoly(other)
@@ -620,8 +674,8 @@ class TSeries:
         if exponent == 0:
             return TSeries.constant(1, self.trunc)
         base = self if exponent > 0 else TSeries.constant(1, self.trunc) / self
-        power = _power(base.coeffs, abs(exponent))
-        return TSeries(self.trunc, [power[n] for n in range(self.trunc + 1)])
+        power = _power(_Stream(None, base.coeffs), abs(exponent))
+        return TSeries(self.trunc, power.fill(self.trunc))
 
     def compose(self, inner: "TSeries") -> "TSeries":
         """Substitute ``inner`` for t, truncated at the shared order.

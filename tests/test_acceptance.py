@@ -218,8 +218,12 @@ def test_c8_dsl_equivalence_and_fuzz():
     ok = all(eval_text(src, 16) == builtin(16) for src, builtin in NINE_GF_STRINGS)
 
     rng = random.Random(271828)
-    alphabet = "tx+-*/^()logexp0123456789 "
-    wild = string.printable
+    # Non-ASCII digits, letters and a no-break space, in both pools: each
+    # must lex as an error or as space.  Beside the structured alphabet they
+    # reach int(), which rejected "\u00b2" with a traceback.
+    foreign = "\u00b2\u2460\u0663\u00e9\u00a0\uff54"
+    alphabet = "tx+-*/^()logexp0123456789 " + foreign
+    wild = string.printable + foreign
     crashes = 0
     for i in range(10_000):
         size = rng.randint(0, 64)

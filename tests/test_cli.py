@@ -543,6 +543,19 @@ def test_eval_semantic_error_exit_one(capsys):
     assert "line 1, column 1" in err
 
 
+@pytest.mark.parametrize(
+    "src,column,found",
+    [("t^\u00b2", 3, "\u00b2"), ("(0\u24607", 3, "\u2460"), ("\u0663+t", 1, "\u0663")],
+    ids=["superscript-two", "circled-one", "arabic-indic-three"],
+)
+def test_eval_non_ascii_digit_is_one_line_lex_error(capsys, src, column, found):
+    # str.isdigit admits these; int() rejected the first two with a
+    # traceback, and the third evaluated as 3 + t.
+    code, out, err = run_main(capsys, "eval", src, "--T", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: LexError at line 1, column {column}: unexpected character {found!r}\n"
+
+
 def test_eval_parse_error_exit_one(capsys):
     code, _, err = run_main(capsys, "eval", "1+", "--T", "4")
     assert code == 1

@@ -4,6 +4,7 @@ import random
 import string
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +103,19 @@ def test_lex_error_position_and_payload():
     assert info.value.found == "y"
     with pytest.raises(LexError):
         tokenize("1 @ 2")
+
+
+# Digit characters other than ASCII 0-9: int() raised ValueError on the
+# first two, and "\u0663+t" (Arabic-Indic three) evaluated as 3 + t.
+NON_ASCII_DIGITS = [("t^\u00b2", 2), ("(0\u24607", 2), ("\u0663+t", 0), ("12\u0663", 2)]
+
+
+@pytest.mark.parametrize("src,position", NON_ASCII_DIGITS)
+def test_only_ascii_digits_lex_as_integers(src, position):
+    with pytest.raises(LexError) as info:
+        eval_text(src, 3)
+    assert info.value.position == position
+    assert info.value.found == src[position]
 
 
 # -- parser ---------------------------------------------------------------------
@@ -773,15 +787,20 @@ def test_literal_t_power_shifts_match_eager_reference(src, trunc):
     assert _outcome(eval_series, node, trunc) == _outcome(_eager, node, trunc)
 
 
-def _summed_terms(monkeypatch, limit=float("inf")):
+def _summed_terms(monkeypatch, limit=float("inf"), names=("_pair_sum", "_sum_of_products")):
     """The number of terms of every call to either lane's term sum, as it runs.
 
-    The evaluation stops once they come to more than ``limit`` terms.
+    The terms may come as any iterable (a window of two slices is a
+    ``zip``): each call's terms are materialized and counted, then summed
+    by the real function.  Only the sums in ``names`` are counted; the pair
+    lane's is ``_pair_sum``.  The evaluation stops once they come to more
+    than ``limit`` terms.
     """
     calls, summed = [], [0]
-    for name in ("_pair_sum", "_sum_of_products"):
+    for name in names:
 
         def counted(terms, scale=1, real=getattr(dsl, name)):
+            terms = list(terms)
             calls.append(len(terms))
             summed[0] += len(terms)
             assert summed[0] <= limit, "too many terms summed"
@@ -798,6 +817,39 @@ def test_binomial_carrier_sums_two_terms_per_coefficient(monkeypatch):
     assert got == binomial_x(200)
     assert max(calls) == 2
     assert len(calls) == 2 + 200  # b_0 and b_1 of 1+t, then F_1 .. F_200
+
+
+# Texts whose rule reads an operand of degree at most d = 1, with their
+# series: each coefficient's sum reads only the window the degree leaves.
+DEGREE_WINDOWS = {
+    "log(1+t)": lambda T: log1p(T),
+    "2/(t+2)": lambda T: TSeries(T, [F(-1, 2) ** n for n in range(T + 1)]),
+    "exp(t)": lambda T: expm1(T) + 1,
+    "exp(t)^x": lambda T: exp_xt(T),
+}
+
+
+@pytest.mark.parametrize("src", DEGREE_WINDOWS)
+def test_degree_bound_windows_sum_linear_work(monkeypatch, src):
+    # log, exp and a quotient by a divisor of degree d summed every term
+    # below n for coefficient n: T^2/2 terms at T = 200, over 20000.  From
+    # the operand's degree facts, each sum reads at most d + 1 terms: one
+    # sum for each of the T + 1 coefficients and of the operand's d + 1.
+    trunc, d = 200, 1
+    calls = _summed_terms(monkeypatch)
+    assert eval_series(parse_text(src), trunc) == DEGREE_WINDOWS[src](trunc)
+    assert max(calls) <= d + 1
+    assert sum(calls) <= (d + 1) * (trunc + d + 2)
+
+
+def test_degree_bound_windows_cut_the_pair_lane(monkeypatch):
+    # A Daehee-Changhee kernel over its carrier at T = 21: the pair lane
+    # summed 1139 terms when every sum ran over k = 0..n; the windows of
+    # log(1+t) and 2/(t+2) leave 616.
+    calls = _summed_terms(monkeypatch, names=("_pair_sum",))
+    src = "(log(1+t)/t)^2*(2/(t+2))^2*(1+t)^x"
+    assert eval_series(parse_text(src), 21) == mixed_gf(MixedSpec(MixedKind.DC, 2, 2), 21)
+    assert sum(calls) <= 616 < 1139
 
 
 @pytest.mark.parametrize(
@@ -850,6 +902,24 @@ def test_literal_t_power_quotient_sums_fewer_terms_than_k(monkeypatch, src, k, e
         got = exc.reason
     assert got == expected
     assert sum(calls) + len(lifted) < k
+
+
+def test_million_term_monomial_shift_holds_one_pointer_per_term():
+    # The divisor t^1000000 reads its numerator 10^6 terms ahead, and the
+    # shifted numerator stores the 10^6 zero terms below.  As dict entries
+    # they peaked at 85.3 MB; a list holds one pointer each, and the peak
+    # measured 8.5 MB (tracemalloc, Python 3.11).  The bound is that plus
+    # 50%.  Storing none of them waits for streams that start at their
+    # valuation (ROADMAP item 4, stage B).
+    node = parse_text("((1+t)^x*t^1000000)/t^1000000")
+    tracemalloc.start()
+    try:
+        got = eval_series(node, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == binomial_x(1)
+    assert peak < 13 * 10**6, peak
 
 
 # The errors of base^x inputs: each node on every route keeps its check,
@@ -944,8 +1014,12 @@ def test_render_round_trips_every_parsed_tree(tree):
 
 def _random_inputs(count, seed):
     rng = random.Random(seed)
-    alphabet = "tx+-*/^()logexp0123456789 "
-    wild = string.printable
+    # Non-ASCII digits, letters and a no-break space, in both pools: each
+    # must lex as an error or as space.  Beside the structured alphabet they
+    # reach int(), which rejected "\u00b2" with a traceback.
+    foreign = "\u00b2\u2460\u0663\u00e9\u00a0\uff54"
+    alphabet = "tx+-*/^()logexp0123456789 " + foreign
+    wild = string.printable + foreign
     out = []
     for i in range(count):
         n = rng.randint(0, 64)

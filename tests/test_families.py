@@ -340,7 +340,7 @@ def _kernel_series(kind, trunc):
     # stream, or for Daehee and Changhee, whose rows read none, the order-1
     # generating function at x = 0.
     if kind in families._KERNELS:
-        kernel = families._kernel_power(kind, 1)
+        kernel = families._kernel_power(kind, 1).fill(trunc)
         return TSeries(trunc, [F(*kernel[n]) for n in range(trunc + 1)])
     gf = family_gf(FamilySpec(kind, 1), trunc)
     return TSeries(trunc, [gf.coeff(n)(0) for n in range(trunc + 1)])
@@ -499,7 +499,7 @@ def test_log_carrier_rows_read_linear_work(monkeypatch):
 
     def counted_falling(shift=0):
         steps = falling(shift)
-        return series._Stream(lambda m: Counted(steps[m]))
+        return series._Stream(lambda m: Counted(steps.fill(m)[m]))
 
     def counted_total(terms, scale=1):
         terms = list(terms)
@@ -529,7 +529,7 @@ def test_log_carrier_rows_read_linear_work(monkeypatch):
             rows, start = families._row_stream(spec.factors), work[0]
             for n in range(61):
                 before = work[0]
-                rows[n]
+                rows.fill(n)
                 assert work[0] - before <= (weight + 3) * (n + 1), (spec, n, work[0] - before)
             assert work[0] - start >= 61 * 62 // 2, spec  # every row reads its own n + 1
     finally:

@@ -26,7 +26,9 @@ objects by reference counting.  Every memo the CLI binds at module level
 is bounded, so a warm process keeps a bounded heap.  The expression
 language walks an expression once to evaluate it.  A value class
 (``series._Record``) that writes its own ``__init__`` does more in it than
-set its fields, which the base's constructor does.
+set its fields, which the base's constructor does.  The stream classes of
+``series`` are ``list`` subclasses that override no subscript, so every
+term read is the interpreter's own list subscript.
 """
 
 import ast
@@ -450,3 +452,36 @@ def test_records_write_an_init_only_to_do_more_than_set_fields():
     }
     assert {"FamilySpec", "MixedSpec", "PAdicContext", "BinomialBasis"} <= set(only_sets)
     assert not [name for name, only in only_sets.items() if only]
+
+
+# A subscript method in Python on a stream class would put every term read
+# back through the interpreter: a ``list`` subclass overriding ``__getitem__``
+# read slower than the ``dict`` subclass it replaced.
+STREAM_READ_HOOKS = {"__getitem__", "__missing__", "__contains__"}
+
+
+def test_streams_are_plain_lists_to_read():
+    classes = {
+        stmt.name: stmt for stmt in MODULES["series"].body if isinstance(stmt, ast.ClassDef)
+    }
+
+    def builtin_base(name):
+        """The builtin container a class of ``series`` derives from, if any."""
+        for base in classes[name].bases:
+            base = getattr(base, "id", None)
+            if base in ("list", "dict"):
+                return base
+            if base in classes and (found := builtin_base(base)):
+                return found
+        return None
+
+    streams = sorted(name for name in classes if builtin_base(name) == "list")
+    assert streams == ["_Recurrence", "_Stream"]
+    assert not [name for name in classes if builtin_base(name) == "dict"]
+    hooks = sorted(
+        f"{name}.{stmt.name}"
+        for name in streams
+        for stmt in classes[name].body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in STREAM_READ_HOOKS
+    )
+    assert not hooks, hooks
