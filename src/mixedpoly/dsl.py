@@ -8,12 +8,13 @@ expression into an exact :class:`~mixedpoly.series.TSeries` at a requested
 truncation.  Each syntax node is a stream of t-coefficients on one of two
 lanes, fixed by the syntax: a node with no ``^x`` under it holds reduced
 integer pairs (p, q), and x enters only at ``base^x``, from which up the
-coefficients are ``XPoly`` values.  Both lanes run the same recurrences.
-The same pass bounds each node's t-valuation and t-degree and spots a
-monomial c t^v, however spelled: it only shifts as a factor or divisor,
-and any other divisor's valuation is searched from its bound up to T.
-The degree bounds cut the window of terms each product, quotient, ``exp``
-and ``log`` sums.
+coefficients are ``XPoly`` values.  Both lanes run the same recurrences,
+and each stream carries its lane and its t-valuation and t-degree bounds,
+derived from its operands' (see ``series``).  The degree bounds cut the
+window of terms each product, quotient, ``exp`` and ``log`` sums.  The
+pass that builds the streams spots a monomial c t^v, however spelled: it
+only shifts as a factor or divisor, and any other divisor's valuation is
+searched from its bound up to T.
 ``base^x`` steps by base F' = x base' F: d terms for a base of degree at
 most d, exp(x g) for ``exp(g)``, and exp(x log base) for any other base.
 
@@ -42,13 +43,13 @@ from .series import (
     _NO_DEGREE,
     TSeries,
     XPoly,
+    _lane,
     _lift,
     _pair_sum,
     _power,
     _product,
     _quotient,
     _Record,
-    _Recurrence,
     _Stream,
     _sum_of_products,
     _times_x,
@@ -514,38 +515,44 @@ _X = XPoly((0, 1))
 
 
 def _monomial(c: Fraction, v: int) -> tuple:
-    """The stream, lane and facts of c t^v (see ``_stream``); its terms need no sum."""
+    """The stream of c t^v and its c (see ``_stream``); its terms need no sum."""
     pair = (c.numerator, c.denominator)
-    return _Stream(lambda n: pair if n == v else _ZERO), _pair_sum, v, v, c
+    return _Stream(lambda _, n: pair if n == v else _ZERO, (), _pair_sum, v, v), c
 
 
-def _shifted(a: _Stream, k: int, c: Fraction, total) -> _Stream:
+def _shifted(a: _Stream, k: int, c: Fraction) -> _Stream:
     """c t^k a, on a's lane: term n is c a_(n-k), so a negative k reads a ahead."""
-    p, q = c.numerator, c.denominator
-    return _Stream(lambda n: total([(p, a.fill(n - k)[n - k], _ONE)], q) if n >= k else _ZERO)
+    p, q, total = c.numerator, c.denominator, a.total
+
+    def rule(_, n):
+        return total([(p, a.fill(n - k)[n - k], _ONE)], q) if n >= k else _ZERO
+
+    return _Stream(rule, (), total, max(a.v + k, 0), a.d + k)
 
 
-def _exp(g: _Stream, total, times_x: bool = False, d=_NO_DEGREE) -> _Recurrence:
-    """exp(g) for g_0 = 0 and g of degree at most d, online.
+def _exp(g: _Stream, times_x: bool = False) -> _Stream:
+    """exp(g) for g_0 = 0, online; with ``times_x`` exp(x g), on the ``XPoly`` lane.
 
-    n e_n = sum_(k=1..min(n,d)) k g_k e_(n-k).  With ``times_x`` it is
-    exp(x g): each sum is multiplied by x, a one-degree shift.
+    n e_n = sum_(k=1..min(n,d)) k g_k e_(n-k) for g of degree at most d.
+    With ``times_x`` each sum is multiplied by x, a one-degree shift.
     """
+    total, d = _sum_of_products if times_x else g.total, g.d
 
     def rule(e, n):
         hi = min(n, d)
         term = total(_window(g.fill(hi), e, n, 1, hi, 1, 1), n)
         return _times_x(term) if times_x else term
 
-    return _Recurrence(rule, (_ONE,))
+    return _Stream(rule, (_ONE,), total)
 
 
-def _log(g: _Stream, total, d=_NO_DEGREE) -> _Recurrence:
-    """log g for g_0 = 1 and g of degree at most d, online.
+def _log(g: _Stream) -> _Stream:
+    """log g for g_0 = 1, online.
 
-    n l_n = n g_n - sum_(k=max(1,n-d)..n-1) k l_k g_(n-k): at most d terms,
-    since g_n and g_(n-k) vanish beyond d.
+    n l_n = n g_n - sum_(k=max(1,n-d)..n-1) k l_k g_(n-k) for g of degree at
+    most d: at most d terms, since g_n and g_(n-k) vanish beyond d.
     """
+    total, d = g.total, g.d
 
     def rule(lg, n):
         lo = max(1, n - d)
@@ -554,15 +561,16 @@ def _log(g: _Stream, total, d=_NO_DEGREE) -> _Recurrence:
             terms.append((n, g.fill(n)[n], _ONE))
         return total(terms, n)
 
-    return _Recurrence(rule, (_ZERO,))
+    return _Stream(rule, (_ZERO,), total, 1)
 
 
-def _power_x(b: _Stream, d: int) -> _Recurrence:
+def _power_x(b: _Stream) -> _Stream:
     """b^x for b_0 = 1 and b_k = 0 beyond k = d, online, from b F' = x b' F.
 
     n F_n = sum_(k=1..min(n,d)) (x k - (n-k)) b_k F_(n-k): one sum of 2
     min(n, d) terms, so (1+t)^x steps F_n = F_(n-1) (x - n + 1)/n.
     """
+    d = b.d
 
     def rule(f, n):
         hi = min(n, d)
@@ -570,7 +578,7 @@ def _power_x(b: _Stream, d: int) -> _Recurrence:
         terms = [(k - n, bk, fk) for k, bk, fk in window] + [(*term, _X) for term in window]
         return _sum_of_products(terms, n)
 
-    return _Recurrence(rule, (_ONE,))
+    return _Stream(rule, (_ONE,))
 
 
 # Per function node: the constant term its argument needs, and the error otherwise.
@@ -581,61 +589,61 @@ _FUNCTIONS = {
 }
 
 
-def _argument(node: Union[Log, Exp, PowX], cap: int) -> tuple:
-    """``_stream`` of a function node's argument, after its constant-term check."""
+def _argument(node: Union[Log, Exp, PowX], cap: int) -> _Stream:
+    """The stream of a function node's argument, after its constant-term check."""
     want, reason, what = _FUNCTIONS[type(node)]
-    arg = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
-    if _lift(arg[0].fill(0)[0]) != want:
+    arg, _ = _stream(node.base if isinstance(node, PowX) else node.arg, cap)
+    if _lift(arg.fill(0)[0]) != want:
         raise SemanticError(node.span[0], reason, f"{what} must have constant term {want}")
     return arg
 
 
 def _stream(node: Ast, cap: int) -> tuple:
-    """The stream of ``node``, its lane's term sum and its facts, after its semantic checks.
+    """The stream of ``node`` and, when the node is exactly c t^v, its c, after its semantic checks.
 
-    One pass, children first, returns (stream, total, v, d, c): v and d
-    bound the t-valuation from below and the t-degree from above
-    (``_NO_DEGREE`` if unknown), and c is set when the node is exactly
-    c t^v.  The lane follows from the syntax: ``_sum_of_products`` from a
-    ``^x`` up, ``_pair_sum`` below any.  Monomials combine with no term
-    read, and a monomial factor or divisor shifts the other operand.  A
-    divisor is checked before its numerator; any other divisor's valuation
-    is searched from its v up to ``cap``: T plus the valuations shifted
-    out by enclosing quotients.  No divisor is read past ``cap``, and a
-    monomial one reads its numerator at most max(``cap``, ``MAX_EXPONENT``)
-    ahead.  Nothing is read unless asked: every term read fills the
-    operand's stream up to it, lowest first, and the facts bound the window
-    each rule sums (see ``eval_series``).
+    One pass, children first, returns (stream, c); the stream carries its
+    lane and its t-valuation and t-degree bounds, which the ``series``
+    rules derive from their operands'.  The syntax fixes the lane: a
+    monomial holds pairs, and x enters only at ``^x``.  Monomials combine
+    with no term read, and a monomial factor or divisor shifts the other
+    operand.  A divisor is checked before its numerator; any other
+    divisor's valuation is searched from its bound v up to ``cap``: T plus
+    the valuations shifted out by enclosing quotients.  No divisor is read
+    past ``cap``, and a monomial one reads its numerator at most
+    max(``cap``, ``MAX_EXPONENT``) ahead.  Nothing is read unless asked.
     """
     if isinstance(node, Const):
         return _monomial(node.value, 0)
     if isinstance(node, VarT):
         return _monomial(Fraction(1), 1)
     if isinstance(node, Neg):
-        a, total, v, d, c = _stream(node.operand, cap)
+        a, c = _stream(node.operand, cap)
         if c is not None:
-            return _monomial(-c, v)
-        return _Stream(lambda n: total([(-1, a.fill(n)[n], _ONE)])), total, v, d, None
+            return _monomial(-c, a.v)
+        return _shifted(a, 0, Fraction(-1)), None
     if isinstance(node, (Add, Sub, Mul)):
-        a, left, va, da, ca = _stream(node.left, cap)
-        b, right, vb, db, cb = _stream(node.right, cap)
-        total = left if left is right else _sum_of_products
+        (a, ca), (b, cb) = _stream(node.left, cap), _stream(node.right, cap)
         if isinstance(node, Mul):
             if ca is not None and cb is not None:
-                return _monomial(ca * cb, va + vb)
+                return _monomial(ca * cb, a.v + b.v)
             if cb is not None:
-                return _shifted(a, vb, cb, left), left, va + vb, da + vb, None
+                return _shifted(a, b.v, cb), None
             if ca is not None:
-                return _shifted(b, va, ca, right), right, va + vb, db + va, None
-            return _product(a, b, total, da, db), total, va + vb, da + db, None
+                return _shifted(b, a.v, ca), None
+            return _product(a, b), None
         sign = 1 if isinstance(node, Add) else -1
         # Monomials of one degree sum to one, and a zero monomial adds nothing.
-        if ca is not None and cb is not None and (va == vb or not ca or not cb):
-            return _monomial(ca + sign * cb, va if ca else vb)
-        stream = _Stream(lambda n: total([(1, a.fill(n)[n], _ONE), (sign, b.fill(n)[n], _ONE)]))
-        return stream, total, min(va, vb), max(da, db), None
+        if ca is not None and cb is not None and (a.v == b.v or not ca or not cb):
+            return _monomial(ca + sign * cb, a.v if ca else b.v)
+        total = _lane(a, b)
+
+        def rule(_, n):
+            return total([(1, a.fill(n)[n], _ONE), (sign, b.fill(n)[n], _ONE)])
+
+        return _Stream(rule, (), total, min(a.v, b.v), max(a.d, b.d)), None
     if isinstance(node, Div):
-        den, right, v, dd, cd = _stream(node.right, cap)
+        den, cd = _stream(node.right, cap)
+        v = den.v
         if cd is None:
             v = next((i for i in range(v, cap + 1) if _lift(den.fill(i)[i])), None)
         elif not cd or v > max(cap, MAX_EXPONENT):
@@ -648,82 +656,61 @@ def _stream(node: Ast, cap: int) -> tuple:
         if cd is None and not _lift(den[v]).is_scalar:
             detail = "leading divisor coefficient depends on x"
             raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
-        num, left, vn, dn, cn = _stream(node.left, cap + v)
+        num, cn = _stream(node.left, cap + v)
         if cn is None:
-            low = next((i for i in range(min(vn, v), v) if _lift(num.fill(i)[i])), None)
+            low = next((i for i in range(min(num.v, v), v) if _lift(num.fill(i)[i])), None)
         else:
-            low = vn if cn and vn < v else None
+            low = num.v if cn and num.v < v else None
         if low is not None:
             detail = f"numerator coefficient of t^{low} is nonzero"
             raise SemanticError(node.span[0], SemanticReason.T_DIVISION_IMPOSSIBLE, detail)
         if cd is None:
-            total = left if left is right else _sum_of_products
-            return _quotient(num, den, v, total, dd), total, 0, _NO_DEGREE, None
+            return _quotient(num, den, v), None
         if cn is not None:
-            return _monomial(cn / cd, max(vn - v, 0))
-        return _shifted(num, -v, 1 / cd, left), left, max(vn - v, 0), dn - v, None
+            return _monomial(cn / cd, max(num.v - v, 0))
+        return _shifted(num, -v, 1 / cd), None
     if isinstance(node, PowInt):
-        (base, total, v, d, c), k = _stream(node.base, cap), node.exponent
+        (base, c), k = _stream(node.base, cap), node.exponent
         if k < 0:
             b0 = _lift(base.fill(0)[0])
             if b0.is_zero or not b0.is_scalar:
                 detail = f"divisor has {'zero' if b0.is_zero else 'x-dependent'} constant term"
                 raise SemanticError(node.span[0], SemanticReason.NON_UNIT_DIVISOR, detail)
         if c is not None or k == 0:
-            return _monomial(Fraction(1) if c is None else c**k, v * k)
+            return _monomial(Fraction(1) if c is None else c**k, base.v * k)
         if k < 0:
-            one = _monomial(Fraction(1), 0)[0]
-            base, k, v, d = _quotient(one, base, 0, total, d), -k, 0, _NO_DEGREE
-        return _power(base, k, total, d), total, v * k, d * k, None
+            base, k = _quotient(_monomial(Fraction(1), 0)[0], base, 0), -k
+        return _power(base, k), None
     if type(node) in _FUNCTIONS:
         # The x lane starts at base^x: exp(g)^x = exp(x g), a base of degree
         # at most d takes a d-term step, any other is exp(x log base).
         if isinstance(node, PowX) and isinstance(node.base, Exp):
-            g, _, _, d, _ = _argument(node.base, cap)
-            stream = _exp(g, _sum_of_products, times_x=True, d=d)
-            return stream, _sum_of_products, 0, _NO_DEGREE, None
-        arg, total, _, d, _ = _argument(node, cap)
-        if isinstance(node, Log):  # log g = 0 + O(t)
-            return _log(arg, total, d), total, 1, _NO_DEGREE, None
+            return _exp(_argument(node.base, cap), times_x=True), None
+        arg = _argument(node, cap)
+        if isinstance(node, Log):
+            return _log(arg), None
         if isinstance(node, Exp):
-            return _exp(arg, total, d=d), total, 0, _NO_DEGREE, None
-        if d < _NO_DEGREE:
-            return _power_x(arg, d), _sum_of_products, 0, _NO_DEGREE, None
-        stream = _exp(_log(arg, total), _sum_of_products, times_x=True)
-        return stream, _sum_of_products, 0, _NO_DEGREE, None
+            return _exp(arg), None
+        if arg.d < _NO_DEGREE:
+            return _power_x(arg), None
+        return _exp(_log(arg), times_x=True), None
     raise TypeError(f"not an AST node: {node!r}")
 
 
 def eval_series(node: Ast, trunc: int) -> TSeries:
     """Evaluate an AST to an exact truncated series in one pass.
 
-    Every node is one stream of t-coefficients, a list filled explicitly
-    and lowest term first from its children's streams, so no subtree is
-    evaluated twice; the top node is filled to ``trunc``, and each rule
-    fills an operand only up to the last index it reads, then reads that
-    window as slices.  The facts of ``_stream``'s one pass bound the
-    windows: a product sums a_k b_(n-k) only for k in
-    [max(0, n - d_b), min(n, d_a)], a quotient by a divisor of degree at
-    most d and valuation v only k <= d - v of its divisor's terms, and
-    ``exp`` and ``log`` of a polynomial of degree at most d only d terms,
-    so ``log(1+t)``, ``2/(t+2)`` and ``exp(t)^x`` cost O(T) terms.  A node
-    with no ``^x`` under it holds its coefficients as reduced integer pairs
-    and sums them over one common denominator with integer weights; from
-    ``base^x`` up they are ``XPoly`` values, and an x-free operand's pairs
-    enter those sums as scalars.  Product, quotient, power, ``exp`` and
-    ``log`` are each one recurrence, given the lane's term sum.  A quotient
-    by a divisor of t-valuation v > 0 (``t`` in ``log(1+t)/t``,
-    ``exp(t)-1`` in ``t/(exp(t)-1)``) reads its numerator v coefficients
-    further, so the result stays exact.  A monomial c t^v divisor, however
-    spelled (``t^6``, ``(t^2)^3``, ``t^6+0``), is read v ahead, times 1/c,
-    as a monomial factor only shifts; any other divisor's valuation is
-    searched from its bound up to T.
-    ``exp``, ``log`` and ``base^x`` are first-order recurrences.  F =
-    ``base^x`` solves base F' = x base' F: a base of degree at most d,
-    known from its facts, steps F_n from d earlier terms; ``exp(g)^x`` is
-    exp(x g); any other base is exp(x log base), whose step multiplies by x
-    as a one-degree shift.  ``log`` and ``base^x`` need a constant term of
-    exactly 1 and ``exp`` of exactly 0, and violations raise positioned
+    Every node is one stream of t-coefficients (``_stream``), filled from
+    its children's streams, so no subtree is evaluated twice; the top node
+    is filled to ``trunc``.  Each rule sums only the terms its operands'
+    degree bounds leave nonzero, so ``log(1+t)``, ``2/(t+2)`` and
+    ``exp(t)^x`` cost O(T) terms.  A quotient by a divisor of t-valuation
+    v > 0 (``t`` in ``log(1+t)/t``, ``exp(t)-1`` in ``t/(exp(t)-1)``) reads
+    its numerator v coefficients further, so the result stays exact.  A
+    monomial c t^v divisor, however spelled (``t^6``, ``(t^2)^3``,
+    ``t^6+0``), is read v ahead, times 1/c, as a monomial factor only
+    shifts.  ``log`` and ``base^x`` need a constant term of exactly 1 and
+    ``exp`` of exactly 0, and violations raise positioned
     :class:`SemanticError` values.
     """
     if trunc < 0:

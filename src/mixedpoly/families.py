@@ -54,7 +54,6 @@ from .series import (
     _pair_sum,
     _product,
     _Record,
-    _Recurrence,
     _set,
     _Stream,
     _stirling_row,
@@ -157,9 +156,9 @@ _KERNELS = {
     FamilyKind.EULER: ("(e^t+1)/2", -1),
 }
 _BASES = {
-    "log(1+t)/t": lambda n: ((-1) ** n, n + 1),
-    "(e^t-1)/t": lambda n: (1, factorial(n + 1)),
-    "(e^t+1)/2": lambda n: (1, 2 * factorial(n)) if n else (1, 1),
+    "log(1+t)/t": lambda _, n: ((-1) ** n, n + 1),
+    "(e^t-1)/t": lambda _, n: (1, factorial(n + 1)),
+    "(e^t+1)/2": lambda _, n: (1, 2 * factorial(n)) if n else (1, 1),
 }
 
 
@@ -170,7 +169,7 @@ def _base_stream(base: str) -> _Stream:
 
 
 @lru_cache(maxsize=None)
-def _kernel_power(kind: FamilyKind, order: int) -> _Recurrence:
+def _kernel_power(kind: FamilyKind, order: int) -> _Stream:
     """Coefficients of kernel^order: base^k for k = +-order, by J.C.P. Miller's recurrence.
 
     With a_0 = 1, b = a^k has b_0 = 1 and
@@ -180,9 +179,11 @@ def _kernel_power(kind: FamilyKind, order: int) -> _Recurrence:
     """
     base, sign = _KERNELS[kind]
     a, k = _base_stream(base), sign * order
-    return _Recurrence(
-        lambda b, n: _pair_sum(_window(a.fill(n), b, n, 1, n, k + 1 - n, k + 1), n), (_ONE_PAIR,)
-    )
+
+    def rule(b, n):
+        return _pair_sum(_window(a.fill(n), b, n, 1, n, k + 1 - n, k + 1), n)
+
+    return _Stream(rule, (_ONE_PAIR,), _pair_sum)
 
 
 @lru_cache(maxsize=None)
@@ -217,9 +218,9 @@ def _row_stream(factors) -> _Stream:
         raise ValueError("the e^(xt) carrier takes Bernoulli and Euler factors only")
     kernel = _kernel_power(kind, power)
     if mixed:  # BE: the product of the two kernel powers
-        kernel = _product(kernel, _kernel_power(*mixed[0]), _pair_sum)
+        kernel = _product(kernel, _kernel_power(*mixed[0]))
 
-    def rule(n):
+    def rule(_, n):
         ks = kernel.fill(n)[n::-1]  # K_n .. K_0
         den = lcm(*(q for _, q in ks))
         num, weight = [], factorial(n)  # weight = n!/m!
@@ -240,7 +241,7 @@ def _daehee_rows(r: int) -> _Stream:
     """
     tops = _falling_stream(r)
 
-    def rule(n):
+    def rule(_, n):
         num, c = [], 1  # c = C(j+r, r)
         for j, s in enumerate(tops.fill(n)[n]):
             num.append(c * s)
@@ -262,7 +263,7 @@ def _cauchy_rows(r: int) -> _Stream:
     falling, kernel = _falling_stream(), _kernel_power(FamilyKind.CAUCHY, r)
     nums, fact, den = [], 1, 1  # N_0..N_n; n!; the lcm of the denominators of N
 
-    def rule(n):
+    def rule(_, n):
         nonlocal fact, den
         fact *= n or 1
         p, q = kernel.fill(n)[n]
@@ -289,7 +290,7 @@ def _cauchy_rows(r: int) -> _Stream:
     return _Stream(rule)
 
 
-def _changhee_rows(base: _Stream, h: int) -> _Recurrence:
+def _changhee_rows(base: _Stream, h: int) -> _Stream:
     """Rows of (2/(t+2))^h G from the rows G_n of G, h + 1 terms a row.
 
     The generating function's own equation (1+t/2)^h F = G gives
@@ -302,11 +303,11 @@ def _changhee_rows(base: _Stream, h: int) -> _Recurrence:
             terms.append(((-weight, 2**i), rows[n - i]))
         return _sum_of_products(terms)
 
-    return _Recurrence(rule)
+    return _Stream(rule)
 
 
 @lru_cache(maxsize=None)
-def _falling_stream(shift: int = 0) -> _Recurrence:
+def _falling_stream(shift: int = 0) -> _Stream:
     """s(m+shift, shift..m+shift): the top m + 1 coefficients of (x)_(m+shift), as ints.
 
     Stepped as (x)_(m+shift) = (x)_(m+shift-1) (x - m - shift + 1), that is
@@ -323,7 +324,7 @@ def _falling_stream(shift: int = 0) -> _Recurrence:
         return (left[shift], *map(sub, prev, map(step.__mul__, prev[1:] + (0,))))
 
     left = [1] * (shift + 1)  # s(m+i, i) at m = 0
-    return _Recurrence(rule, ((1,),))
+    return _Stream(rule, ((1,),))
 
 
 def family_gf(spec, trunc: int) -> TSeries:
@@ -347,7 +348,7 @@ def family_poly(spec, n: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def _order1_stream(kind: FamilyKind) -> _Recurrence:
+def _order1_stream(kind: FamilyKind) -> _Stream:
     """Order-1 numbers P_0, P_1, ... at x = 0, GF-free, as reduced pairs (p, q), each computed once.
 
     Bernoulli and Euler come from their classical linear recurrences over
@@ -378,7 +379,7 @@ def _order1_stream(kind: FamilyKind) -> _Recurrence:
             return _pair_sum([(s, (1, m + 1), _ONE_PAIR) for m, s in row])
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    return _Recurrence(rule, (_ONE_PAIR,) if kind in _EXP_CARRIER else ())
+    return _Stream(rule, (_ONE_PAIR,) if kind in _EXP_CARRIER else ())
 
 
 def _binomial_pairs(n: int, a, b, scale: int = 1) -> tuple[int, int]:
@@ -404,13 +405,13 @@ def _conv(n: int, poly_at, nums) -> XPoly:
 def _numbers_stream(spec: FamilySpec) -> _Stream:
     """Order-r numbers: 1, 0, 0, ... at order 0, then order r-1 convolved with order 1."""
     if spec.order == 0:
-        return _Stream(lambda n: (int(n == 0), 1))
+        return _Stream(lambda _, n: (int(n == 0), 1))
     base = _order1_stream(spec.kind)
     if spec.order == 1:
         return base
     # Order r-1 is looked up per term, so building a stream never recurses.
     lower = FamilySpec(spec.kind, spec.order - 1)
-    return _Stream(lambda n: _binomial_pairs(n, _numbers_stream(lower), base))
+    return _Stream(lambda _, n: _binomial_pairs(n, _numbers_stream(lower), base))
 
 
 def _numbers(spec: FamilySpec, n: int) -> _Stream:

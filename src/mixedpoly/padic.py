@@ -254,7 +254,7 @@ def _fold(
     Only the n with coords[n] != 0 are read, each as one window of the
     folds filled to n: one sum of their products.
     """
-    folds = _power(_Stream(None, _level_values(kind, M, len(coords) - 1)), k, _pair_sum)
+    folds = _power(_Stream(None, _level_values(kind, M, len(coords) - 1), _pair_sum), k)
     terms = []
     for n, a in enumerate(coords):
         if a:

@@ -19,20 +19,26 @@ raised ``sys.set_int_max_str_digits`` limit is reused after the limit is
 lowered, and a print that fails on the limit keeps nothing.  Inside, every
 sum of products -- a coefficient of a series product or quotient, and the
 convolutions of the families and the identity catalog -- is one integer sum
-over a common denominator, normalized once (``_sum_of_products``).  The
-stream rules (product, quotient, power) take that term sum as a parameter,
-so the expression language runs the same rules on x-free coefficients held
-as reduced integer pairs, summed by ``_pair_sum``.  A stream is a list
-filled explicitly, lowest term first: a rule calls ``fill`` on each
-operand up to the last index it reads, then reads the window of terms it
-sums as two slices (``_window``), so a term read is the interpreter's own
-list subscript.  A
-product, quotient or power told the t-degree bounds of its operands sums
-only the terms they leave nonzero.  A rule that reads its own lower terms
-(a quotient, ``exp``, ``log``, ``base^x``, the families' recurrences) is
-given its stream as an argument (``_Recurrence``) instead of holding it,
-so no stream refers to itself: a dropped stream is freed by reference
-counting, and no request leaves a cycle for the collector.
+over a common denominator, normalized once (``_sum_of_products``).
+
+A stream (``_Stream``) is a list of a sequence's terms, filled explicitly,
+lowest first: ``fill(n)`` computes each term i up to n not yet held as
+``rule(stream, i)``.  A rule reads the terms below i of its own stream as
+a slice, calls ``fill`` on any other stream up to the last index it reads,
+then reads the window of terms it sums as two slices (``_window``), so a
+term read is the interpreter's own list subscript.  A rule is handed its
+stream and never holds it, so no stream refers to itself: a dropped stream
+is freed by reference counting, and no request leaves a cycle for the
+collector.  A stream built from terms known in advance has no rule and is
+read only within them.  A stream carries its facts: its lane ``total``,
+the term sum that sums its terms -- ``_sum_of_products`` for ``XPoly``
+terms, or ``_pair_sum`` for x-free terms held as reduced integer pairs --
+and bounds ``v`` and ``d`` on its t-valuation from below and its
+t-degree from above.  The rules (product, quotient, power) read their
+operands' facts and set their result's: a result sums pairs only when
+both operands do (``_lane``), and sums only the terms its operands' degree
+bounds leave nonzero.  So the expression language runs the same rules on
+x-free terms and on ``XPoly`` terms.
 
 Every generating function handled by this package lives in ``TSeries``; all
 arithmetic is exact, and a series never pretends to know coefficients beyond
@@ -409,45 +415,20 @@ _NO_DEGREE = float("inf")
 
 
 class _Stream(list):
-    """Terms of a sequence, each computed once, lowest index first, when ``fill`` asks.
+    """The terms of a sequence, its rule and its facts: see the module docstring."""
 
-    ``rule(n)`` computes term n from other sequences.  A reader calls
-    ``fill(n)`` on each operand up to the last index it needs, then reads
-    the list: a window of terms is a slice (``_window``), so every read is
-    the interpreter's own list subscript.  A stream built from terms known
-    in advance has no rule and is read only within them.  A rule that reads
-    the terms below n of its own sequence belongs to a ``_Recurrence``,
-    which hands it the stream, so no stream refers to itself and a dropped
-    one is freed by reference counting.  A stream holds its terms and
-    nothing else about them.
-    """
+    __slots__ = ("rule", "total", "v", "d")
 
-    __slots__ = ("rule",)
-
-    def __init__(self, rule, terms=()):
-        super().__init__(terms)
+    def __init__(self, rule, terms=(), total=_sum_of_products, v=0, d=_NO_DEGREE):
+        self.extend(terms)  # quicker than list.__init__ through super()
         self.rule = rule
+        self.total = total
+        self.v = v
+        self.d = d
 
     def fill(self, n: int):
         """Compute the terms up to index n not yet held, lowest first; return the stream."""
         if len(self) <= n:  # a filled stream returns at once: most calls ask for no term
-            rule = self.rule
-            for i in range(len(self), n + 1):
-                self.append(rule(i))
-        return self
-
-
-class _Recurrence(_Stream):
-    """A stream whose ``rule(stream, n)`` reads the terms below n of ``stream``, itself.
-
-    While term n is computed the stream holds exactly the terms 0..n-1, so
-    the rule reads them as a slice with no fill.
-    """
-
-    __slots__ = ()
-
-    def fill(self, n: int):
-        if len(self) <= n:
             rule = self.rule
             for i in range(len(self), n + 1):
                 self.append(rule(self, i))
@@ -464,17 +445,21 @@ def _window(a, b, n: int, lo: int, hi: int, weight: int = 1, step: int = 0):
     return zip(weights, a[lo : hi + 1], reversed(b[n - hi : n - lo + 1]))
 
 
-def _product(a, b, total=_sum_of_products, da=_NO_DEGREE, db=_NO_DEGREE) -> _Stream:
-    """The product of two streams whose t-degrees are at most ``da`` and ``db``.
+def _lane(a, b):
+    """The term sum of a result read from streams a and b: pairs only when both hold pairs."""
+    return a.total if a.total is b.total else _sum_of_products
 
-    ``total`` is the term sum of the lane the terms live in: ``_sum_of_products``
-    for ``XPoly`` terms, or ``_pair_sum`` when both sequences hold pairs.
-    Term n sums a_k b_(n-k) over k in [max(0, n - db), min(n, da)] only.  A
+
+def _product(a, b) -> _Stream:
+    """The product of two streams.
+
+    Term n sums a_k b_(n-k) over k in [max(0, n - d_b), min(n, d_a)] only.  A
     square sums each cross term a_k a_(n-k), k < n - k, once, with weight 2.
     """
+    total, da, db = _lane(a, b), a.d, b.d
     if a is b:
 
-        def rule(n):
+        def rule(_, n):
             lo, mid = n - da if n > da else 0, n // 2  # k < n - k for k < n - mid
             a.fill(n - lo)
             if n % 2 or mid < lo:
@@ -483,20 +468,21 @@ def _product(a, b, total=_sum_of_products, da=_NO_DEGREE, db=_NO_DEGREE) -> _Str
 
     else:
 
-        def rule(n):
+        def rule(_, n):
             lo, hi = n - db if n > db else 0, n if n < da else da
             return total(_window(a.fill(hi), b.fill(n - lo), n, lo, hi))
 
-    return _Stream(rule)
+    return _Stream(rule, (), total, a.v + b.v, da + db)
 
 
-def _quotient(f, g, v: int, total=_sum_of_products, d=_NO_DEGREE) -> _Recurrence:
-    """f / g for g of valuation v and t-degree at most d, scalar g_v, f_0 .. f_(v-1) zero.
+def _quotient(f, g, v: int) -> _Stream:
+    """f / g for g of valuation v, scalar g_v, f_0 .. f_(v-1) zero.
 
-    Forward substitution: with g_v = a/b, term n is
-    (b f_(n+v) - b sum_(k=1..min(n, d-v)) g_(v+k) q_(n-k)) / a,
-    so every weight is an integer.
+    Forward substitution: with g_v = a/b and d the degree bound of g, term n
+    is (b f_(n+v) - b sum_(k=1..min(n, d-v)) g_(v+k) q_(n-k)) / a, so every
+    weight is an integer.
     """
+    total, d = _lane(f, g), g.d
     lead = _lift(g.fill(v)[v])
     w, scale = lead._den, lead._num[0]
     if scale < 0:
@@ -508,19 +494,16 @@ def _quotient(f, g, v: int, total=_sum_of_products, d=_NO_DEGREE) -> _Recurrence
         terms.append((w, f.fill(n + v)[n + v], _ONE_PAIR))
         return total(terms, scale)
 
-    return _Recurrence(rule)
+    return _Stream(rule, (), total, max(f.v - v, 0))
 
 
-def _power(base, k: int, total=_sum_of_products, d=_NO_DEGREE):
-    """base^k for k >= 1 by binary powering, for a base of t-degree at most d.
-
-    Each product is told its operands' degree bounds; k = 1 is the base itself.
-    """
-    result, degree = base, d
+def _power(base, k: int) -> _Stream:
+    """base^k for k >= 1 by binary powering; k = 1 is the base itself."""
+    result = base
     for bit in bin(k)[3:]:
-        result, degree = _product(result, result, total, degree, degree), 2 * degree
+        result = _product(result, result)
         if bit == "1":
-            result, degree = _product(result, base, total, degree, d), degree + d
+            result = _product(result, base)
     return result
 
 

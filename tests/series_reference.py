@@ -2,19 +2,29 @@
 
 Each is built from its closed-form coefficients as a ``TSeries``, and the
 order-1 kernels as truncated series quotients of them, so they share no
-code with the kernel-power and row streams of ``families`` or with the
-expression language's stream rules.  The small ``XPoly`` and ``TSeries``
-constructors that only the tests use live here too, and so does the dense
-row sum of the (1+t)^x families (``dense_rows``), the slow oracle of their
-short row rules.
+code with the kernel-power and row streams of ``families``.  ``TSeries``
+``*``, ``/`` and ``**`` run the stream rules of ``series`` (``_product``,
+``_quotient``, ``_power``), as the expression language does, so those
+operators are checked against the dense kernels here: a schoolbook
+convolution, forward substitution and repeated products over plain lists
+of ``Fraction`` values (``dense_product``, ``dense_quotient``,
+``dense_power``), which share no code with the rules.  The small ``XPoly``
+and ``TSeries`` constructors that only the tests use live here too, and so
+does the dense row sum of the (1+t)^x families (``dense_rows``), the slow
+oracle of their short row rules.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from mixedpoly.families import FamilyKind
 from mixedpoly.series import TSeries, XPoly
+
+
+def is_reduced_pair(c) -> bool:
+    """True for a pair lane term: integers (p, q) with q > 0 and gcd(p, q) = 1."""
+    return type(c) is tuple and all(type(i) is int for i in c) and c[1] > 0 and gcd(*c) == 1
 
 
 def poly_const(value) -> XPoly:
@@ -131,3 +141,62 @@ def dense_rows(factors, n_max: int) -> tuple[XPoly, ...]:
                 num[i] += p * (den // q) * c
         rows.append(XPoly([Fraction(c * factorial(n), den) for c in num]))
     return tuple(rows)
+
+
+# A dense series is a list of T + 1 polynomials in x, one per power of t,
+# each a list of its Fraction coefficients, ascending, with no trailing zero.
+
+
+def dense(series: TSeries) -> list[list[Fraction]]:
+    """A ``TSeries`` as a dense series."""
+    return [list(c.coeffs) for c in series.coeffs]
+
+
+def _add_product(acc: list, p: list, q: list, weight=1) -> None:
+    """acc += weight p q for polynomials as coefficient lists, in place."""
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            acc.extend([Fraction(0)] * (i + j + 1 - len(acc)))
+            acc[i + j] += weight * a * b
+
+
+def _trimmed(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def dense_product(f: list, g: list) -> list:
+    """h_n = sum_(k=0..n) f_k g_(n-k) for two dense series of one length."""
+    out = []
+    for n in range(len(f)):
+        acc = []
+        for k in range(n + 1):
+            _add_product(acc, f[k], g[n - k])
+        out.append(_trimmed(acc))
+    return out
+
+
+def dense_quotient(f: list, g: list) -> list:
+    """q = f / g by forward substitution, for g_0 a nonzero rational.
+
+    q_n = (f_n - sum_(k=1..n) g_k q_(n-k)) / g_0.
+    """
+    (g0,) = g[0]
+    out = []
+    for n in range(len(f)):
+        acc = list(f[n])
+        for k in range(1, n + 1):
+            _add_product(acc, g[k], out[n - k], -1)
+        out.append(_trimmed([c / g0 for c in acc]))
+    return out
+
+
+def dense_power(f: list, k: int) -> list:
+    """f^k by |k| repeated products from 1; a negative k takes 1/f first."""
+    one = [[Fraction(1)]] + [[] for _ in f[1:]]
+    base = f if k >= 0 else dense_quotient(one, f)
+    out = one
+    for _ in range(abs(k)):
+        out = dense_product(out, base)
+    return out

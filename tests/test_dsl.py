@@ -583,7 +583,8 @@ def test_stream_facts_bound_the_series(tree):
     # polynomials that are not monomials, so two examples do.
     node = parse_text(render(tree))
     try:
-        _, _, v, d, c = dsl._stream(node, 8)
+        stream, c = dsl._stream(node, 8)
+        v, d = stream.v, stream.d
         got = _eager(node, 8)
     except SemanticError:
         return
@@ -591,6 +592,39 @@ def test_stream_facts_bound_the_series(tree):
     assert all(got.coeff(n).is_zero for n in range(9) if n > d)
     if c is not None:
         assert got == TSeries(8, [c if n == v else 0 for n in range(9)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tree=st.recursive(_X_LEAVES, _grow, max_leaves=6))
+@example(tree=parse_text("((1+t)*(t-t^2))^2/(2*t)"))
+@example(tree=parse_text("-(3*t^2+t)*(1-t)^3*t^2-2*t*(1+t^4)"))
+def test_stream_facts_hold_at_every_node(tree):
+    # The facts of every stream the pass builds, inner nodes included, come
+    # from the ``series`` rules: each bounds its subtree's eager series at
+    # T = 8, and a monomial's c is exact.  A subtree whose eager series
+    # fails at T = 8 (a divisor searched to a higher cap inside) is skipped.
+    built = []
+
+    def recorded(node, cap, real=dsl._stream):
+        stream, c = real(node, cap)
+        built.append((node, stream, c))
+        return stream, c
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_stream", recorded)
+        try:
+            dsl._stream(parse_text(render(tree)), 8)
+        except SemanticError:
+            pass
+    for node, stream, c in built:
+        try:
+            got = _eager(node, 8)
+        except SemanticError:
+            continue
+        assert all(got.coeff(n).is_zero for n in range(min(stream.v, 9))), render(node)
+        assert all(got.coeff(n).is_zero for n in range(9) if n > stream.d), render(node)
+        if c is not None:
+            assert got == TSeries(8, [c if n == stream.v else 0 for n in range(9)])
 
 
 # Inputs whose outcome hangs on where a divisor's valuation search starts
@@ -861,9 +895,9 @@ def test_quotient_by_a_constant_takes_the_polynomial_step(monkeypatch, quotient,
     # bases are polynomials of one degree, so both take the d-term step.
     steps = []
 
-    def counted(b, d, real=dsl._power_x):
-        steps.append(d)
-        return real(b, d)
+    def counted(b, real=dsl._power_x):
+        steps.append(b.d)
+        return real(b)
 
     monkeypatch.setattr(dsl, "_power_x", counted)
     for trunc in range(31):

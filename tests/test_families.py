@@ -32,6 +32,7 @@ from series_reference import (
     degree,
     dense_rows,
     exp_xt,
+    is_reduced_pair,
     poly_one,
     poly_zero,
     quotient_kernel,
@@ -410,6 +411,26 @@ def test_kernel_matches_quotient_reference(kind):
         assert _kernel_series(kind, trunc) == quotient_kernel(kind, trunc), (kind, trunc)
 
 
+def test_be_kernel_product_holds_reduced_pairs(monkeypatch):
+    # The kernel powers declare the pair lane, so their BE product sums
+    # with ``_pair_sum`` and holds reduced integer pairs.
+    products = []
+
+    def recorded(a, b, real=families._product):
+        products.append(real(a, b))
+        return products[-1]
+
+    monkeypatch.setattr(families, "_product", recorded)
+    _clear_family_memos()
+    try:
+        gf_rows(MixedSpec(MixedKind.BE, 2, 3).factors, 8)
+    finally:
+        _clear_family_memos()
+    (kernel,) = products
+    assert kernel.total is series._pair_sum
+    assert all(is_reduced_pair(c) for c in kernel.fill(8))
+
+
 _GF_SPECS = [FamilySpec(kind, order) for kind in ALL_KINDS for order in range(5)] + [
     MixedSpec(kind, r, s) for kind in MixedKind for r in range(1, 4) for s in range(1, 4)
 ]
@@ -499,7 +520,7 @@ def test_log_carrier_rows_read_linear_work(monkeypatch):
 
     def counted_falling(shift=0):
         steps = falling(shift)
-        return series._Stream(lambda m: Counted(steps.fill(m)[m]))
+        return series._Stream(lambda _, m: Counted(steps.fill(m)[m]))
 
     def counted_total(terms, scale=1):
         terms = list(terms)

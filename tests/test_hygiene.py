@@ -26,9 +26,11 @@ objects by reference counting.  Every memo the CLI binds at module level
 is bounded, so a warm process keeps a bounded heap.  The expression
 language walks an expression once to evaluate it.  A value class
 (``series._Record``) that writes its own ``__init__`` does more in it than
-set its fields, which the base's constructor does.  The stream classes of
-``series`` are ``list`` subclasses that override no subscript, so every
-term read is the interpreter's own list subscript.
+set its fields, which the base's constructor does.  ``series`` has one
+stream class, a ``list`` subclass that overrides no subscript, so every
+term read is the interpreter's own list subscript, and every rule passed
+to it in the package takes two positional parameters, the stream and the
+index, as ``fill`` calls it.
 """
 
 import ast
@@ -476,7 +478,7 @@ def test_streams_are_plain_lists_to_read():
         return None
 
     streams = sorted(name for name in classes if builtin_base(name) == "list")
-    assert streams == ["_Recurrence", "_Stream"]
+    assert streams == ["_Stream"]
     assert not [name for name in classes if builtin_base(name) == "dict"]
     hooks = sorted(
         f"{name}.{stmt.name}"
@@ -485,3 +487,61 @@ def test_streams_are_plain_lists_to_read():
         if isinstance(stmt, ast.FunctionDef) and stmt.name in STREAM_READ_HOOKS
     )
     assert not hooks, hooks
+
+
+def _stream_rules(tree: ast.Module) -> list[tuple[int, ast.AST]]:
+    """(line, rule) for every rule passed to ``_Stream(...)`` in a module.
+
+    The rule is the call's first argument or its ``rule=`` keyword: a
+    lambda, a name bound by a ``def`` in the innermost enclosing function
+    that binds it (or the module), or a subscript of a module-level dict,
+    whose values are the rules.  ``None``, a stream of terms known in
+    advance, has no rule.  A rule of any other form is returned as itself.
+    """
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    bindings = _bindings(tree)
+    out = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "_Stream":
+            continue
+        rule = call.args[0] if call.args else next(k.value for k in call.keywords if k.arg == "rule")
+        if isinstance(rule, ast.Constant) and rule.value is None:
+            continue
+        rules = [rule]
+        if isinstance(rule, ast.Name):
+            scope = call
+            while scope in parents:
+                scope = parents[scope]
+                if isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    defs = [
+                        d
+                        for d in ast.walk(scope)
+                        if isinstance(d, ast.FunctionDef) and d.name == rule.id and d is not scope
+                    ]
+                    if defs:
+                        rules = defs
+                        break
+        elif isinstance(rule, ast.Subscript) and isinstance(rule.value, ast.Name):
+            bound = bindings.get(rule.value.id)
+            if isinstance(bound, ast.Assign) and isinstance(bound.value, ast.Dict):
+                rules = bound.value.values
+        out += [(call.lineno, r) for r in rules]
+    return out
+
+
+def test_stream_rules_take_the_stream_and_an_index():
+    # ``_Stream.fill`` calls ``rule(stream, n)`` for every rule: a rule of
+    # one argument fails only when filled, possibly on a path no test reaches.
+    rules = [(name, line, rule) for name, tree in MODULES.items() for line, rule in _stream_rules(tree)]
+    assert {"series", "dsl", "families"} <= {name for name, _, _ in rules}
+
+    def positional(rule):
+        if not isinstance(rule, (ast.Lambda, ast.FunctionDef)) or rule.args.vararg:
+            return None
+        return len(rule.args.posonlyargs) + len(rule.args.args)
+
+    bad = [f"{name}.py:{line}" for name, line, rule in rules if positional(rule) != 2]
+    assert not bad, bad

@@ -343,15 +343,17 @@ def test_catalog_sides_take_independent_routes(monkeypatch, corrected):
 
     def doubled_kernel(kind, order):
         power = kernel(kind, order)  # terms are integer pairs (p, q) for p/q
-        return series._Stream(lambda n: (2 * power.fill(n)[n][0], power[n][1]))
+        return series._Stream(
+            lambda _, n: (2 * power.fill(n)[n][0], power[n][1]), total=series._pair_sum
+        )
 
     def doubled_stirling(shift=0):
         steps = stirling(shift)  # terms are tuples of integer coefficients
-        return series._Stream(lambda m: tuple(2 * c for c in steps.fill(m)[m]))
+        return series._Stream(lambda _, m: tuple(2 * c for c in steps.fill(m)[m]))
 
     def tripled_numbers(kind):
         nums = numbers(kind)  # terms are integer pairs (p, q) for p/q
-        return series._Stream(lambda n: (3 * nums.fill(n)[n][0], nums[n][1]))
+        return series._Stream(lambda _, n: (3 * nums.fill(n)[n][0], nums[n][1]))
 
     def quintupled_falling(n):
         return falling(n) * 5

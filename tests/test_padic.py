@@ -31,7 +31,7 @@ from mixedpoly.padic import (
 )
 from mixedpoly.series import XPoly
 
-from series_reference import poly_const, poly_one, poly_x
+from series_reference import is_reduced_pair, poly_const, poly_one, poly_x
 
 BOS = IntegralKind.BOSONIC
 FER = IntegralKind.FERMIONIC
@@ -149,6 +149,26 @@ def test_multifold_matches_nested_bruteforce():
                 want = total / (M * M) if kind is BOS else total
                 got = multifold_integral(kind, BinomialBasis(n), 2, x0, ctx)
                 assert got == want
+
+
+def test_folds_hold_reduced_pairs(monkeypatch):
+    # The level values declare the pair lane, so every power of them the
+    # folds take sums with ``_pair_sum`` and holds reduced integer pairs.
+    folds = []
+
+    def recorded(base, k, real=padic._power):
+        folds.append(real(base, k))
+        return folds[-1]
+
+    monkeypatch.setattr(padic, "_power", recorded)
+    for kind in (BOS, FER):
+        for k in (1, 2, 3):
+            integral(kind, BinomialBasis(6), k, F(1, 2))
+            multifold_integral(kind, XPoly((1, 2, 3)), k, 1, PAdicContext(5, 2))
+    assert len(folds) == 12
+    for fold in folds:
+        assert fold.total is padic._pair_sum
+        assert all(is_reduced_pair(c) for c in fold)
 
 
 def test_multifold_fold_count_and_budget():

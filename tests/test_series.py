@@ -12,14 +12,26 @@ from mixedpoly.series import (
     TSeries,
     TruncationError,
     XPoly,
+    _lift,
+    _pair_sum,
+    _power,
+    _product,
+    _quotient,
+    _Stream,
+    _sum_of_products,
     falling_factorial,
 )
 
 from series_reference import (
     binomial_x,
     degree,
+    dense,
+    dense_power,
+    dense_product,
+    dense_quotient,
     exp_xt,
     expm1,
+    is_reduced_pair,
     geom2,
     log1p,
     poly_const,
@@ -287,6 +299,60 @@ def test_extraction_satisfies_binomial_convolution(triple):
         for k in range(n + 1):
             want = want + f.poly(k) * g.poly(n - k) * comb(n, k)
         assert prod.poly(n) == want
+
+
+@st.composite
+def _dense_operands(draw):
+    """f and u of one truncation, u with a nonzero rational constant term, and an exponent."""
+    trunc = draw(st.integers(min_value=0, max_value=6))
+    f = TSeries(trunc, [draw(_xpolys()) for _ in range(trunc + 1)])
+    u = TSeries(trunc, [draw(_rats.filter(bool)), *(draw(_xpolys()) for _ in range(trunc))])
+    return f, u, draw(st.integers(min_value=-3, max_value=5))
+
+
+@given(_dense_operands())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_arithmetic_matches_dense_reference(operands):
+    # The operators run the stream rules; the dense reference shares no code with them.
+    f, u, k = operands
+    assert dense(f * u) == dense_product(dense(f), dense(u))
+    assert dense(f / u) == dense_quotient(dense(f), dense(u))
+    assert dense(u**k) == dense_power(dense(u), k)
+    if k >= 0:
+        assert dense(f**k) == dense_power(dense(f), k)
+
+
+def _lane_operands():
+    """1 + t/2 + ... + t^5/6 twice: as pairs on the pair lane, and as XPoly values, no lane given."""
+    pairs = _Stream(None, [(1, n + 1) for n in range(6)], _pair_sum)
+    polys = _Stream(None, [XPoly((F(1, n + 1), n)) for n in range(6)])
+    return pairs, polys
+
+
+def _dense_terms(stream):
+    """Terms 0..5 of a stream of either lane as a dense series."""
+    return [list(_lift(c).coeffs) for c in stream.fill(5)[:6]]
+
+
+@pytest.mark.parametrize("left,right", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_rules_sum_pairs_only_when_both_operands_do(left, right):
+    # A result's lane comes from its operands': it holds reduced pairs only
+    # when both do.  A stream built with no lane given sums XPoly terms.
+    # Either lane's terms match the dense reference.
+    a, b = _lane_operands()[left], _lane_operands()[right]
+    assert _lane_operands()[1].total is _sum_of_products
+    fa, fb = _dense_terms(a), _dense_terms(b)
+    both = a.total is b.total is _pair_sum
+    cases = [
+        (_product(a, b), both, dense_product(fa, fb)),
+        (_quotient(a, b, 0), both, dense_quotient(fa, fb)),
+        (_power(a, 3), a.total is _pair_sum, dense_power(fa, 3)),
+    ]
+    for result, pairs, want in cases:
+        assert result.total is (_pair_sum if pairs else _sum_of_products)
+        held = result.fill(5)
+        assert all(is_reduced_pair(c) if pairs else type(c) is XPoly for c in held)
+        assert _dense_terms(result) == want
 
 
 @settings(deadline=None)
